@@ -27,15 +27,12 @@ from .fieldcode import (
     LinearCodeFq,
     cyclic_code_fq,
     cyclic_dual_generator,
-    dual_fq,
     hamming_enumerator_fq,
-    is_cyclic_fq,
-    min_distance_fq,
     rref,
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
 )
-from .ringcode import ComponentTriple, DualityFlags, LinearCodeR, code_from_generators, combine_components
+from .ringcode import ComponentTriple, DualityFlags, LinearCodeR, combine_components
 from .wenum import (
     CompleteEnumerator,
     HammingEnumerator,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import wenum
 from .cyclic import CyclicSpecR, cyclic_code_r, is_cyclic_r, self_dual_cyclic_search
-from .errors import VCodesError
+from .errors import DEFAULT_BUDGET, VCodesError
 from .fileio import (
     format_code_file,
     format_field_code,
@@ -38,7 +38,7 @@ from .fsd import (
 from .gf import format_poly, parse_poly
 from .fieldcode import LinearCodeFq
 from .ring import format_elem, parse_elem, ring_over
-from .verify import DEFAULT_BUDGET, SCOPES, run_verification_suite
+from .verify import SCOPES, run_verification_suite
 
 _ENUM_BUILDERS = {
     "lee": wenum.lee_enumerator,
@@ -147,7 +147,7 @@ def _cmd_weight(args) -> int:
 def _cmd_dual(args) -> int:
     if args.code:
         code = parse_code_file(Path(args.code).read_text())
-        dual = code.dual(args.budget)
+        dual = code.dual()
         obj = {
             "q": code.ring.q,
             "n": code.n,
@@ -186,7 +186,7 @@ def _cmd_enum(args) -> int:
 def _cmd_cyclic(args) -> int:
     ring = ring_over(args.q)
     if args.search_self_dual:
-        res = self_dual_cyclic_search(ring, args.n, args.budget)
+        res = self_dual_cyclic_search(ring, args.n)
         witness = res["witness"]
         if witness is None:
             wobj = None
@@ -240,7 +240,7 @@ def _cmd_construct(args) -> int:
             )
             code, witness = construction_c(ring, spec)
 
-    ok = isodual_witness_check(code, witness, args.budget)
+    ok = isodual_witness_check(code, witness)
     obj = {
         "q": code.ring.q,
         "length": code.n,

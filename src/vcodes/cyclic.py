@@ -20,8 +20,6 @@ from .ring import Ring
 from .ringcode import ComponentTriple, LinearCodeR, combine_components
 from .submodules import AmbientSpace
 
-DEFAULT_BUDGET = 1 << 25
-
 
 @dataclass(frozen=True)
 class CyclicSpecR:
@@ -88,12 +86,13 @@ def all_divisor_triples(ring: Ring, n: int, cap: int = 4096):
                 yield CyclicSpecR(n, f1, f2, f3)
 
 
-def self_dual_cyclic_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) -> dict:
+def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
     """Exhaustive search for a self-dual cyclic code of length n over R.
 
     Odd q: every cyclic code is a divisor triple in idempotent mode, so the
     triple lattice is scanned.  q = 2: the full ideal lattice of R^n is
-    enumerated (tiny n only) and duals are computed against the ambient.
+    enumerated (tiny n only) and each half-size ideal is compared with its
+    dual, the F_q kernel that ``LinearCodeR.dual`` computes for every q.
     Returns {"witness": ..., "exhausted": bool, "tested": count}.
     """
     tested = 0
@@ -103,7 +102,7 @@ def self_dual_cyclic_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) ->
             if 2 * spec.degree_sum != 3 * n:
                 continue  # |C| can only match |C^dual| at the half size
             code = cyclic_code_r(ring, spec, "idempotent")
-            if code == code.dual(budget):
+            if code == code.dual():
                 return {"witness": spec, "exhausted": True, "tested": tested}
         return {"witness": None, "exhausted": True, "tested": tested}
 

@@ -1,5 +1,9 @@
 """Exception types shared across the library."""
 
+# Default cap on the words any enumeration may visit; past it the call
+# raises SearchSpaceTooLarge instead of running.
+DEFAULT_BUDGET = 1 << 25
+
 
 class VCodesError(Exception):
     """Base class for all library errors."""

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
+from .errors import DEFAULT_BUDGET, EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
 from .gf import GF, Poly, monic_divisors_of_xn_minus_1
 from . import wenum
 
-DEFAULT_BUDGET = 1 << 25
 _CHUNK_ROWS = 1 << 14
 
 
@@ -61,7 +60,9 @@ class LinearCodeFq:
     def __init__(self, field: GF, n: int, gen: np.ndarray):
         self.field = field
         self.n = n
-        gen = np.asarray(gen, dtype=np.int64).reshape(-1, n)
+        gen = np.asarray(gen, dtype=np.int64)
+        # numpy cannot infer -1 next to a zero-length axis; length 0 is {()}
+        gen = gen.reshape(-1, n) if n else np.zeros((0, 0), dtype=np.int64)
         reduced, rank, pivots = rref(gen, field.q)
         self.gen = reduced[:rank]
         self.k = rank
@@ -185,10 +186,6 @@ def cyclic_code_fq(g: Poly, n: int) -> LinearCodeFq:
     return LinearCodeFq.from_rows(field, n, rows)
 
 
-def is_cyclic_fq(code: LinearCodeFq) -> bool:
-    return code.is_cyclic()
-
-
 def cyclic_dual_generator(g: Poly, n: int) -> Poly:
     """Monic h*(x) = x^deg(h) h(1/x)/h(0) for h = (x^n-1)/g.
 
@@ -231,17 +228,3 @@ def random_code(field: GF, n: int, rng, max_rows: int | None = None) -> LinearCo
     rows = rng.randrange(1, (max_rows or n) + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
     return LinearCodeFq.from_rows(field, n, mat)
-
-
-def _check_budget(q: int, k: int, budget: int) -> None:
-    if q**k > budget:
-        raise SearchSpaceTooLarge(f"{q}^{k} codewords exceeds budget {budget}")
-
-
-def min_distance_fq(code: LinearCodeFq, budget: int = DEFAULT_BUDGET) -> int:
-    _check_budget(code.field.q, code.k, budget)
-    return code.min_distance(budget)
-
-
-def dual_fq(code: LinearCodeFq) -> LinearCodeFq:
-    return code.dual()

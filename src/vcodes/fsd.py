@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSymmetric, ParamMismatch, ShapeError
+from .errors import DEFAULT_BUDGET, NotSymmetric, ParamMismatch, ShapeError
 from .ring import Ring
 from .ringcode import LinearCodeR, _as_index_row
 from .submodules import AmbientSpace
 from . import wenum
-
-DEFAULT_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -184,9 +182,7 @@ def _right_block(code: LinearCodeR) -> list[tuple[int, ...]]:
     return [g[n:] for g in code.gens]
 
 
-def isodual_witness_check(
-    code: LinearCodeR, witness: SignedPermutation, budget: int = DEFAULT_BUDGET
-) -> bool:
+def isodual_witness_check(code: LinearCodeR, witness: SignedPermutation) -> bool:
     """Certify C isodual: companion [-B^T | I] spans the dual, and the
     signed permutation carries C exactly onto it."""
     ring = code.ring
@@ -198,7 +194,7 @@ def isodual_witness_check(
         right = [0] * n
         right[i] = 1
         companion.append(tuple(left) + tuple(right))
-    dual = code.dual(budget)
+    dual = code.dual()
     if LinearCodeR(ring, code.n, companion) != dual:
         return False
     return witness.apply_code(code) == dual
@@ -214,7 +210,7 @@ def direct_product(c1: LinearCodeR, c2: LinearCodeR) -> LinearCodeR:
 
 
 def is_formally_self_dual(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:
-    dual = code.dual(budget)
+    dual = code.dual()
     return wenum.lee_enumerator(code, budget) == wenum.lee_enumerator(dual, budget)
 
 

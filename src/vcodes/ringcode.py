@@ -2,10 +2,12 @@
 
 A code is the R-span of a generator list.  Since R is a 3-dimensional
 F_q-algebra, the span is also the F_q-span of {g, v*g, v^2*g}, so every code
-carries a canonical reduced F_q basis of the flattened coordinates
-(a0-block | a1-block | a2-block).  That basis drives size, membership,
-equality and chunked codeword enumeration uniformly for every q; the
-evaluation/CRT machinery is layered on top and only used where q is odd.
+wraps the length-3n F_q code of its flattened coordinates
+(a0-block | a1-block | a2-block).  That code gives size, membership,
+equality and chunked codeword enumeration, and the dual is the kernel of one
+F_q matrix, uniformly for every q.  The evaluation/CRT components (q odd)
+serve the component claims and, with ``brute_force_dual``, are the oracles
+the dual is tested against.
 
 Component codes come in two flavours: the canonical evaluation components
 (images of the code under v -> 1, -1, 0) and the literal projections
@@ -20,18 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DEFAULT_BUDGET,
     CharacteristicTwoUnsupported,
     EmptyCode,
     ParamMismatch,
     SearchSpaceTooLarge,
     ShapeError,
 )
-from .fieldcode import LinearCodeFq, rref
+from .fieldcode import LinearCodeFq
 from .ring import Ring, RingElem
 from . import wenum
-
-DEFAULT_BUDGET = 1 << 25
-_CHUNK_ROWS = 1 << 14
 
 
 def _as_index_row(ring: Ring, row) -> tuple[int, ...]:
@@ -56,10 +56,10 @@ class LinearCodeR:
             if len(r) != n:
                 raise ShapeError(f"generator length {len(r)} != n = {n}")
         self.gens = tuple(rows)
-        self._fq_basis = self._reduce_basis()
+        self.flat = LinearCodeFq(ring.field, 3 * n, self._fq_generator_rows())
 
     def _fq_generator_rows(self) -> np.ndarray:
-        """Flattened F_q generators {g, v*g, v^2*g} for every generator."""
+        """Flattened F_q generators: all g, then all v*g, then all v^2*g."""
         ring = self.ring
         if not self.gens:
             return np.zeros((0, 3 * self.n), dtype=np.int64)
@@ -71,10 +71,6 @@ class LinearCodeR:
         )
         coeffs = ring.coeff[stacked]  # (rows, n, 3)
         return coeffs.transpose(0, 2, 1).reshape(stacked.shape[0], 3 * self.n)
-
-    def _reduce_basis(self) -> np.ndarray:
-        reduced, rank, _ = rref(self._fq_generator_rows(), self.ring.q)
-        return reduced[:rank]
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> "LinearCodeR":
@@ -98,23 +94,17 @@ class LinearCodeR:
 
     @property
     def dim_fq(self) -> int:
-        return self._fq_basis.shape[0]
+        return self.flat.k
 
     @property
     def size(self) -> int:
-        return self.ring.q**self.dim_fq
+        return self.flat.size
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinearCodeR)
-            and self.ring.q == other.ring.q
-            and self.n == other.n
-            and self._fq_basis.shape == other._fq_basis.shape
-            and bool((self._fq_basis == other._fq_basis).all())
-        )
+        return isinstance(other, LinearCodeR) and self.flat == other.flat
 
     def __hash__(self):
-        return hash((self.ring.q, self.n, self._fq_basis.tobytes()))
+        return hash(self.flat)
 
     def __repr__(self):
         return f"LinearCodeR(q={self.ring.q}, n={self.n}, |C|={self.size})"
@@ -125,19 +115,9 @@ class LinearCodeR:
         q, n = self.ring.q, self.n
         return flat[:, :n] + q * flat[:, n : 2 * n] + q * q * flat[:, 2 * n :]
 
-    def codeword_chunks(self, budget: int = DEFAULT_BUDGET, chunk_rows: int = _CHUNK_ROWS):
+    def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
         """Yield (rows, n) arrays of element indices; zero word comes first."""
-        q = self.ring.q
-        d = self.dim_fq
-        if self.size > budget:
-            raise SearchSpaceTooLarge(f"{self.size} codewords exceeds budget {budget}")
-        basis = self._fq_basis
-        for start in range(0, self.size, chunk_rows):
-            stop = min(start + chunk_rows, self.size)
-            idx = np.arange(start, stop, dtype=np.int64)[:, None]
-            powers = q ** np.arange(d - 1, -1, -1, dtype=np.int64)[None, :]
-            msgs = (idx // powers) % q
-            flat = (msgs @ basis) % q if d else np.zeros((1, 3 * self.n), dtype=np.int64)
+        for flat in self.flat.codeword_chunks(budget):
             yield self._unflatten(flat)
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -171,24 +151,10 @@ class LinearCodeR:
 
     def contains(self, row) -> bool:
         ring = self.ring
-        vec = _as_index_row(ring, row)
-        coeffs = ring.coeff[np.array(vec, dtype=np.int64)]
-        flat = coeffs.T.reshape(-1) % ring.q
-        q = ring.q
-        v = flat.astype(np.int64)
-        basis = self._fq_basis
-        pivots = [int(np.argmax(r != 0)) for r in basis]
-        for brow, col in zip(basis, pivots):
-            if v[col]:
-                v = (v - v[col] * brow) % q
-        return not v.any()
+        vec = np.array(_as_index_row(ring, row), dtype=np.int64)
+        return self.flat.contains(ring.coeff[vec].T.reshape(-1))
 
     # ---- structure maps ----
-
-    def shifted(self) -> "LinearCodeR":
-        """The code's image under one cyclic right shift of coordinates."""
-        gens = [tuple(g[-1:] + g[:-1]) for g in self.gens]
-        return LinearCodeR(self.ring, self.n, gens)
 
     def components_crt(self) -> "ComponentTriple":
         """Evaluation components (at v=1, v=-1, v=0); q odd only."""
@@ -208,7 +174,7 @@ class LinearCodeR:
     def components_paper(self, budget: int = DEFAULT_BUDGET) -> "ComponentTriple":
         """Literal projections a, a+b, a+b+c of the printed definition."""
         ring = self.ring
-        fq_rows = self._fq_generator_rows()
+        fq_rows = self.flat.gen
         n = self.n
         a = fq_rows[:, :n]
         b = fq_rows[:, n : 2 * n]
@@ -222,7 +188,7 @@ class LinearCodeR:
     def gray_image(self) -> LinearCodeFq:
         """The F_q code Psi(C) of length 3n, blocks (a0 | a0+a2 | a1)."""
         ring = self.ring
-        fq_rows = self._fq_generator_rows()
+        fq_rows = self.flat.gen
         n = self.n
         a0 = fq_rows[:, :n]
         a1 = fq_rows[:, n : 2 * n]
@@ -263,16 +229,19 @@ class LinearCodeR:
         rows = np.concatenate(keep, axis=0)
         return LinearCodeR(ring, self.n, [tuple(map(int, r)) for r in rows])
 
-    def dual(self, budget: int = DEFAULT_BUDGET) -> "LinearCodeR":
-        """Dual code: componentwise field duals for odd q, else brute force."""
-        ring = self.ring
-        if ring.q % 2 == 1:
-            comps = self.components_crt()
-            dual_triple = ComponentTriple(
-                comps.c1.dual(), comps.c2.dual(), comps.c3.dual(), "crt"
-            )
-            return combine_components(ring, dual_triple, "idempotent")
-        return self.brute_force_dual(budget)
+    def dual(self) -> "LinearCodeR":
+        """C^dual as the kernel of one F_q matrix, for every q.
+
+        With y = y0 + v*y1 + v^2*y2 coordinatewise, <g, y> is the sum of
+        y_k . (v^k g), so its three coefficients are F_q-linear in the
+        flattened y and the matrix is a reshape of the flattened generators.
+        """
+        n = self.n
+        rows = self._fq_generator_rows()
+        m = rows.shape[0] // 3
+        constraints = rows.reshape(3, m, 3, n).transpose(1, 2, 0, 3).reshape(3 * m, 3 * n)
+        kernel = LinearCodeFq(self.ring.field, 3 * n, constraints).dual()
+        return LinearCodeR(self.ring, n, self._unflatten(kernel.gen).tolist())
 
     # ---- metrics ----
 
@@ -309,7 +278,7 @@ class LinearCodeR:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     def classify_duality(self, budget: int = DEFAULT_BUDGET) -> "DualityFlags":
-        dual = self.dual(budget)
+        dual = self.dual()
         self_orth = all(self.dot(g, h) == 0 for g in self.gens for h in self.gens)
         self_dual = self_orth and self == dual
         fsd = wenum.lee_enumerator(self, budget) == wenum.lee_enumerator(dual, budget)
@@ -384,15 +353,6 @@ def combine_components(ring: Ring, triple: ComponentTriple, mode: str) -> Linear
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return LinearCodeR(ring, n, gens)
-
-
-def code_from_generators(ring: Ring, rows, n: int | None = None) -> LinearCodeR:
-    rows = list(rows)
-    if n is None:
-        if not rows:
-            raise ShapeError("length n required for an empty generator list")
-        n = len(rows[0])
-    return LinearCodeR(ring, n, rows)
 
 
 def random_code_r(ring: Ring, n: int, rng, max_rows: int | None = None) -> LinearCodeR:

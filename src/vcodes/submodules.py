@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .ring import Ring
+from .ringcode import LinearCodeR
 
 _MAX_AMBIENT = 1 << 13
 
@@ -70,13 +71,8 @@ class AmbientSpace:
 
     def dual_set(self, members: np.ndarray) -> np.ndarray:
         """All ambient vectors orthogonal (ring dot) to every member, sorted."""
-        ring = self.ring
-        dec_all = self.decode
-        dec_m = self.decode[members]
-        acc = np.zeros((self.size, len(members)), dtype=np.int64)
-        for j in range(self.n):
-            acc = ring.add_table[acc, ring.mul_table[dec_all[:, None, j], dec_m[None, :, j]]]
-        return np.nonzero((acc == 0).all(axis=1))[0]
+        dual = LinearCodeR(self.ring, self.n, self.decode[members]).dual()
+        return np.sort(self.encode_rows(dual.codewords()))
 
     def _lattice(self, atoms: list[np.ndarray]) -> list[np.ndarray]:
         seen: dict[bytes, np.ndarray] = {}

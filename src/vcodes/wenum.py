@@ -23,9 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import TransformInconsistent
-
-DEFAULT_BUDGET = 1 << 25
+from .errors import DEFAULT_BUDGET, TransformInconsistent
 
 # As printed: class indices 0..7 stand for the symbol shapes
 #   0, a0, a1*v, a2*v^2, a0+a1*v, a0+a2*v^2, a1*v+a2*v^2, a0+a1*v+a2*v^2

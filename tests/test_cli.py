@@ -66,6 +66,19 @@ def test_dual_command_code_file(tmp_path, capsys):
     assert dual.contains([1, ring.neg(1)])
 
 
+def test_dual_command_prints_a_basis_at_q2(tmp_path, capsys):
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("q=2 n=3\n1 0 v\n")
+    rc, out, _ = run(capsys, "dual", "--code", str(code_file), "--format", "json")
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["size"] == 8 and obj["dual_size"] == 64
+    assert len(obj["dual_generators"]) <= 3 * 3
+    ring = ring_over(2)
+    dual = LinearCodeR(ring, 3, [[ring.parse(e).idx for e in g] for g in obj["dual_generators"]])
+    assert dual.size == 64 and dual.contains([0, 1, 0])
+
+
 def test_dual_command_matrix_file(tmp_path, capsys):
     mfile = tmp_path / "mat.txt"
     mfile.write_text("q=3 n=3\n1 1 1\n")
@@ -148,6 +161,18 @@ def test_verify_paper_scope_gray(tmp_path, capsys):
     assert statuses["thm2-weight-preserving"] == "confirmed"
     assert statuses["thm6-dual-gray-image"] == "confirmed"
     assert statuses["lee-table-audit"] == "refuted"
+
+
+def test_verify_paper_over_budget_claim_is_untestable(capsys):
+    rc, out, err = run(capsys, "verify-paper", "--scope", "examples", "--budget", "100000", "--format", "json")
+    assert rc == 0 and not err
+    entries = {e["claim_id"]: e for e in json.loads(out)["entries"]}
+    assert set(entries) == {"ex13-symmetric", "ex15-double-circulant", "ex17-bordered"}
+    ex13 = entries["ex13-symmetric"]
+    assert ex13["status"] == "untestable" and ex13["tested"] == 0
+    assert ex13["note"] == "14348907 codewords exceeds budget 100000"
+    assert entries["ex15-double-circulant"]["status"] == "refuted"
+    assert entries["ex15-double-circulant"]["tested"] > 0
 
 
 def test_code_file_roundtrip():

@@ -10,7 +10,6 @@ from vcodes.fieldcode import (
     cyclic_code_fq,
     cyclic_dual_generator,
     hamming_enumerator_fq,
-    min_distance_fq,
     random_code,
     rref,
     self_dual_cyclic_audit,
@@ -42,6 +41,13 @@ def test_dual_examples():
     assert zero.dual() == LinearCodeFq.full_space(F3, 2)
 
 
+def test_length_zero_codes():
+    zero, full = LinearCodeFq.zero_code(F3, 0), LinearCodeFq.full_space(F3, 0)
+    assert zero == full and (zero.k, zero.size) == (0, 1)
+    assert zero.dual() == full
+    assert zero.codewords().shape == (1, 0)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_dual_involution_and_sizes(q):
     rng = random.Random(q * 101)
@@ -66,7 +72,7 @@ def test_min_distance_examples():
 def test_min_distance_budget():
     code = LinearCodeFq.full_space(F3, 8)
     with pytest.raises(SearchSpaceTooLarge):
-        min_distance_fq(code, budget=100)
+        code.min_distance(budget=100)
 
 
 def test_hamming_enumerator_examples():
