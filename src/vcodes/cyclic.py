@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CharacteristicTwoUnsupported, NotADivisor, SearchSpaceTooLarge
 from .fieldcode import cyclic_code_fq, cyclic_dual_generator
-from .gf import Poly, monic_divisors_of_xn_minus_1
+from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
 from .ringcode import ComponentTriple, LinearCodeR, combine_components
 from .submodules import AmbientSpace
@@ -76,9 +76,9 @@ def cyclic_dual_r(ring: Ring, spec: CyclicSpecR) -> LinearCodeR:
     return cyclic_code_r(ring, dual_spec, "idempotent")
 
 
-def all_divisor_triples(ring: Ring, n: int, cap: int = 4096):
-    divisors = monic_divisors_of_xn_minus_1(ring.field, n, cap)
-    if len(divisors) ** 3 > cap**2:
+def all_divisor_triples(ring: Ring, n: int):
+    divisors = monic_divisors_of_xn_minus_1(ring.field, n)
+    if len(divisors) ** 3 > DIVISOR_CAP**2:
         raise SearchSpaceTooLarge(f"{len(divisors)}^3 divisor triples")
     for f1 in divisors:
         for f2 in divisors:
@@ -91,8 +91,10 @@ def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
 
     Odd q: every cyclic code is a divisor triple in idempotent mode, so the
     triple lattice is scanned.  q = 2: the full ideal lattice of R^n is
-    enumerated (tiny n only) and each half-size ideal is compared with its
-    dual, the F_q kernel that ``LinearCodeR.dual`` computes for every q.
+    walked (tiny n only) as RREF F_q bases, and the basis of each half-size
+    ideal is compared with the basis of its dual, the F_q kernel that
+    ``LinearCodeR.dual`` computes for every q.  A witness is generated by
+    all its members, in encoded order.
     Returns {"witness": ..., "exhausted": bool, "tested": count}.
     """
     tested = 0
@@ -107,17 +109,9 @@ def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
         return {"witness": None, "exhausted": True, "tested": tested}
 
     space = AmbientSpace(ring, n)
-    half = 3 * n  # need |I|^2 = q^(3n)
-    if half % 2:
-        target = None
-    else:
-        target = ring.q ** (half // 2)
     for ideal in space.all_ideals():
         tested += 1
-        if target is None or len(ideal) != target:
-            continue
-        dual = space.dual_set(ideal)
-        if dual.size == ideal.size and (dual == ideal).all():
-            code = LinearCodeR(ring, n, space.rows_of(ideal))
-            return {"witness": code, "exhausted": True, "tested": tested}
+        # |I| = |I^dual| = q^(3n/2) needs 3n/2 basis rows; equal bases, equal codes
+        if 2 * len(ideal) == 3 * n and space.dual_set(ideal).tobytes() == ideal.tobytes():
+            return {"witness": space.witness(ideal), "exhausted": True, "tested": tested}
     return {"witness": None, "exhausted": True, "tested": tested}

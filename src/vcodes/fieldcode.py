@@ -204,11 +204,11 @@ def self_dual_cyclic_exists(field: GF, n: int) -> bool:
     return field.q % 2 == 0 and n % 2 == 0
 
 
-def self_dual_cyclic_audit(field: GF, n: int, cap: int = 4096) -> dict:
+def self_dual_cyclic_audit(field: GF, n: int) -> dict:
     """Exhaustive check of the criterion over all monic divisors of x^n - 1."""
     witness = None
     tested = 0
-    for g in monic_divisors_of_xn_minus_1(field, n, cap):
+    for g in monic_divisors_of_xn_minus_1(field, n):
         tested += 1
         code = cyclic_code_fq(g, n)
         if code == code.dual():

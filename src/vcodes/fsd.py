@@ -14,8 +14,9 @@ negation is unavoidable for odd q, and it preserves Lee weight because the
 Gray map is linear, so isodual here means monomially equivalent with signs.
 
 Odd formally self-dual codes are searched by walking the full submodule
-lattice of R^n at tiny n, where the cardinality obstruction
-|C| = |C^dual| (impossible when q^(3n) is not a square) settles length 1.
+lattice of R^n at tiny n, held as RREF F_q bases (see ``submodules``),
+where the cardinality obstruction |C| = |C^dual| (impossible when q^(3n)
+is not a square) settles length 1.
 """
 
 from __future__ import annotations
@@ -221,21 +222,17 @@ def has_odd_lee_word(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:
 def odd_fsd_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Walk every R-submodule of R^n looking for an odd formally self-dual code.
 
+    Each lattice node is an RREF F_q basis and its code is built from that
+    basis; a witness is generated by all its members, in encoded order.
     Returns {"witness": code or None, "exhausted": True, "tested": count}.
     """
     space = AmbientSpace(ring, n)
     tested = 0
-    for members in space.all_submodules():
+    for basis in space.all_submodules():
         tested += 1
-        code = LinearCodeR(ring, n, space.rows_of(members)) if len(members) > 1 else (
-            LinearCodeR.zero_code(ring, n)
-        )
-        if code.size != len(members):
-            raise AssertionError("submodule enumeration and span size disagree")
-        if not has_odd_lee_word(code, budget):
-            continue
-        if is_formally_self_dual(code, budget):
-            return {"witness": code, "exhausted": True, "tested": tested}
+        code = space.code(basis)
+        if has_odd_lee_word(code, budget) and is_formally_self_dual(code, budget):
+            return {"witness": space.witness(basis), "exhausted": True, "tested": tested}
     return {"witness": None, "exhausted": True, "tested": tested}
 
 

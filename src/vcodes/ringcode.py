@@ -171,7 +171,7 @@ class LinearCodeR:
             comps.append(LinearCodeFq.from_rows(ring.field, self.n, ring.eval_table[t][rows]))
         return ComponentTriple(comps[0], comps[1], comps[2], "crt")
 
-    def components_paper(self, budget: int = DEFAULT_BUDGET) -> "ComponentTriple":
+    def components_paper(self) -> "ComponentTriple":
         """Literal projections a, a+b, a+b+c of the printed definition."""
         ring = self.ring
         fq_rows = self.flat.gen

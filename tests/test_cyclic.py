@@ -117,6 +117,7 @@ def test_self_dual_cyclic_found_q2_n2():
     res = self_dual_cyclic_search(R2, 2)
     code = res["witness"]
     assert code is not None and res["exhausted"]
+    assert res["tested"] == 11
     assert code.size == 8
     assert is_cyclic_r(code)
     assert code == code.brute_force_dual()
@@ -126,7 +127,10 @@ def test_self_dual_cyclic_found_q2_n4():
     res = self_dual_cyclic_search(R2, 4)
     code = res["witness"]
     assert code is not None and res["exhausted"]
+    assert res["tested"] == 54
     assert code.size == 64
+    # the witness is generated by all its members, as the report prints them
+    assert len(code.gens) == 64 and code.gens[0] == (0, 0, 0, 0)
     assert is_cyclic_r(code)
     assert code == code.brute_force_dual()
 
@@ -134,3 +138,4 @@ def test_self_dual_cyclic_found_q2_n4():
 def test_no_self_dual_cyclic_q2_odd_length():
     res = self_dual_cyclic_search(R2, 3)
     assert res["witness"] is None and res["exhausted"]
+    assert res["tested"] == 36

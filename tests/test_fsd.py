@@ -153,8 +153,10 @@ def test_odd_fsd_search_length1_refuted():
 def test_odd_fsd_search_length2_q3_finds_witness():
     res = odd_fsd_search(R3, 2)
     assert res["exhausted"]
+    assert res["tested"] == 65
     code = res["witness"]
     assert code is not None
+    assert len(code.gens) == code.size == 27
     assert has_odd_lee_word(code)
     assert is_formally_self_dual(code)
 
