@@ -196,6 +196,21 @@ class LinearCodeR:
         gray = np.concatenate([a0, (a0 + a2) % ring.q, a1], axis=1)
         return LinearCodeFq.from_rows(ring.field, 3 * n, gray)
 
+    def minimum_lee_words(self, budget: int = DEFAULT_BUDGET) -> tuple[int, np.ndarray]:
+        """Minimum Lee weight d and every codeword of weight d.
+
+        Read off the Gray image (Lee weight is the Hamming weight of Psi):
+        a Gray word (g0 | g1 | g2) has flattened coordinates
+        (g0 | g2 | g1 - g0).  Rows are element indices in the order
+        ``codeword_chunks`` yields them: sorted flattened words, since the
+        flattened generator is in RREF.
+        """
+        d, words = self.gray_image().minimum_words(budget)
+        n = self.n
+        g0, g1, g2 = words[:, :n], words[:, n : 2 * n], words[:, 2 * n :]
+        flat = np.concatenate([g0, g2, (g1 - g0) % self.ring.q], axis=1)
+        return d, self._unflatten(flat[np.lexsort(flat.T[::-1])])
+
     def gray_words(self, rows: np.ndarray) -> np.ndarray:
         """Gray images of element-index rows, as (m, 3n) field arrays."""
         g = self.ring.gray_table[rows]  # (m, n, 3)

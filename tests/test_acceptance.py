@@ -171,7 +171,7 @@ def test_criterion_6_example17(full_report):
     )
     _report_line(
         6, "Example 17 bordered circulant", ok,
-        f"canonicalized input gives [24,12] with exhaustive d={params[2]} vs published 9 "
+        f"canonicalized input gives [24,12] with exact (Brouwer-Zimmermann) d={params[2]} vs published 9 "
         f"(status {entry.status}, {entry.seconds:.2f}s)",
     )
     assert ok
@@ -190,7 +190,7 @@ def test_criterion_7_example13(full_report):
     )
     _report_line(
         7, "Example 13 symmetric construction", ok,
-        f"canonicalized input gives [30,15] with exhaustive d={params[2]} over 3^15 codewords "
+        f"canonicalized input gives [30,15] with exact (Brouwer-Zimmermann) d={params[2]} over 3^15 codewords "
         f"vs published 9 (status {entry.status}, {entry.seconds:.1f}s)",
     )
     assert ok

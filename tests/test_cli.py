@@ -164,15 +164,17 @@ def test_verify_paper_scope_gray(tmp_path, capsys):
 
 
 def test_verify_paper_over_budget_claim_is_untestable(capsys):
-    rc, out, err = run(capsys, "verify-paper", "--scope", "examples", "--budget", "100000", "--format", "json")
+    # Brouwer-Zimmermann meets ex13's and ex17's distances within 72 codewords;
+    # ex15 needs 360 (its component codes reach round 2)
+    rc, out, err = run(capsys, "verify-paper", "--scope", "examples", "--budget", "100", "--format", "json")
     assert rc == 0 and not err
     entries = {e["claim_id"]: e for e in json.loads(out)["entries"]}
     assert set(entries) == {"ex13-symmetric", "ex15-double-circulant", "ex17-bordered"}
-    ex13 = entries["ex13-symmetric"]
-    assert ex13["status"] == "untestable" and ex13["tested"] == 0
-    assert ex13["note"] == "14348907 codewords exceeds budget 100000"
-    assert entries["ex15-double-circulant"]["status"] == "refuted"
-    assert entries["ex15-double-circulant"]["tested"] > 0
+    ex15 = entries["ex15-double-circulant"]
+    assert ex15["status"] == "untestable" and ex15["tested"] == 0
+    assert ex15["note"] == "360 codewords exceeds budget 100"
+    assert entries["ex13-symmetric"]["status"] == "refuted"
+    assert entries["ex13-symmetric"]["tested"] > 0
 
 
 def test_code_file_roundtrip():

@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge
 from vcodes.gf import GF, Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.fieldcode import (
     LinearCodeFq,
+    _information_sets,
     cyclic_code_fq,
     cyclic_dual_generator,
     hamming_enumerator_fq,
@@ -70,9 +72,76 @@ def test_min_distance_examples():
 
 
 def test_min_distance_budget():
+    # one information set, so round 1 alone is its 8 * 2 weight-1 messages
     code = LinearCodeFq.full_space(F3, 8)
+    with pytest.raises(SearchSpaceTooLarge, match="16 codewords exceeds budget 10"):
+        code.min_distance(budget=10)
+    with pytest.raises(SearchSpaceTooLarge, match="16 codewords exceeds budget 10"):
+        code.minimum_words(budget=10)
+    assert code.min_distance(budget=16) == 1
     with pytest.raises(SearchSpaceTooLarge):
-        code.min_distance(budget=100)
+        code.weight_counts(budget=100)
+
+
+def _assert_matches_oracle(code):
+    """Brouwer-Zimmermann against full enumeration: d and every weight-d word."""
+    d = min(w for w in code.weight_counts() if w)
+    words = code.codewords()
+    words = words[np.count_nonzero(words, axis=1) == d]
+    assert code.min_distance() == d
+    got_d, got_words = code.minimum_words()
+    assert got_d == d
+    assert got_words.shape == words.shape and (got_words == words).all()
+
+
+# largest dimension per q that keeps the exhaustive oracle at most 3^8 words
+_ORACLE_K = {2: 10, 3: 8, 5: 5}
+
+
+@st.composite
+def random_codes(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    code = LinearCodeFq.from_rows(GF(q), n, draw(st.lists(row, min_size=1, max_size=min(n, _ORACLE_K[q]))))
+    assume(code.k > 0)
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_codes())
+def test_brouwer_zimmermann_matches_exhaustive(code):
+    _assert_matches_oracle(code)
+
+
+@pytest.mark.parametrize(
+    "q,rows",
+    [
+        (3, np.eye(6, dtype=int)),  # k = n: one information set
+        (5, [[1, 2, 3, 4, 1, 2, 3]]),  # k = 1
+        (2, [[1, 1, 1, 1, 1, 1, 1, 1, 1, 1]]),  # k = 1, ten disjoint sets
+        (3, [[1, 0, 0, 2, 0, 1], [0, 0, 1, 1, 0, 2]]),  # zero columns 1 and 4
+        (3, [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]),  # every column repeated
+        (2, [[1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1, 1]]),
+        (5, [[1, 0, 0, 0, 1, 2], [0, 1, 0, 0, 3, 1], [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 4, 2]]),
+    ],
+)
+def test_brouwer_zimmermann_edge_cases(q, rows):
+    # the last two have n < 2k: no second information set disjoint from the first
+    code = LinearCodeFq.from_rows(GF(q), len(rows[0]), rows)
+    _assert_matches_oracle(code)
+
+
+def test_information_sets_take_new_columns_first():
+    # [7,4] Hamming code: the second set can only add the 3 parity columns
+    code = LinearCodeFq.from_rows(
+        F2, 7, [[1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1, 1]]
+    )
+    sets = _information_sets(code.gen, 2)
+    assert [r for _, r in sets] == [4, 3]
+    for systematic, _ in sets:
+        assert LinearCodeFq(F2, 7, systematic) == code
+    assert code.min_distance() == 3
 
 
 def test_hamming_enumerator_examples():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,6 +222,28 @@ def test_min_lee_strategies_agree():
         via_gray = code.min_lee_distance("gray-image")
         assert exact[0] == via_gray[0]
         assert exact[1] == "exhaustive" and via_gray[1] == "gray-image"
+
+
+@st.composite
+def distance_codes(draw):
+    ring = ring_over(draw(st.sampled_from([2, 3, 5])))
+    n = draw(st.integers(1, 3 if ring.q < 5 else 2))
+    row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+    return LinearCodeR(ring, n, draw(st.lists(row, min_size=1, max_size=2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(distance_codes())
+def test_gray_image_distance_matches_exhaustive(code):
+    if code.dim_fq == 0:
+        return
+    exact, _ = code.min_lee_distance("exhaustive")
+    assert code.min_lee_distance("gray-image") == (exact, "gray-image")
+    d, rows = code.minimum_lee_words()
+    assert d == exact
+    # every minimum word, in the order full enumeration meets them
+    words = np.concatenate(list(code.codeword_chunks()))
+    assert rows.tolist() == words[code.ring.lee_table[words].sum(axis=1) == d].tolist()
 
 
 def test_component_lemma_strategy_is_tagged():

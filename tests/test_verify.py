@@ -80,3 +80,20 @@ def test_text_rendering_has_summary():
     text = report.to_text()
     assert "summary:" in text
     assert "thm7-4-macwilliams" in text
+
+
+def test_example_distances_are_exact():
+    entries = {e.claim_id: e for e in run_verification_suite(scope="examples", seed=42).entries}
+    ex13 = entries["ex13-symmetric"]
+    assert ex13.observed["gray_parameters"] == [30, 15, 3]
+    assert ex13.tested == 3**15
+    # the first weight-3 codeword in message order, as full enumeration reports it
+    assert ex13.observed["minimum_weight_codeword"] == [
+        "[1,0,2]", "[0,0,0]", "[0,0,0]", "[0,0,0]", "[0,0,0]",
+        "[0,0,0]", "[0,0,0]", "[2,0,1]", "[1,0,2]", "[0,0,0]",
+    ]
+    ex15 = entries["ex15-double-circulant"]
+    assert ex15.observed["minimum_distance_exact"] == 3 and ex15.status == "refuted"
+    assert ex15.observed["certified_distance_range"] == [2, 3]
+    assert "exact by Brouwer-Zimmermann" in ex15.note
+    assert entries["ex17-bordered"].observed["gray_parameters"] == [24, 12, 2]
