@@ -199,11 +199,13 @@ def complete_enumerator(code, budget: int = DEFAULT_BUDGET) -> CompleteEnumerato
     ring = code.ring
     counts: dict[tuple, int] = {}
     for rows in code.codeword_chunks(budget):
-        m = rows.shape[0]
-        flat = rows + ring.size * np.arange(m, dtype=np.int64)[:, None]
-        tallies = np.bincount(flat.ravel(), minlength=ring.size * m).reshape(m, ring.size)
-        for t in map(tuple, tallies):
-            counts[t] = counts.get(t, 0) + 1
+        # a tally is the multiset of a word's symbols, so count sorted rows and
+        # tally only the distinct ones: memory stays O(rows * n), not O(rows * |R|)
+        shapes, mult = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
+        tallies = np.zeros((len(shapes), ring.size), dtype=np.int64)
+        np.add.at(tallies, (np.arange(len(shapes))[:, None], shapes), 1)
+        for t, c in zip(map(tuple, tallies.tolist()), mult.tolist()):
+            counts[t] = counts.get(t, 0) + c
     return CompleteEnumerator(code.n, ring, counts)
 
 

@@ -33,6 +33,26 @@ def test_enumerator_totals_match_code_size():
         assert wenum.complete_enumerator(code).total() == code.size
 
 
+def _complete_by_word(code):
+    """Oracle: tally every codeword's symbols one word at a time."""
+    counts = {}
+    for word in code.codewords():
+        tally = [0] * code.ring.size
+        for sym in word.tolist():
+            tally[sym] += 1
+        counts[tuple(tally)] = counts.get(tuple(tally), 0) + 1
+    return counts
+
+
+def test_complete_enumerator_matches_per_word_tallies():
+    rng = random.Random(13)
+    codes = [random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng) for q in (2, 3, 5) * 6]
+    codes.append(LinearCodeR.full_space(R3, 3))  # 3^9 words: more than one chunk
+    codes.append(LinearCodeR.zero_code(R2, 2))
+    for code in codes:
+        assert wenum.complete_enumerator(code).counts == _complete_by_word(code)
+
+
 def test_symmetrized_examples():
     zero = LinearCodeR.zero_code(R2, 3)
     assert wenum.symmetrized_enumerator(zero).counts == {(3, 0, 0, 0): 1}
