@@ -34,10 +34,7 @@ from .fieldcode import (
 )
 from .ringcode import ComponentTriple, DualityFlags, LinearCodeR, combine_components
 from .wenum import (
-    CompleteEnumerator,
-    HammingEnumerator,
-    LeeEnumerator,
-    SymmetrizedEnumerator,
+    WeightEnumerator,
     complete_enumerator,
     hamming_enumerator_r,
     lee_enumerator,

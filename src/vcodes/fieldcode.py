@@ -174,14 +174,14 @@ class LinearCodeFq:
                 rows[i, c] = (-self.gen[r, f]) % q
         return LinearCodeFq.from_rows(self.field, self.n, rows)
 
-    def codeword_chunks(self, budget: int = DEFAULT_BUDGET, chunk_rows: int = _CHUNK_ROWS):
+    def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
         """Yield codewords as numpy arrays; message 0 (the zero word) first."""
         q = self.field.q
         if self.size > budget:
             raise SearchSpaceTooLarge(f"{self.size} codewords exceeds budget {budget}")
         total = self.size
-        for start in range(0, total, chunk_rows):
-            stop = min(start + chunk_rows, total)
+        for start in range(0, total, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, total)
             msgs = _messages(q, self.k, start, stop)
             yield (msgs @ self.gen) % q if self.k else np.zeros((1, self.n), dtype=np.int64)
 
@@ -252,7 +252,7 @@ class LinearCodeFq:
 
 
 def hamming_enumerator_fq(code: LinearCodeFq, budget: int = DEFAULT_BUDGET):
-    return wenum.HammingEnumerator(code.n, code.field.q, code.weight_counts(budget))
+    return wenum.WeightEnumerator("hamming", code.n, code.field.q, code.weight_counts(budget))
 
 
 def cyclic_code_fq(g: Poly, n: int) -> LinearCodeFq:

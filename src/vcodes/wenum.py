@@ -1,7 +1,13 @@
 """Weight enumerators for codes over R and their MacWilliams transforms.
 
-All enumerators are sparse integer maps; nothing here is floating point.
-The MacWilliams step divides by |C| with an exact integrality check and
+One ``WeightEnumerator`` class holds all four kinds: the Lee and Hamming
+enumerators, the symmetrized enumerator (swe) and the complete enumerator
+(cwe).  Each is a sparse integer map from a key to a codeword count;
+nothing here is floating point.  Lee and Hamming are built by one bincount
+of per-row weights, swe and cwe by one tally of distinct sorted rows, and
+``specialize`` collapses swe or cwe to Lee or Hamming through the Lee
+weight of each tally slot.  The MacWilliams step checks the enumerator's
+total against |C|, divides by |C| with an exact integrality check and
 raises instead of rounding.
 
 The q-ary transform substitutes (X + (q-1)Y, X - Y).  The published
@@ -20,10 +26,12 @@ that identity hold symbol by symbol.
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, TransformInconsistent
+from .ring import ring_over
 
 # As printed: class indices 0..7 stand for the symbol shapes
 #   0, a0, a1*v, a2*v^2, a0+a1*v, a0+a2*v^2, a1*v+a2*v^2, a0+a1*v+a2*v^2
@@ -37,206 +45,113 @@ PUBLISHED_SYMBOL_CLASSES = {
     "alpha3": (4, 5, 7),
 }
 
-
-class LeeEnumerator:
-    """Counts of codewords by Lee weight; weights run 0..3n."""
-
-    kind = "lee"
-
-    def __init__(self, n: int, q: int, counts: dict[int, int]):
-        self.n = n
-        self.q = q
-        self.length = 3 * n
-        self.counts = {int(w): int(c) for w, c in counts.items() if c}
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeeEnumerator)
-            and (self.n, self.q, self.counts) == (other.n, other.q, other.counts)
-        )
-
-    def __repr__(self):
-        return f"LeeEnumerator(n={self.n}, q={self.q}, {self.counts})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "counts": {str(w): c for w, c in sorted(self.counts.items())},
-        }
+_WEIGHT_KINDS = ("lee", "hamming")  # int keys; swe and cwe have tuple keys
 
 
-class HammingEnumerator:
-    """Counts of codewords by Hamming weight (symbols, not Gray bits)."""
+class WeightEnumerator:
+    """Counts of the codewords of a length-n code over R, keyed by ``kind``.
 
-    kind = "hamming"
-
-    def __init__(self, n: int, q: int, counts: dict[int, int]):
-        self.n = n
-        self.q = q
-        self.counts = {int(w): int(c) for w, c in counts.items() if c}
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HammingEnumerator)
-            and (self.n, self.q, self.counts) == (other.n, other.q, other.counts)
-        )
-
-    def __repr__(self):
-        return f"HammingEnumerator(n={self.n}, q={self.q}, {self.counts})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "counts": {str(w): c for w, c in sorted(self.counts.items())},
-        }
-
-
-class SymmetrizedEnumerator:
-    """Counts keyed by (alpha0, alpha1, alpha2, alpha3) class tallies.
-
-    A coordinate falls in class i when its symbol has Gray/Hamming weight i,
-    so alpha0+alpha1+alpha2+alpha3 = n for every codeword.
+    lee and hamming key by an int weight: Lee weights run 0..3n, Hamming
+    weights count nonzero symbols (not Gray bits) and run 0..n.  swe and
+    cwe key by a tuple tally.  An swe tally (alpha0, alpha1, alpha2, alpha3)
+    counts the coordinates in each class, where a symbol's class is its
+    Gray/Hamming weight, so the alphas sum to n.  A cwe tally holds w_a for
+    every a in R.  ``fieldcode.hamming_enumerator_fq`` uses the hamming
+    kind for codes over GF(q).
     """
 
-    kind = "swe"
-
-    def __init__(self, n: int, q: int, counts: dict[tuple, int]):
+    def __init__(self, kind: str, n: int, q: int, counts: dict):
+        if kind not in _WEIGHT_KINDS + ("swe", "cwe"):
+            raise ValueError(f"unknown enumerator kind {kind!r}")
+        key = int if kind in _WEIGHT_KINDS else (lambda k: tuple(map(int, k)))
+        self.kind = kind
         self.n = n
         self.q = q
-        self.counts = {tuple(map(int, k)): int(c) for k, c in counts.items() if c}
+        self.counts = {key(k): int(c) for k, c in counts.items() if c}
 
     def total(self) -> int:
         return sum(self.counts.values())
 
     def __eq__(self, other):
         return (
-            isinstance(other, SymmetrizedEnumerator)
-            and (self.n, self.q, self.counts) == (other.n, other.q, other.counts)
+            isinstance(other, WeightEnumerator)
+            and (self.kind, self.n, self.q, self.counts) == (other.kind, other.n, other.q, other.counts)
         )
 
     def __repr__(self):
-        return f"SymmetrizedEnumerator(n={self.n}, q={self.q}, {len(self.counts)} tallies)"
+        return f"WeightEnumerator({self.kind!r}, n={self.n}, q={self.q}, {self.counts})"
 
     def to_json_obj(self) -> dict:
+        key = str if self.kind in _WEIGHT_KINDS else (lambda k: ",".join(map(str, k)))
         return {
             "n": self.n,
             "kind": self.kind,
-            "counts": {",".join(map(str, k)): c for k, c in sorted(self.counts.items())},
+            "counts": {key(k): c for k, c in sorted(self.counts.items())},
         }
 
 
-class CompleteEnumerator:
-    """Counts keyed by the full per-symbol tally (w_a for every a in R)."""
-
-    kind = "cwe"
-
-    def __init__(self, n: int, ring, counts: dict[tuple, int]):
-        self.n = n
-        self.ring = ring
-        self.q = ring.q
-        self.counts = {tuple(map(int, k)): int(c) for k, c in counts.items() if c}
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompleteEnumerator)
-            and (self.n, self.q, self.counts) == (other.n, other.q, other.counts)
-        )
-
-    def __repr__(self):
-        return f"CompleteEnumerator(n={self.n}, q={self.q}, {len(self.counts)} tallies)"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "kind": self.kind,
-            "counts": {",".join(map(str, k)): c for k, c in sorted(self.counts.items())},
-        }
-
-
-def lee_enumerator(code, budget: int = DEFAULT_BUDGET) -> LeeEnumerator:
-    """Exact Lee distribution by enumerating the code over R."""
-    ring = code.ring
+def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumerator:
+    """Count codewords by the weight ``row_weights`` gives each row."""
     counts = np.zeros(3 * code.n + 1, dtype=np.int64)
     for rows in code.codeword_chunks(budget):
-        w = ring.lee_table[rows].sum(axis=1)
-        counts += np.bincount(w, minlength=counts.size)
-    return LeeEnumerator(code.n, ring.q, {i: int(c) for i, c in enumerate(counts) if c})
+        counts += np.bincount(row_weights(rows), minlength=counts.size)
+    return WeightEnumerator(kind, code.n, code.ring.q, dict(enumerate(counts.tolist())))
 
 
-def hamming_enumerator_r(code, budget: int = DEFAULT_BUDGET) -> HammingEnumerator:
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for rows in code.codeword_chunks(budget):
-        w = np.count_nonzero(rows, axis=1)
-        counts += np.bincount(w, minlength=counts.size)
-    return HammingEnumerator(code.n, code.ring.q, {i: int(c) for i, c in enumerate(counts) if c})
-
-
-def symmetrized_enumerator(code, budget: int = DEFAULT_BUDGET) -> SymmetrizedEnumerator:
-    ring = code.ring
+def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, slots: int, budget: int) -> WeightEnumerator:
+    """Count codewords by how many of their symbols a fall in slot symbol_slot[a]."""
     counts: dict[tuple, int] = {}
     for rows in code.codeword_chunks(budget):
-        classes = ring.lee_table[rows]  # class of a symbol = its Gray weight
-        m = rows.shape[0]
-        flat = classes + 4 * np.arange(m, dtype=np.int64)[:, None]
-        tallies = np.bincount(flat.ravel(), minlength=4 * m).reshape(m, 4)
-        for t in map(tuple, tallies):
-            counts[t] = counts.get(t, 0) + 1
-    return SymmetrizedEnumerator(code.n, ring.q, counts)
-
-
-def complete_enumerator(code, budget: int = DEFAULT_BUDGET) -> CompleteEnumerator:
-    ring = code.ring
-    counts: dict[tuple, int] = {}
-    for rows in code.codeword_chunks(budget):
-        # a tally is the multiset of a word's symbols, so count sorted rows and
-        # tally only the distinct ones: memory stays O(rows * n), not O(rows * |R|)
-        shapes, mult = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
-        tallies = np.zeros((len(shapes), ring.size), dtype=np.int64)
+        # a tally is the multiset of a word's slots, so count sorted rows and
+        # tally only the distinct ones: memory stays O(rows * n), not O(rows * slots)
+        shapes, mult = np.unique(np.sort(symbol_slot[rows], axis=1), axis=0, return_counts=True)
+        tallies = np.zeros((len(shapes), slots), dtype=np.int64)
         np.add.at(tallies, (np.arange(len(shapes))[:, None], shapes), 1)
         for t, c in zip(map(tuple, tallies.tolist()), mult.tolist()):
             counts[t] = counts.get(t, 0) + c
-    return CompleteEnumerator(code.n, ring, counts)
+    return WeightEnumerator(kind, code.n, code.ring.q, counts)
 
 
-def specialize(enum, target: str):
-    """Collapse a cwe/swe enumerator to the Lee or Hamming enumerator.
+def lee_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    """Exact Lee distribution by enumerating the code over R."""
+    return _count_by_weight("lee", code, lambda rows: code.ring.lee_table[rows].sum(axis=1), budget)
 
-    Lee substitutes X^(3-i) Y^i for class i; Hamming keeps X for the zero
-    symbol and Y for every nonzero one.
+
+def hamming_enumerator_r(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    return _count_by_weight("hamming", code, lambda rows: np.count_nonzero(rows, axis=1), budget)
+
+
+def symmetrized_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    return _count_by_tally("swe", code, code.ring.lee_table, 4, budget)
+
+
+def complete_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    return _count_by_tally("cwe", code, np.arange(code.ring.size), code.ring.size, budget)
+
+
+def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
+    """Collapse a swe or cwe enumerator to the Lee or Hamming enumerator.
+
+    Each tally slot has a Lee weight: slot i of a swe tally holds the
+    symbols of class i, slot a of a cwe tally the symbol a.  Lee substitutes
+    X^(3-w) Y^w for a slot of weight w; Hamming keeps X for weight 0 and Y
+    for every other slot, which is exact because the Gray map is injective,
+    so only the zero symbol has weight 0.
     """
     if target not in ("lee", "hamming"):
         raise ValueError(f"unknown target {target!r}")
-    out: dict[int, int] = {}
-    if isinstance(enum, SymmetrizedEnumerator):
-        for (t0, t1, t2, t3), c in enum.counts.items():
-            w = t1 + 2 * t2 + 3 * t3 if target == "lee" else enum.n - t0
-            out[w] = out.get(w, 0) + c
-        q = enum.q
-    elif isinstance(enum, CompleteEnumerator):
-        ring = enum.ring
-        for tally, c in enum.counts.items():
-            if target == "lee":
-                w = sum(int(ring.lee_table[sym]) * cnt for sym, cnt in enumerate(tally))
-            else:
-                w = sum(cnt for sym, cnt in enumerate(tally) if sym != 0)
-            out[w] = out.get(w, 0) + c
-        q = enum.q
+    if enum.kind == "swe":
+        weights = np.arange(4)
+    elif enum.kind == "cwe":
+        weights = ring_over(enum.q).lee_table
     else:
         raise ValueError("specialize expects a symmetrized or complete enumerator")
-    if target == "lee":
-        return LeeEnumerator(enum.n, q, out)
-    return HammingEnumerator(enum.n, q, out)
+    weights = (weights if target == "lee" else weights > 0).tolist()
+    out: dict[int, int] = {}
+    for tally, c in enum.counts.items():
+        w = sum(map(mul, tally, weights))
+        out[w] = out.get(w, 0) + c
+    return WeightEnumerator(target, enum.n, enum.q, out)
 
 
 def macwilliams_counts(
@@ -278,22 +193,23 @@ def macwilliams_counts(
     return out
 
 
-def macwilliams_lee(enum: LeeEnumerator, code_size: int, literal: bool = False) -> LeeEnumerator:
-    """Lee distribution of the dual code from the code's own distribution."""
+def _macwilliams(enum: WeightEnumerator, length: int, code_size: int, literal: bool) -> WeightEnumerator:
     if enum.total() != code_size:
         raise TransformInconsistent(
             f"enumerator total {enum.total()} does not match |C| = {code_size}"
         )
-    out = macwilliams_counts(enum.counts, enum.length, enum.q, code_size, literal)
-    return LeeEnumerator(enum.n, enum.q, out)
+    out = macwilliams_counts(enum.counts, length, enum.q, code_size, literal)
+    return WeightEnumerator(enum.kind, enum.n, enum.q, out)
 
 
-def macwilliams_hamming_fq(
-    enum: HammingEnumerator, code_size: int, literal: bool = False
-) -> HammingEnumerator:
+def macwilliams_lee(enum: WeightEnumerator, code_size: int, literal: bool = False) -> WeightEnumerator:
+    """Lee distribution of the dual code from the code's own distribution."""
+    return _macwilliams(enum, 3 * enum.n, code_size, literal)
+
+
+def macwilliams_hamming_fq(enum: WeightEnumerator, code_size: int, literal: bool = False) -> WeightEnumerator:
     """Field-level MacWilliams transform for Hamming enumerators over GF(q)."""
-    out = macwilliams_counts(enum.counts, enum.n, enum.q, code_size, literal)
-    return HammingEnumerator(enum.n, enum.q, out)
+    return _macwilliams(enum, enum.n, code_size, literal)
 
 
 def product_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -303,22 +219,3 @@ def product_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for w2, c2 in b.items():
             out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
     return out
-
-
-def enumerator_from_json_obj(obj: dict, ring=None):
-    """Inverse of to_json_obj; cwe needs the ring passed in."""
-    kind = obj["kind"]
-    n = int(obj["n"])
-    if kind in ("lee", "hamming"):
-        counts = {int(k): int(v) for k, v in obj["counts"].items()}
-        q = obj.get("q")
-        cls = LeeEnumerator if kind == "lee" else HammingEnumerator
-        return cls(n, q if q else 0, counts)
-    counts = {tuple(map(int, k.split(","))): int(v) for k, v in obj["counts"].items()}
-    if kind == "swe":
-        return SymmetrizedEnumerator(n, obj.get("q", 0), counts)
-    if kind == "cwe":
-        if ring is None:
-            raise ValueError("cwe deserialization needs the ring")
-        return CompleteEnumerator(n, ring, counts)
-    raise ValueError(f"unknown enumerator kind {kind!r}")

@@ -10,8 +10,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from vcodes import cyclic, fsd  # noqa: E402
+from vcodes import cyclic, fsd, wenum  # noqa: E402
+from vcodes.fieldcode import LinearCodeFq, hamming_enumerator_fq  # noqa: E402
+from vcodes.gf import GF  # noqa: E402
 from vcodes.ring import ring_over  # noqa: E402
+from vcodes.ringcode import LinearCodeR  # noqa: E402
 from vcodes.submodules import AmbientSpace  # noqa: E402
 
 
@@ -25,18 +28,37 @@ def tracer():
         t.uninstall()
 
 
+def _missing_entry_points(t, module):
+    names = set(t.names)
+    entry_points = [
+        ".".join(p for p in (mod, cls, attr) if p)
+        for mod, cls, attr, _ in layers.ENTRY_POINTS
+        if mod == module
+    ]
+    assert entry_points
+    return [e for e in entry_points if e not in names]
+
+
+def test_tracer_covers_the_wenum_entry_points(tracer):
+    t, modules = tracer
+    assert t.unpatched_bindings(modules) == []
+    code = LinearCodeR(ring_over(3), 2, [[1, 3]])
+    lee = wenum.lee_enumerator(code)
+    wenum.hamming_enumerator_r(code)
+    wenum.specialize(wenum.symmetrized_enumerator(code), "lee")
+    wenum.specialize(wenum.complete_enumerator(code), "hamming")
+    wenum.macwilliams_lee(lee, code.size)
+    field_code = LinearCodeFq.full_space(GF(3), 2)
+    wenum.macwilliams_hamming_fq(hamming_enumerator_fq(field_code), field_code.size)
+    assert _missing_entry_points(t, "wenum") == []
+
+
 def test_tracer_covers_the_submodule_entry_points(tracer):
     t, modules = tracer
     assert t.unpatched_bindings(modules) == []
     cyclic.self_dual_cyclic_search(ring_over(2), 2)
     fsd.odd_fsd_search(ring_over(2), 1)
-    names = set(t.names)
-    entry_points = [
-        ".".join(p for p in (mod, cls, attr) if p)
-        for mod, cls, attr, _ in layers.ENTRY_POINTS
-        if mod == "submodules"
-    ]
-    assert entry_points and [e for e in entry_points if e not in names] == []
+    assert _missing_entry_points(t, "submodules") == []
     metrics = layers.span_metrics(t, [t.run_id])
     assert metrics["submodules.lattice_nodes"] == 21 + 6
     spaces = (AmbientSpace(ring_over(2), 2), AmbientSpace(ring_over(2), 1))

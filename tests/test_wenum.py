@@ -4,6 +4,8 @@ import random
 import pytest
 
 from vcodes.errors import TransformInconsistent
+from vcodes.fieldcode import LinearCodeFq, hamming_enumerator_fq
+from vcodes.gf import GF
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 from vcodes import wenum
@@ -16,6 +18,8 @@ R3 = ring_over(3)
 def test_lee_enumerator_examples():
     zero = LinearCodeR.zero_code(R2, 1)
     assert wenum.lee_enumerator(zero).counts == {0: 1}
+    assert wenum.hamming_enumerator_r(zero).counts == {0: 1}
+    assert wenum.lee_enumerator(zero) != wenum.hamming_enumerator_r(zero)  # kind is part of ==
     full = LinearCodeR.full_space(R2, 1)
     assert wenum.lee_enumerator(full).counts == {0: 1, 1: 3, 2: 3, 3: 1}  # (X+Y)^3
     cv = LinearCodeR(R2, 1, [[R2.q]])
@@ -44,6 +48,17 @@ def _complete_by_word(code):
     return counts
 
 
+def _symmetrized_by_word(code):
+    """Oracle: tally every codeword's symbol classes (Lee weights) one word at a time."""
+    counts = {}
+    for word in code.codewords():
+        tally = [0] * 4
+        for sym in word.tolist():
+            tally[int(code.ring.lee_table[sym])] += 1
+        counts[tuple(tally)] = counts.get(tuple(tally), 0) + 1
+    return counts
+
+
 def test_complete_enumerator_matches_per_word_tallies():
     rng = random.Random(13)
     codes = [random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng) for q in (2, 3, 5) * 6]
@@ -51,6 +66,7 @@ def test_complete_enumerator_matches_per_word_tallies():
     codes.append(LinearCodeR.zero_code(R2, 2))
     for code in codes:
         assert wenum.complete_enumerator(code).counts == _complete_by_word(code)
+        assert wenum.symmetrized_enumerator(code).counts == _symmetrized_by_word(code)
 
 
 def test_symmetrized_examples():
@@ -146,15 +162,19 @@ def test_macwilliams_literal_correct_at_q2():
 
 
 def test_macwilliams_integrality_guard():
-    lee = wenum.LeeEnumerator(1, 3, {0: 1, 2: 2})  # span{e1} over q=3
+    lee = wenum.WeightEnumerator("lee", 1, 3, {0: 1, 2: 2})  # span{e1} over q=3
     with pytest.raises(TransformInconsistent):
         wenum.macwilliams_lee(lee, 3, literal=True)
 
 
 def test_macwilliams_total_mismatch_rejected():
-    lee = wenum.LeeEnumerator(1, 3, {0: 1})
+    lee = wenum.WeightEnumerator("lee", 1, 3, {0: 1})
     with pytest.raises(TransformInconsistent):
         wenum.macwilliams_lee(lee, 3)
+    ham = hamming_enumerator_fq(LinearCodeFq.full_space(GF(3), 2))  # 9 words
+    for code_size in (1, 3):
+        with pytest.raises(TransformInconsistent):
+            wenum.macwilliams_hamming_fq(ham, code_size)
 
 
 def test_lee_equals_gray_image_hamming():
@@ -175,8 +195,7 @@ def test_serialization_roundtrip():
     ):
         obj = json.loads(json.dumps(enum.to_json_obj()))
         assert obj["kind"] == enum.kind
-        back = wenum.enumerator_from_json_obj(obj, ring=R2)
-        assert back.counts == enum.counts
+        assert obj == enum.to_json_obj()
 
 
 def test_published_symbol_classes_disagree_with_weight_identity():
