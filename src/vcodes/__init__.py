@@ -32,7 +32,7 @@ from .fieldcode import (
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
 )
-from .ringcode import ComponentTriple, DualityFlags, LinearCodeR, combine_components
+from .ringcode import ComponentTriple, LinearCodeR, combine_components
 from .wenum import (
     WeightEnumerator,
     complete_enumerator,

@@ -2,6 +2,10 @@
 
 A code is held by its generator matrix in reduced row echelon form (a numpy
 int array), so two codes are equal exactly when their matrices are equal.
+Row reduction has two kernels with the same results: ``rref`` reduces one
+small matrix row by row, and ``rref_stack`` reduces a whole (B, r, c) stack
+one column at a time with numpy, for the lattice walks' batched joins and for
+tall matrices such as the brute-force dual's chunks of words.
 The exact minimum distance comes from the Brouwer-Zimmermann algorithm over
 several information sets, which certifies every codeword while enumerating
 only low-weight messages.  Weight distributions come from full message-space
@@ -51,6 +55,49 @@ def rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, int, list[int]]:
         if r == nrows:
             break
     return m, r, pivots
+
+
+def rref_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rref`` of every matrix of a (B, r, c) stack, one column at a time.
+
+    Each column is pivoted across the whole batch with numpy, so the cost is
+    c vectorized steps however large B is.  Zero rows may sit anywhere, so
+    zero-padded matrices reduce like their unpadded selves.  Returns the
+    reduced stack (matrix b equals ``rref(stack[b], q)[0]``), the (B,) ranks
+    and a (B, r) array whose row b starts with the pivot columns of matrix b
+    and is padded with -1.
+    """
+    m = np.array(stack, dtype=np.int64) % q
+    if m.ndim != 3:
+        raise ShapeError("stack must be three-dimensional")
+    batch, nrows, ncols = m.shape
+    inverse = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)], dtype=np.int64)
+    ranks = np.zeros(batch, dtype=np.int64)
+    pivots = np.full((batch, nrows), -1, dtype=np.int64)
+    rows = np.arange(nrows)
+    for c in range(ncols):
+        candidates = (m[:, :, c] != 0) & (rows[None, :] >= ranks[:, None])
+        hit = np.flatnonzero(candidates.any(axis=1))
+        if not hit.size:
+            continue
+        # in each matrix with a pivot in column c, move the first candidate
+        # row to position rank, scale it to a leading 1 and clear column c
+        first = candidates[hit].argmax(axis=1)
+        target = ranks[hit]
+        sub = m[hit]
+        each = np.arange(hit.size)
+        pivot_rows = sub[each, first]
+        sub[each, first] = sub[each, target]
+        pivot_rows = (pivot_rows * inverse[pivot_rows[:, c]][:, None]) % q
+        factors = sub[:, :, c].copy()
+        factors[each, target] = 0
+        sub -= factors[:, :, None] * pivot_rows[:, None, :]
+        sub %= q
+        sub[each, target] = pivot_rows
+        m[hit] = sub
+        pivots[hit, target] = c
+        ranks[hit] += 1
+    return m, ranks, pivots
 
 
 def _messages(q: int, k: int, start: int, stop: int) -> np.ndarray:
@@ -202,12 +249,16 @@ class LinearCodeFq:
         return d, np.unique(np.concatenate(found), axis=0)  # sets meet a word more than once
 
     def _brouwer_zimmermann(self, budget: int, every_word: bool) -> tuple[int, list[np.ndarray]]:
-        """Round w enumerates every weight-w message on each information set.
+        """Round w enumerates every weight-w message on each information set
+        that adds to the lower bound.
 
-        A codeword not met by round w has message weight > w on every set,
+        A codeword not met on set j by round w has message weight > w there,
         so at least w+1-(k-r_j) nonzeros in the r_j columns new to set j:
-        its weight is at least the sum of those terms.  The search stops once
-        that lower bound reaches the least weight met (passes it, when every
+        its weight is at least the sum of those terms over the sets.  Set j
+        adds nothing before round k-r_j, so it is first enumerated in that
+        round, which also catches up on its lower message weights: skipping
+        them outright would leave minimum words unmet.  The search stops once
+        the lower bound reaches the least weight met (passes it, when every
         minimum word is wanted), or when round k has met every codeword.
         Returns the distance and, if every_word, chunks holding each minimum
         word at least once.
@@ -220,11 +271,17 @@ class LinearCodeFq:
         minimum: list[np.ndarray] = []
         enumerated = 0
         for w in range(1, k + 1):
-            enumerated += len(sets) * math.comb(k, w) * (q - 1) ** w
+            work = [
+                (systematic, u)
+                for systematic, r in sets
+                if w >= k - r
+                for u in range(1 if w == k - r else w, w + 1)
+            ]
+            enumerated += sum(math.comb(k, u) * (q - 1) ** u for _, u in work)
             if enumerated > budget:
                 raise SearchSpaceTooLarge(f"{enumerated} codewords exceeds budget {budget}")
-            for systematic, _ in sets:
-                for words in _weight_w_codewords(systematic, q, w):
+            for systematic, u in work:
+                for words in _weight_w_codewords(systematic, q, u):
                     weights = np.count_nonzero(words, axis=1)
                     least = int(weights.min())
                     if least < upper:

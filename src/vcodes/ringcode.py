@@ -29,9 +29,27 @@ from .errors import (
     SearchSpaceTooLarge,
     ShapeError,
 )
-from .fieldcode import LinearCodeFq
+from .fieldcode import LinearCodeFq, rref_stack
 from .ring import Ring, RingElem
-from . import wenum
+
+
+def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
+    """F_q rows spanning the R-span of each generator list in a (..., m, n) stack.
+
+    The R-span of g_1..g_m is the F_q-span of all g, then all v*g, then all
+    v^2*g; each row is flattened to (a0-block | a1-block | a2-block), so the
+    result has shape (..., 3m, 3n).
+    """
+    stacked = np.concatenate(
+        [gens, ring.mul_table[gens, ring.q], ring.mul_table[gens, ring.q * ring.q]], axis=-2
+    )
+    return _flatten(ring, stacked)
+
+
+def _flatten(ring: Ring, rows: np.ndarray) -> np.ndarray:
+    """Element-index rows (..., n) as F_q rows (..., 3n): (a0 | a1 | a2) blocks."""
+    coeffs = np.swapaxes(ring.coeff[rows], -1, -2)  # (..., 3, n)
+    return coeffs.reshape(*rows.shape[:-1], 3 * rows.shape[-1])
 
 
 def _as_index_row(ring: Ring, row) -> tuple[int, ...]:
@@ -60,17 +78,9 @@ class LinearCodeR:
 
     def _fq_generator_rows(self) -> np.ndarray:
         """Flattened F_q generators: all g, then all v*g, then all v^2*g."""
-        ring = self.ring
         if not self.gens:
             return np.zeros((0, 3 * self.n), dtype=np.int64)
-        garr = np.array(self.gens, dtype=np.int64)
-        v_idx = ring.q
-        v2_idx = ring.q * ring.q
-        stacked = np.concatenate(
-            [garr, ring.mul_table[garr, v_idx], ring.mul_table[garr, v2_idx]], axis=0
-        )
-        coeffs = ring.coeff[stacked]  # (rows, n, 3)
-        return coeffs.transpose(0, 2, 1).reshape(stacked.shape[0], 3 * self.n)
+        return fq_span_rows(self.ring, np.array(self.gens, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, ring: Ring, rows) -> "LinearCodeR":
@@ -227,12 +237,17 @@ class LinearCodeR:
         return acc
 
     def brute_force_dual(self, budget: int = DEFAULT_BUDGET) -> "LinearCodeR":
-        """All of R^n filtered for orthogonality to every generator."""
+        """All of R^n filtered for orthogonality to every generator.
+
+        The dual words of each chunk are folded into a running F_q basis of
+        their flattened span, which is the flattened dual, and the code is
+        built from its at most 3n unflattened rows.
+        """
         ring = self.ring
         ambient = ring.size**self.n
         if ambient > budget:
             raise SearchSpaceTooLarge(f"ambient {ambient} exceeds budget {budget}")
-        keep = []
+        basis = np.zeros((0, 3 * self.n), dtype=np.int64)
         for rows in LinearCodeR.full_space(ring, self.n).codeword_chunks(budget):
             mask = np.ones(rows.shape[0], dtype=bool)
             for g in self.gens:
@@ -240,9 +255,10 @@ class LinearCodeR:
                 for j, gj in enumerate(g):
                     acc = ring.add_table[acc, ring.mul_table[rows[:, j], gj]]
                 mask &= acc == 0
-            keep.append(rows[mask])
-        rows = np.concatenate(keep, axis=0)
-        return LinearCodeR(ring, self.n, [tuple(map(int, r)) for r in rows])
+            stack = np.concatenate([basis, _flatten(ring, rows[mask])])[None]
+            reduced, ranks, _ = rref_stack(stack, ring.q)
+            basis = reduced[0, : ranks[0]]
+        return LinearCodeR(ring, self.n, self._unflatten(basis).tolist())
 
     def dual(self) -> "LinearCodeR":
         """C^dual as the kernel of one F_q matrix, for every q.
@@ -291,20 +307,6 @@ class LinearCodeR:
                 raise EmptyCode("all components are zero codes")
             return min(dists), "lemma5-based"
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    def classify_duality(self, budget: int = DEFAULT_BUDGET) -> "DualityFlags":
-        dual = self.dual()
-        self_orth = all(self.dot(g, h) == 0 for g in self.gens for h in self.gens)
-        self_dual = self_orth and self == dual
-        fsd = wenum.lee_enumerator(self, budget) == wenum.lee_enumerator(dual, budget)
-        return DualityFlags(self_orth, self_dual, fsd)
-
-
-@dataclass
-class DualityFlags:
-    self_orthogonal: bool
-    self_dual: bool
-    formally_self_dual: bool
 
 
 @dataclass

@@ -8,11 +8,15 @@ RREF basis of its flattened F_q span (the ``flat.gen`` of its
 ``basis.tobytes()`` is the lattice key.
 
 Every submodule is the join of the cyclic (one-generator) submodules of its
-elements, and a join is the RREF of the two stacked bases, so a breadth-first
-closure over joins with the deduplicated cyclic spans enumerates the full
-lattice; for ideals the cyclic spans are replaced by principal ideals (spans
-of all coordinate shifts).  Members, encoded as integers base |R|, are
-listed only to order the walk and to spell out a witness.
+elements, so a breadth-first closure over joins with the deduplicated cyclic
+spans enumerates the full lattice; for ideals the cyclic spans are replaced
+by principal ideals (spans of all coordinate shifts).  The atoms and the
+joins are computed in batches: a batch is a zero-padded stack of matrices
+reduced by one ``rref_stack`` call, and a frontier level joins every node
+with every atom at once.  Each batch holds at most ``_MAX_ENTRIES`` matrix
+entries, so memory stays flat however large the level.  Members, encoded as
+integers base |R|, are listed only to order the walk and to spell out a
+witness.
 """
 
 from __future__ import annotations
@@ -20,11 +24,37 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .fieldcode import LinearCodeFq, rref
+from .fieldcode import LinearCodeFq, rref_stack
 from .ring import Ring
-from .ringcode import LinearCodeR
+from .ringcode import LinearCodeR, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
+_MAX_ENTRIES = 1 << 16  # matrix entries in one batched reduction
+
+
+def _step(entries: int) -> int:
+    """How many matrices of ``entries`` entries one batch may hold."""
+    return max(1, _MAX_ENTRIES // max(1, entries))  # n = 0 has empty matrices
+
+
+def _pad(bases: list[np.ndarray], width: int) -> np.ndarray:
+    """Bases of any ranks as one zero-padded (len, max rank, width) stack."""
+    stack = np.zeros((len(bases), max(map(len, bases), default=0), width), dtype=np.int64)
+    for i, basis in enumerate(bases):
+        stack[i, : len(basis)] = basis
+    return stack
+
+
+def _collect(stack: np.ndarray, seen: dict[bytes, np.ndarray]) -> list[np.ndarray]:
+    """Add each basis of a reduced stack to ``seen``; returns those new to it."""
+    new = []
+    for matrix, rank in zip(stack, stack.any(axis=2).sum(axis=1)):
+        basis = matrix[:rank]
+        key = basis.tobytes()
+        if key not in seen:
+            seen[key] = basis = basis.copy()
+            new.append(basis)
+    return new
 
 
 class AmbientSpace:
@@ -63,37 +93,55 @@ class AmbientSpace:
         """The code generated by all its members in encoded order."""
         return LinearCodeR(self.ring, self.n, self.decode[self.members(basis)])
 
-    def cyclic_span(self, a: int) -> np.ndarray:
-        """The basis of the submodule R*a."""
-        return LinearCodeR(self.ring, self.n, [self.decode[a]]).flat.gen
+    def cyclic_span(self, indices: np.ndarray) -> np.ndarray:
+        """The reduced (len, 3, 3n) stack of the submodules R*a, a in indices."""
+        gens = self.decode[indices][:, None, :]
+        return rref_stack(fq_span_rows(self.ring, gens), self.ring.q)[0]
 
-    def principal_ideal(self, a: int) -> np.ndarray:
-        """The basis of the shift-closed submodule generated by a."""
-        shifts = [np.roll(self.decode[a], s) for s in range(self.n)]
-        return LinearCodeR(self.ring, self.n, shifts).flat.gen
+    def principal_ideal(self, indices: np.ndarray) -> np.ndarray:
+        """The reduced (len, 3n, 3n) stack of the ideals generated by each a."""
+        vectors = self.decode[indices]
+        shifts = np.stack([np.roll(vectors, s, axis=1) for s in range(self.n)], axis=1)
+        return rref_stack(fq_span_rows(self.ring, shifts), self.ring.q)[0]
 
-    def join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        reduced, rank, _ = rref(np.concatenate([a, b]), self.ring.q)
-        return reduced[:rank]
+    def join(self, nodes: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+        """The reduced (F*A, r+s, 3n) stack of every node joined with every atom.
+
+        ``nodes`` is an (F, r, 3n) and ``atoms`` an (A, s, 3n) zero-padded
+        stack of bases; the pairs come node by node, atoms in order.
+        """
+        pairs = np.concatenate(
+            [np.repeat(nodes, len(atoms), axis=0), np.tile(atoms, (len(nodes), 1, 1))], axis=1
+        )
+        return rref_stack(pairs, self.ring.q)[0]
 
     def dual_set(self, basis: np.ndarray) -> np.ndarray:
         """The basis of the ring-dot dual of the submodule."""
         return self.code(basis).dual().flat.gen
 
-    def _lattice(self, atoms: list[np.ndarray]) -> list[np.ndarray]:
+    def _atoms(self, span, indices: np.ndarray, rows: int) -> np.ndarray:
+        """The distinct bases ``span`` gives for the indices, as a padded stack."""
+        seen: dict[bytes, np.ndarray] = {}
+        atoms = []
+        step = _step(rows * 3 * self.n)
+        for start in range(0, len(indices), step):
+            atoms += _collect(span(indices[start : start + step]), seen)
+        return _pad(atoms, 3 * self.n)
+
+    def _lattice(self, atoms: np.ndarray) -> list[np.ndarray]:
         zero = np.zeros((0, 3 * self.n), dtype=np.int64)
         seen = {zero.tobytes(): zero}
         frontier = [zero]
         while frontier:
-            nxt = []
-            for m in frontier:
-                for s in atoms:
-                    j = self.join(m, s)
-                    key = j.tobytes()
-                    if key not in seen:
-                        seen[key] = j
-                        nxt.append(j)
-            frontier = nxt
+            nodes = _pad(frontier, 3 * self.n)
+            pairs = _step((nodes.shape[1] + atoms.shape[1]) * 3 * self.n)
+            atom_step = max(1, min(len(atoms), pairs))  # n = 0 has no atoms
+            node_step = max(1, pairs // atom_step)
+            frontier = []
+            for i in range(0, len(nodes), node_step):
+                for j in range(0, len(atoms), atom_step):
+                    joined = self.join(nodes[i : i + node_step], atoms[j : j + atom_step])
+                    frontier += _collect(joined, seen)
 
         def order(basis):
             members = self.members(basis)
@@ -103,21 +151,21 @@ class AmbientSpace:
 
     def all_submodules(self) -> list[np.ndarray]:
         """Every R-submodule of R^n, as RREF bases ordered by (size, members)."""
-        atoms = {s.tobytes(): s for s in map(self.cyclic_span, range(1, self.size))}
-        return self._lattice(list(atoms.values()))
+        indices = np.arange(1, self.size)
+        return self._lattice(self._atoms(self.cyclic_span, indices, 3))
 
     def all_ideals(self) -> list[np.ndarray]:
         """Every shift-closed submodule (cyclic code) in R^n, likewise."""
-        atoms: dict[bytes, np.ndarray] = {}
+        representatives = []
         done: set[int] = set()
         for a in range(1, self.size):
             if a in done:
                 continue
-            # dedupe by shift orbit; orbit mates generate the same ideal
+            # one per shift orbit; orbit mates generate the same ideal
+            representatives.append(a)
             b = a
             for _ in range(self.n):
                 done.add(b)
                 b = int(self.vec_shift[b])
-            s = self.principal_ideal(a)
-            atoms.setdefault(s.tobytes(), s)
-        return self._lattice(list(atoms.values()))
+        indices = np.array(representatives, dtype=np.int64)
+        return self._lattice(self._atoms(self.principal_ideal, indices, 3 * self.n))

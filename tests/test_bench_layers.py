@@ -61,5 +61,7 @@ def test_tracer_covers_the_submodule_entry_points(tracer):
     assert _missing_entry_points(t, "submodules") == []
     metrics = layers.span_metrics(t, [t.run_id])
     assert metrics["submodules.lattice_nodes"] == 21 + 6
+    # each join call reduces a batch of node x atom pairs, never one pair
+    assert metrics["submodules.joins"] < metrics["submodules.join_pairs"]
     spaces = (AmbientSpace(ring_over(2), 2), AmbientSpace(ring_over(2), 1))
     assert metrics["submodules.table_bytes"] == sum(s.decode.nbytes + s.vec_shift.nbytes for s in spaces)

@@ -14,9 +14,11 @@ from vcodes.fieldcode import (
     hamming_enumerator_fq,
     random_code,
     rref,
+    rref_stack,
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
 )
+from vcodes.verify import _ex17_code
 from vcodes.wenum import macwilliams_hamming_fq
 
 
@@ -30,6 +32,32 @@ def test_rref_examples():
     assert rank == 1 and m.tolist() == [[1, 2], [0, 0]]
     m, rank, _ = rref(np.zeros((2, 3), dtype=int), 3)
     assert rank == 0 and not m.any()
+
+
+@st.composite
+def stacks(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    batch, rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 24)), draw(st.integers(0, 18))
+    rank = draw(st.integers(0, min(rows, cols)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a product through `rank` columns has rank at most that
+    stack = rng.integers(0, q, (batch, rows, rank)) @ rng.integers(0, q, (batch, rank, cols))
+    stack[rng.random((batch, rows)) < zero_share] = 0  # zero rows anywhere
+    return q, stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stacks())
+def test_rref_stack_matches_rref(case):
+    q, stack = case
+    reduced, ranks, pivots = rref_stack(stack, q)
+    assert reduced.shape == stack.shape
+    for b, matrix in enumerate(stack):
+        m, rank, piv = rref(matrix, q)
+        assert np.array_equal(reduced[b], m)
+        assert ranks[b] == rank
+        assert pivots[b].tolist() == piv + [-1] * (len(matrix) - rank)
 
 
 def test_dual_examples():
@@ -124,12 +152,29 @@ def test_brouwer_zimmermann_matches_exhaustive(code):
         (3, [[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]]),  # every column repeated
         (2, [[1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1, 1]]),
         (5, [[1, 0, 0, 0, 1, 2], [0, 1, 0, 0, 3, 1], [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 4, 2]]),
+        # relative ranks 5, 3: the second set joins the bound in round 2, and
+        # 4 of the 20 minimum words are met only by its weight-1 messages
+        (3, [[1, 0, 0, 0, 0, 1, 0, 1], [0, 1, 0, 0, 0, 2, 1, 0], [0, 0, 1, 0, 0, 0, 2, 1],
+             [0, 0, 0, 1, 0, 2, 1, 2], [0, 0, 0, 0, 1, 1, 2, 2]]),
     ],
 )
 def test_brouwer_zimmermann_edge_cases(q, rows):
     # the last two have n < 2k: no second information set disjoint from the first
     code = LinearCodeFq.from_rows(GF(q), len(rows[0]), rows)
     _assert_matches_oracle(code)
+
+
+def test_brouwer_zimmermann_skips_sets_that_add_nothing():
+    # Example 17's [24,12]_3 Gray image: the rank-1 set would raise the bound
+    # only from round 11, and d = 2 is certified in round 1 by the other two
+    image = _ex17_code()[1].gray_image()
+    assert [r for _, r in _information_sets(image.gen, 3)] == [12, 11, 1]
+    words = np.concatenate([w[np.count_nonzero(w, axis=1) == 2] for w in image.codeword_chunks()])
+    assert image.min_distance(budget=48) == 2
+    d, got = image.minimum_words(budget=48)
+    assert d == 2 and np.array_equal(got, words)
+    with pytest.raises(SearchSpaceTooLarge, match="48 codewords exceeds budget 47"):
+        image.min_distance(budget=47)
 
 
 def test_information_sets_take_new_columns_first():

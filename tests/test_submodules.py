@@ -13,6 +13,8 @@ import pytest
 
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR
+from vcodes import submodules
+from vcodes.fieldcode import rref_stack
 from vcodes.submodules import AmbientSpace
 
 
@@ -51,7 +53,15 @@ def test_walk_matches_closure_oracle(q, n, ideals_only, count):
 
 @pytest.mark.parametrize(
     "q, n, ideals_only, count",
-    [(2, 2, False, 75), (3, 2, False, 216), (2, 2, True, 21), (2, 3, True, 36), (2, 4, True, 115)],
+    [
+        (2, 0, False, 1),
+        (2, 0, True, 1),
+        (2, 2, False, 75),
+        (3, 2, False, 216),
+        (2, 2, True, 21),
+        (2, 3, True, 36),
+        (2, 4, True, 115),
+    ],
 )
 def test_walk_counts_order_and_bases(q, n, ideals_only, count):
     space, walk = _walk(q, n, ideals_only)
@@ -67,11 +77,40 @@ def test_walk_counts_order_and_bases(q, n, ideals_only, count):
 
 def test_join_is_the_span_of_both():
     space = AmbientSpace(ring_over(3), 2)
-    a, b = space.cyclic_span(1), space.principal_ideal(5)
-    joined = space.join(a, b)
-    span = LinearCodeR(space.ring, 2, [space.decode[1], space.decode[5], [0, 5]])
-    assert np.array_equal(joined, span.flat.gen)
-    assert np.array_equal(space.join(joined, a), joined)
+    node_vectors, atom_vectors = [1, 2, 28], [5, 10]
+    nodes = space.cyclic_span(np.array(node_vectors))
+    atoms = space.principal_ideal(np.array(atom_vectors))
+    joined = space.join(nodes, atoms)
+    assert joined.shape == (6, 3 + 6, 6)
+    pairs = [(x, y) for x in node_vectors for y in atom_vectors]
+    for basis, (x, y) in zip(joined, pairs):
+        a, b = space.decode[x], space.decode[y]
+        span = LinearCodeR(space.ring, 2, [a, b, np.roll(b, 1)]).flat.gen
+        assert np.array_equal(basis[: len(span)], span) and not basis[len(span) :].any()
+    # an atom inside the node leaves it unchanged
+    again = space.join(joined, nodes)
+    for k, basis in enumerate(joined):
+        same = again[k * len(nodes) + k // len(atom_vectors)]
+        assert np.array_equal(same[: len(basis)], basis) and not same[len(basis) :].any()
+
+
+@pytest.mark.parametrize("cap", [1, 500])
+def test_entry_cap_bounds_every_batch(monkeypatch, cap):
+    shapes = []
+
+    def spy(stack, q):
+        shapes.append(stack.shape)
+        return rref_stack(stack, q)
+
+    expected = {flag: _walk(2, 2, flag)[1] for flag in (False, True)}  # at the default cap
+    monkeypatch.setattr(submodules, "_MAX_ENTRIES", cap)
+    monkeypatch.setattr(submodules, "rref_stack", spy)
+    for ideals_only, bases in expected.items():
+        space = AmbientSpace(ring_over(2), 2)
+        walk = space.all_ideals() if ideals_only else space.all_submodules()
+        assert [(b.shape, b.tobytes()) for b in walk] == [(b.shape, b.tobytes()) for b in bases]
+    assert all(b == 1 or b * r * c <= cap for b, r, c in shapes)
+    assert (cap == 1) == all(b == 1 for b, _, _ in shapes)
 
 
 def test_ambient_arrays_are_linear_in_the_ambient():
