@@ -9,9 +9,14 @@ tall matrices such as the brute-force dual's chunks of words.
 The exact minimum distance comes from the Brouwer-Zimmermann algorithm over
 several information sets, which certifies every codeword while enumerating
 only low-weight messages.  Weight distributions come from full message-space
-enumeration, chunked so the big desk-scale cases (3^15 codewords) stay
-vectorized; that enumeration is also the oracle the distance is tested
-against.  Both stop with SearchSpaceTooLarge past a codeword budget.
+enumeration, which is also the oracle the distance is tested against.  It
+splits the generator into high and low rows: the low rows' words are
+tabulated once, at most ``_CHUNK_ROWS`` of them, and each chunk adds a block
+of high words to that half table, so memory does not grow with the
+dimension.  Words come in message order, in the narrowest signed dtype that
+holds GF(q) (int8 up to q = 128), and digit sums are reduced by subtracting
+q instead of ``% q``.  Both stop with SearchSpaceTooLarge past a codeword
+budget.
 """
 
 from __future__ import annotations
@@ -105,6 +110,39 @@ def _messages(q: int, k: int, start: int, stop: int) -> np.ndarray:
     idx = np.arange(start, stop, dtype=np.int64)[:, None]
     powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]
     return (idx // powers) % q
+
+
+def _word_dtypes(q: int) -> tuple[np.dtype, np.dtype]:
+    """The narrowest signed dtype for words over GF(q) and its unsigned twin.
+
+    The twin holds the sum 2q - 2 of two digits, which ``_add_mod`` needs
+    before it reduces.
+    """
+    size = next(size for size in (1, 2, 4, 8) if q <= 1 << (8 * size - 1))
+    return np.dtype(f"i{size}"), np.dtype(f"u{size}")
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """(a + b) mod q for broadcastable unsigned arrays of digits, without ``%``.
+
+    A sum s < q wraps past 2q - 2 when q is subtracted, so min(s, s - q)
+    is s mod q.
+    """
+    total = a + b
+    return np.minimum(total, total - q, out=total)
+
+
+def _span_table(rows: np.ndarray, q: int, dtype: np.dtype) -> np.ndarray:
+    """All q^len(rows) combinations of ``rows`` in message order, as ``dtype``.
+
+    Each row appends one digit as the new least significant one.
+    """
+    n = rows.shape[1]
+    multiples = ((np.arange(q)[None, :, None] * rows[:, None, :]) % q).astype(dtype)
+    table = np.zeros((1, n), dtype=dtype)
+    for row_multiples in multiples:
+        table = _add_mod(table[:, None, :], row_multiples[None, :, :], q).reshape(q * len(table), n)
+    return table
 
 
 def _information_sets(gen: np.ndarray, q: int) -> list[tuple[np.ndarray, int]]:
@@ -222,15 +260,29 @@ class LinearCodeFq:
         return LinearCodeFq.from_rows(self.field, self.n, rows)
 
     def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
-        """Yield codewords as numpy arrays; message 0 (the zero word) first."""
-        q = self.field.q
+        """Yield codewords in message order, at most ``_CHUNK_ROWS`` per chunk.
+
+        The last k2 generator rows span a half table of q^k2 <= _CHUNK_ROWS
+        low words; each chunk adds a block of high words (messages over the
+        first k1 = k - k2 rows) to every low word, so message i*q^k2 + j is
+        high word i plus low word j.  Words come in the signed dtype of
+        ``_word_dtypes(q)``.
+        """
+        q, n = self.field.q, self.n
         if self.size > budget:
             raise SearchSpaceTooLarge(f"{self.size} codewords exceeds budget {budget}")
-        total = self.size
-        for start in range(0, total, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, total)
-            msgs = _messages(q, self.k, start, stop)
-            yield (msgs @ self.gen) % q if self.k else np.zeros((1, self.n), dtype=np.int64)
+        k2 = 0
+        while k2 < self.k and q ** (k2 + 1) <= _CHUNK_ROWS:
+            k2 += 1
+        k1 = self.k - k2
+        dtype, unsigned = _word_dtypes(q)
+        low = _span_table(self.gen[k1:], q, unsigned)
+        step = _CHUNK_ROWS // len(low)
+        for start in range(0, q**k1, step):
+            msgs = _messages(q, k1, start, min(start + step, q**k1))
+            high = ((msgs @ self.gen[:k1]) % q).astype(unsigned)
+            words = _add_mod(high[:, None, :], low[None, :, :], q)
+            yield words.reshape(len(high) * len(low), n).view(dtype)
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         return np.concatenate(list(self.codeword_chunks(budget)), axis=0)

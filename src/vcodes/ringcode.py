@@ -123,6 +123,7 @@ class LinearCodeR:
 
     def _unflatten(self, flat: np.ndarray) -> np.ndarray:
         q, n = self.ring.q, self.n
+        flat = flat.astype(np.int64, copy=False)  # indices outgrow a narrow word dtype
         return flat[:, :n] + q * flat[:, n : 2 * n] + q * q * flat[:, 2 * n :]
 
     def codeword_chunks(self, budget: int = DEFAULT_BUDGET):

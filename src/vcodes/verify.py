@@ -326,9 +326,9 @@ def _claim_thm6(ctx):
         tested += 1
         if enumerated < 20 and lhs.size <= 1 << 12:
             # belt and braces: compare the two codes as literal sets of words
-            a = lhs.codewords(ctx.budget)
-            b = rhs.codewords(ctx.budget)
-            if a.shape != b.shape or (np.sort(a.view("S%d" % (a.shape[1] * 8)).ravel()) != np.sort(b.view("S%d" % (b.shape[1] * 8)).ravel())).any():
+            a = np.unique(lhs.codewords(ctx.budget), axis=0)
+            b = np.unique(rhs.codewords(ctx.budget), axis=0)
+            if not np.array_equal(a, b):
                 return _result("refuted", {"q": q, "gens": list(map(list, code.gens))}, "set equality", tested)
             enumerated += 1
     return _result("confirmed", f"basis equality on 200 random codes, literal set equality re-checked on {enumerated}", "gray(C)^dual = gray(C^dual)", tested)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge
 from vcodes.gf import GF, Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.fieldcode import (
+    _CHUNK_ROWS,
     LinearCodeFq,
     _information_sets,
+    _messages,
     cyclic_code_fq,
     cyclic_dual_generator,
     hamming_enumerator_fq,
@@ -18,6 +21,8 @@ from vcodes.fieldcode import (
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
 )
+from vcodes.ring import ring_over
+from vcodes.ringcode import LinearCodeR
 from vcodes.verify import _ex17_code
 from vcodes.wenum import macwilliams_hamming_fq
 
@@ -278,3 +283,64 @@ def test_enumeration_is_deterministic_and_complete():
     again = code.codewords()
     assert (words == again).all()
     assert len({tuple(map(int, w)) for w in words}) == 9
+
+
+# largest k per q whose oracle stays near 10^5 words; every q reaches
+# q^k > _CHUNK_ROWS, so the half tables split into several chunks
+_CHUNK_ORACLE_K = {2: 16, 3: 10, 5: 7, 7: 6, 131: 2}
+
+
+@st.composite
+def codes_of_dimension(draw):
+    q = draw(st.sampled_from(sorted(_CHUNK_ORACLE_K)))
+    k = draw(st.integers(0, _CHUNK_ORACLE_K[q]))
+    n = k + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # an identity block makes the rank k; shuffled columns move the pivots
+    gen = np.concatenate([np.eye(k, dtype=np.int64), rng.integers(0, q, (k, n - k))], axis=1)
+    return LinearCodeFq(GF(q), n, gen[:, rng.permutation(n)])
+
+
+def _oracle_words(code):
+    q = code.field.q
+    return (_messages(q, code.k, 0, q**code.k) @ code.gen) % q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(codes_of_dimension())
+def test_codeword_chunks_match_the_message_product(code):
+    chunks = list(code.codeword_chunks())
+    assert all(len(chunk) <= _CHUNK_ROWS for chunk in chunks)
+    words = np.concatenate(chunks)
+    assert words.shape == (code.size, code.n)
+    assert np.array_equal(words, _oracle_words(code))  # row for row: message order
+
+
+def test_codeword_chunks_cover_every_q_at_the_edges():
+    for q in _CHUNK_ORACLE_K:
+        for k in (0, 1, _CHUNK_ORACLE_K[q]):
+            code = LinearCodeFq.full_space(GF(q), k)
+            assert np.array_equal(code.codewords(), _oracle_words(code))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_ring_codeword_chunks_match_the_int64_oracle_at_q7(n, rows, seed):
+    ring = ring_over(7)  # element indices run to 342, past int8
+    rng = np.random.default_rng(seed)
+    code = LinearCodeR(ring, n, rng.integers(0, ring.size, (rows, n)).tolist())
+    chunks = list(code.codeword_chunks())
+    assert all(len(chunk) <= _CHUNK_ROWS for chunk in chunks)
+    assert np.array_equal(np.concatenate(chunks), code._unflatten(_oracle_words(code.flat)))
+
+
+def test_codeword_chunks_memory_does_not_grow_with_k():
+    code = LinearCodeFq.full_space(F2, 36)
+    tracemalloc.start()
+    try:
+        first = next(code.codeword_chunks(budget=2**40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(first) <= _CHUNK_ROWS
+    assert peak < 16 * 2**20
