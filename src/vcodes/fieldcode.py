@@ -413,8 +413,8 @@ def self_dual_cyclic_audit(field: GF, n: int) -> dict:
     }
 
 
-def random_code(field: GF, n: int, rng, max_rows: int | None = None) -> LinearCodeFq:
+def random_code(field: GF, n: int, rng) -> LinearCodeFq:
     """Seeded random code used by the verification suites."""
-    rows = rng.randrange(1, (max_rows or n) + 1)
+    rows = rng.randrange(1, n + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
     return LinearCodeFq.from_rows(field, n, mat)

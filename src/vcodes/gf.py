@@ -98,10 +98,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def x_pow(cls, field: GF, k: int, c: int = 1) -> "Poly":
-        return cls(field, [0] * k + [c])
-
-    @classmethod
     def xn_minus_1(cls, field: GF, n: int) -> "Poly":
         return cls(field, [-1] + [0] * (n - 1) + [1])
 
@@ -292,7 +288,7 @@ def factor_xn_minus_1(field: GF, n: int) -> list[Poly]:
     return factors
 
 
-def monic_divisors_of_xn_minus_1(field: GF, n: int, cap: int = DIVISOR_CAP) -> list[Poly]:
+def monic_divisors_of_xn_minus_1(field: GF, n: int) -> list[Poly]:
     """All monic divisors of x^n - 1, sorted by (degree, coefficients)."""
     factors = factor_xn_minus_1(field, n)
     distinct: list[Poly] = []
@@ -306,8 +302,8 @@ def monic_divisors_of_xn_minus_1(field: GF, n: int, cap: int = DIVISOR_CAP) -> l
     count = 1
     for m in mult:
         count *= m + 1
-    if count > cap:
-        raise SearchSpaceTooLarge(f"{count} divisors exceeds cap {cap}")
+    if count > DIVISOR_CAP:
+        raise SearchSpaceTooLarge(f"{count} divisors exceeds cap {DIVISOR_CAP}")
     divisors = [Poly.one(field)]
     for f, m in zip(distinct, mult):
         powers = [Poly.one(field)]

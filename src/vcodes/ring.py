@@ -65,11 +65,6 @@ class Ring:
         s2 = (x2 + b2) % q
         self.add_table = (s0 + q * s1 + q * q * s2).astype(np.int64)
         self.neg_table = self._encode((-a0) % q, (-a1) % q, (-a2) % q)
-        # field scalar times ring element
-        c = np.arange(q)[:, None]
-        self.smul_table = self._encode(
-            (c * a0[None, :]) % q, (c * a1[None, :]) % q, (c * a2[None, :]) % q
-        )
 
         self.gray_table = np.stack([a0, (a0 + a2) % q, a1], axis=1).astype(np.int64)
         self.lee_table = np.count_nonzero(self.gray_table, axis=1).astype(np.int64)

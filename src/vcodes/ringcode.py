@@ -346,35 +346,21 @@ def combine_components(ring: Ring, triple: ComponentTriple, mode: str) -> Linear
     n = triple.c1.n
     if triple.c2.n != n or triple.c3.n != n:
         raise ParamMismatch("components must share the length n")
-    gens = []
     if mode == "idempotent":
         if ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("idempotent combination needs odd q")
-        slots = (
-            (triple.c1, lambda u: ring.crt_table[u % ring.q, 0, 0]),
-            (triple.c2, lambda u: ring.crt_table[0, u % ring.q, 0]),
-            (triple.c3, lambda u: ring.crt_table[0, 0, u % ring.q]),
-        )
-        for code, embed in slots:
-            for row in code.gen:
-                gens.append(tuple(int(embed(int(u))) for u in row))
+        units = (ring.e1, ring.e2, ring.e0)
     elif mode == "paper-literal":
-        q = ring.q
-        coeff_maps = (
-            (triple.c1, lambda u: ring.index(0, u, 0)),          # u * v
-            (triple.c2, lambda u: ring.index(u, (-u) % q, 0)),   # u * (1-v)
-            (triple.c3, lambda u: ring.index(u, 0, (-u) % q)),   # u * (1-v^2)
-        )
-        for code, embed in coeff_maps:
-            for row in code.gen:
-                gens.append(tuple(int(embed(int(u))) for u in row))
+        units = (ring.index(0, 1, 0), ring.index(1, -1, 0), ring.index(1, 0, -1))  # v, 1-v, 1-v^2
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # a field scalar u is the ring element of index u, so u * unit is one table lookup
+    gens = np.concatenate([ring.mul_table[unit][code.gen] for unit, code in zip(units, triple)])
     return LinearCodeR(ring, n, gens)
 
 
-def random_code_r(ring: Ring, n: int, rng, max_rows: int | None = None) -> LinearCodeR:
+def random_code_r(ring: Ring, n: int, rng) -> LinearCodeR:
     """Seeded random R-code used by the verification suites."""
-    rows = rng.randrange(1, (max_rows or n) + 1)
+    rows = rng.randrange(1, n + 1)
     gens = [[rng.randrange(ring.size) for _ in range(n)] for _ in range(rows)]
     return LinearCodeR(ring, n, gens)

@@ -22,6 +22,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -154,6 +155,22 @@ def _result(status, observed, expected, tested, note=""):
     return status, observed, expected, tested, note
 
 
+def _gens(code) -> list[list[int]]:
+    return list(map(list, code.gens))
+
+
+def _spell(ring, row) -> list[str]:
+    """Element-index row as printed ring elements."""
+    return [format_elem(ring.from_index(int(x))) for x in row]
+
+
+def _random_codes(rng, count, qs=(2, 3), max_n=3):
+    """Stream ``count`` seeded random R-codes, drawing q, then n, then the code."""
+    for _ in range(count):
+        q = rng.choice(qs)
+        yield random_code_r(ring_over(q), rng.randrange(1, max_n + 1), rng)
+
+
 # ---------------------------------------------------------------------------
 # gray scope
 
@@ -215,16 +232,8 @@ def _claim_thm2(ctx):
 
 def _self_orth_samples(rng, count):
     """Deterministic stream of self-orthogonal codes over R."""
-    found = []
-    attempts = 0
-    while len(found) < count and attempts < 4000:
-        attempts += 1
-        q = rng.choice([2, 3])
-        ring = ring_over(q)
-        n = rng.randrange(1, 4)
-        code = random_code_r(ring, n, rng)
-        if all(code.dot(g, h) == 0 for g in code.gens for h in code.gens):
-            found.append(code)
+    codes = _random_codes(rng, 4000)
+    found = list(islice((c for c in codes if all(c.dot(g, h) == 0 for g in c.gens for h in c.gens)), count))
     r3 = ring_over(3)
     found.append(LinearCodeR(r3, 3, [[r3.e1, r3.e1, r3.e1]]))
     found.append(LinearCodeR(ring_over(2), 2, [[2, 2]]))
@@ -232,44 +241,34 @@ def _self_orth_samples(rng, count):
 
 
 def _claim_thm3(ctx):
-    rng = ctx.rng("thm3")
     tested = 0
-    for code in _self_orth_samples(rng, 25):
+    for code in _self_orth_samples(ctx.rng("thm3"), 25):
         image = code.gray_image()
         prod = (image.gen @ image.gen.T) % code.ring.q
         if prod.any():
-            return _result("refuted", {"q": code.ring.q, "gens": list(map(list, code.gens))}, "gray image self-orthogonal", tested)
+            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "gray image self-orthogonal", tested)
         tested += 1
     return _result("confirmed", "gray images of all sampled self-orthogonal codes are self-orthogonal", "self-orthogonality transfers", tested)
 
 
 def _claim_cor4(ctx):
-    rng = ctx.rng("cor4")
     tested = 0
-    for _ in range(60):
-        q = rng.choice([2, 3])
-        ring = ring_over(q)
-        code = random_code_r(ring, rng.randrange(1, 4), rng)
+    for code in _random_codes(ctx.rng("cor4"), 60):
         if code.dim_fq == 0:
             continue
         d1, _ = code.min_lee_distance("exhaustive", ctx.budget)
         d2, _ = code.min_lee_distance("gray-image", ctx.budget)
         if d1 != d2:
-            return _result("refuted", {"q": q, "gens": list(map(list, code.gens)), "lee": d1, "gray": d2}, "d_L(C) = d_H(gray(C))", tested)
+            return _result("refuted", {"q": code.ring.q, "gens": _gens(code), "lee": d1, "gray": d2}, "d_L(C) = d_H(gray(C))", tested)
         tested += 1
     return _result("confirmed", "minimum Lee weight equals Gray-image minimum Hamming weight on every sample", "d_L(C) = d_H(gray(C))", tested)
 
 
 def _claim_lem5_dimension(ctx):
-    rng = ctx.rng("lem5-dimension")
     tested = 0
-    for _ in range(80):
-        q = rng.choice([3, 5])
-        ring = ring_over(q)
-        code = random_code_r(ring, rng.randrange(1, 4), rng)
-        comps = code.components_crt()
-        if code.gray_image().k != sum(comps.dims):
-            return _result("refuted", {"q": q, "gens": list(map(list, code.gens))}, "dim gray(C) = k1+k2+k3", tested)
+    for code in _random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5)):
+        if code.gray_image().k != sum(code.components_crt().dims):
+            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "dim gray(C) = k1+k2+k3", tested)
         tested += 1
     return _result("confirmed", "dim gray(C) = k1+k2+k3 with evaluation components on every sample", "dimension formula", tested)
 
@@ -296,7 +295,7 @@ def _claim_lem5_distance(ctx):
                 lower_bound_ok = False
             if first is None:
                 first = {
-                    "gens": list(map(list, code.gens)),
+                    "gens": _gens(code),
                     "exact": exact,
                     "component_minimum": lemma,
                 }
@@ -311,43 +310,36 @@ def _claim_lem5_distance(ctx):
 
 
 def _claim_thm6(ctx):
-    rng = ctx.rng("thm6")
     tested = 0
     enumerated = 0
-    for _ in range(200):
-        q = rng.choice([2, 3])
-        ring = ring_over(q)
-        code = random_code_r(ring, rng.randrange(1, 4), rng)
+    for code in _random_codes(ctx.rng("thm6"), 200):
+        q = code.ring.q
         dual = code.dual()
         lhs = code.gray_image().dual()
         rhs = dual.gray_image()
         if lhs != rhs:
-            return _result("refuted", {"q": q, "gens": list(map(list, code.gens))}, "gray(C)^dual = gray(C^dual)", tested)
+            return _result("refuted", {"q": q, "gens": _gens(code)}, "gray(C)^dual = gray(C^dual)", tested)
         tested += 1
         if enumerated < 20 and lhs.size <= 1 << 12:
             # belt and braces: compare the two codes as literal sets of words
             a = np.unique(lhs.codewords(ctx.budget), axis=0)
             b = np.unique(rhs.codewords(ctx.budget), axis=0)
             if not np.array_equal(a, b):
-                return _result("refuted", {"q": q, "gens": list(map(list, code.gens))}, "set equality", tested)
+                return _result("refuted", {"q": q, "gens": _gens(code)}, "set equality", tested)
             enumerated += 1
     return _result("confirmed", f"basis equality on 200 random codes, literal set equality re-checked on {enumerated}", "gray(C)^dual = gray(C^dual)", tested)
 
 
 def _claim_cardinality(ctx):
-    rng = ctx.rng("cardinality-identity")
     tested = 0
     crt_ok = 0
     literal_bad = 0
     first = None
-    for _ in range(80):
-        q = rng.choice([3, 5])
-        ring = ring_over(q)
-        code = random_code_r(ring, rng.randrange(1, 4), rng)
+    for code in _random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5)):
+        q = code.ring.q
         tested += 1
-        comps = code.components_crt()
-        if comps.size_product() != code.size:
-            return _result("refuted", {"q": q, "gens": list(map(list, code.gens))}, "|C| = |C1||C2||C3|", tested)
+        if code.components_crt().size_product() != code.size:
+            return _result("refuted", {"q": q, "gens": _gens(code)}, "|C| = |C1||C2||C3|", tested)
         crt_ok += 1
         lit = code.components_paper()
         if lit.size_product() != code.size:
@@ -355,7 +347,7 @@ def _claim_cardinality(ctx):
             if first is None:
                 first = {
                     "q": q,
-                    "gens": list(map(list, code.gens)),
+                    "gens": _gens(code),
                     "size": code.size,
                     "literal_product": lit.size_product(),
                 }
@@ -373,45 +365,35 @@ def _claim_cardinality(ctx):
 # enumerators scope
 
 
-def _random_codes_for_enum(ctx, claim_id, count, qs=(2, 3), max_n=3):
-    rng = ctx.rng(claim_id)
-    out = []
-    for _ in range(count):
-        q = rng.choice(list(qs))
-        ring = ring_over(q)
-        out.append(random_code_r(ring, rng.randrange(1, max_n + 1), rng))
-    return out
-
-
 def _claim_thm7_1(ctx):
     tested = 0
-    for code in _random_codes_for_enum(ctx, "thm7-1", 60):
+    for code in _random_codes(ctx.rng("thm7-1"), 60):
         lee = wenum.lee_enumerator(code, ctx.budget)
         if wenum.specialize(wenum.complete_enumerator(code, ctx.budget), "lee") != lee:
-            return _result("refuted", {"gens": list(map(list, code.gens))}, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", tested)
+            return _result("refuted", {"gens": _gens(code)}, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", tested)
         if wenum.specialize(wenum.symmetrized_enumerator(code, ctx.budget), "lee") != lee:
-            return _result("refuted", {"gens": list(map(list, code.gens))}, "swe specialization = Lee", tested)
+            return _result("refuted", {"gens": _gens(code)}, "swe specialization = Lee", tested)
         tested += 1
     return _result("confirmed", "complete and symmetrized enumerators specialize exactly to the Lee enumerator", "specialization identity", tested)
 
 
 def _claim_thm7_2(ctx):
     tested = 0
-    for code in _random_codes_for_enum(ctx, "thm7-2", 60):
+    for code in _random_codes(ctx.rng("thm7-2"), 60):
         ham = wenum.hamming_enumerator_r(code, ctx.budget)
         if wenum.specialize(wenum.complete_enumerator(code, ctx.budget), "hamming") != ham:
-            return _result("refuted", {"gens": list(map(list, code.gens))}, "cwe(X, Y, ..., Y) = Ham", tested)
+            return _result("refuted", {"gens": _gens(code)}, "cwe(X, Y, ..., Y) = Ham", tested)
         tested += 1
     return _result("confirmed", "complete enumerator specializes exactly to the Hamming enumerator", "specialization identity", tested)
 
 
 def _claim_thm7_3(ctx):
     tested = 0
-    for code in _random_codes_for_enum(ctx, "thm7-3", 60):
+    for code in _random_codes(ctx.rng("thm7-3"), 60):
         lee = wenum.lee_enumerator(code, ctx.budget)
         gray_counts = code.gray_image().weight_counts(ctx.budget)
         if lee.counts != gray_counts:
-            return _result("refuted", {"gens": list(map(list, code.gens))}, "Lee_C = Ham_gray(C)", tested)
+            return _result("refuted", {"gens": _gens(code)}, "Lee_C = Ham_gray(C)", tested)
         tested += 1
     return _result("confirmed", "Lee distribution equals the Gray image Hamming distribution on every sample", "Lee_C(X,Y) = W_gray(C)(X,Y)", tested)
 
@@ -419,12 +401,12 @@ def _claim_thm7_3(ctx):
 def _claim_thm7_4(ctx):
     tested = 0
     counterexample = None
-    for code in _random_codes_for_enum(ctx, "thm7-4", 120, qs=(2, 3), max_n=2):
+    for code in _random_codes(ctx.rng("thm7-4"), 120, max_n=2):
         dual = code.brute_force_dual(ctx.budget)
         lee = wenum.lee_enumerator(code, ctx.budget)
         dual_lee = wenum.lee_enumerator(dual, ctx.budget)
         if wenum.macwilliams_lee(lee, code.size) != dual_lee:
-            return _result("refuted", {"q": code.ring.q, "gens": list(map(list, code.gens))}, "corrected transform matches dual", tested)
+            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "corrected transform matches dual", tested)
         tested += 1
         if counterexample is None and code.ring.q == 3:
             try:
@@ -437,7 +419,7 @@ def _claim_thm7_4(ctx):
             if bad:
                 counterexample = {
                     "q": 3,
-                    "gens": list(map(list, code.gens)),
+                    "gens": _gens(code),
                     "dual_counts": {str(k): v for k, v in dual_lee.counts.items()},
                     **{k: (v if not isinstance(v, dict) else {str(a): b for a, b in v.items()}) for k, v in detail.items()},
                 }
@@ -509,9 +491,7 @@ def _claim_cor10(ctx):
             if found and isinstance(res["witness"], CyclicSpecR):
                 entry["witness"] = _spec_obj(res["witness"])
             elif found:
-                entry["witness_generators"] = [
-                    [format_elem(ring.from_index(x)) for x in g] for g in res["witness"].gens
-                ]
+                entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
             observed[f"q={q},n={n}"] = entry
     status = "confirmed" if consistent else "refuted"
     return _result(
@@ -552,34 +532,24 @@ def _claim_thm11(ctx):
 # fsd scope
 
 
-def _construction_trial(ctx, claim_id, builder, make_input):
-    rng = ctx.rng(claim_id)
-    tested = 0
-    for _ in range(100):
-        n = rng.randrange(1, 4)
-        ring = ring_over(3)
-        code, witness = builder(ring, make_input(ring, n, rng))
-        if not isodual_witness_check(code, witness):
-            return tested, {"n": n, "gens": list(map(list, code.gens))}, "witness"
-        if not is_formally_self_dual(code, ctx.budget):
-            return tested, {"n": n, "gens": list(map(list, code.gens))}, "enumerator"
-        tested += 1
-    # a few odd-q spot checks at q=5 (witness only; enumerators get large)
-    for _ in range(10):
-        n = rng.randrange(1, 3)
-        ring = ring_over(5)
-        code, witness = builder(ring, make_input(ring, n, rng))
-        if not isodual_witness_check(code, witness):
-            return tested, {"q": 5, "n": n, "gens": list(map(list, code.gens))}, "witness"
-        tested += 1
-    return tested, None, None
-
-
 def _claim_construction(claim_id, builder, make_input, label):
     def run(ctx):
-        tested, bad, kind = _construction_trial(ctx, claim_id, builder, make_input)
-        if bad is not None:
-            return _result("refuted", {"failure": kind, **bad}, label, tested)
+        rng = ctx.rng(claim_id)
+        tested = 0
+        # 100 inputs at q=3, then odd-q spot checks at q=5 (witness only; enumerators get large)
+        for q, count, max_n in ((3, 100, 3), (5, 10, 2)):
+            ring = ring_over(q)
+            for _ in range(count):
+                n = rng.randrange(1, max_n + 1)
+                code, witness = builder(ring, make_input(ring, n, rng))
+                if not isodual_witness_check(code, witness):
+                    failure = "witness"
+                elif q == 3 and not is_formally_self_dual(code, ctx.budget):
+                    failure = "enumerator"
+                else:
+                    tested += 1
+                    continue
+                return _result("refuted", {"failure": failure, "q": q, "n": n, "gens": _gens(code)}, label, tested)
         return _result(
             "confirmed",
             "isodual witness verified and Lee enumerators of C and its dual matched exactly on every input",
@@ -604,7 +574,7 @@ def _claim_thm18(ctx):
         n = rng.randrange(1, 3)
         code, _ = construction_a(ring, random_symmetric(ring, n, rng))
         if not gray_fsd_transfer(code, ctx.budget):
-            return _result("refuted", {"gens": list(map(list, code.gens))}, "gray image of FSD is FSD", tested)
+            return _result("refuted", {"gens": _gens(code)}, "gray image of FSD is FSD", tested)
         tested += 1
     # negative control: a code that is not FSD must be allowed to fail
     ring = ring_over(3)
@@ -627,11 +597,11 @@ def _claim_lem19(ctx):
         l2 = wenum.lee_enumerator(c2, ctx.budget)
         lp = wenum.lee_enumerator(prod, ctx.budget)
         if lp.counts != wenum.product_counts(l1.counts, l2.counts):
-            return _result("refuted", {"gens": list(map(list, prod.gens))}, "enumerator product law", tested)
+            return _result("refuted", {"gens": _gens(prod)}, "enumerator product law", tested)
         if prod.dual() != direct_product(c1.dual(), c2.dual()):
-            return _result("refuted", {"gens": list(map(list, prod.gens))}, "(C1 x C2)^dual = C1^dual x C2^dual", tested)
+            return _result("refuted", {"gens": _gens(prod)}, "(C1 x C2)^dual = C1^dual x C2^dual", tested)
         if not is_formally_self_dual(prod, ctx.budget):
-            return _result("refuted", {"gens": list(map(list, prod.gens))}, "product of FSD is FSD", tested)
+            return _result("refuted", {"gens": _gens(prod)}, "product of FSD is FSD", tested)
         tested += 1
     return _result("confirmed", "product enumerators, product duals and FSD closure verified exactly on every pair", "direct products preserve FSD", tested)
 
@@ -639,24 +609,14 @@ def _claim_lem19(ctx):
 def _claim_thm20(ctx):
     observed = {}
     tested = 0
-    for q in (2, 3):
+    for q, n in ((2, 1), (3, 1), (3, 2)):
         ring = ring_over(q)
-        res = odd_fsd_search(ring, 1, ctx.budget)
+        res = odd_fsd_search(ring, n, ctx.budget)
         tested += res["tested"]
-        observed[f"q={q},n=1"] = {
-            "witness": res["witness"] is not None,
-            "submodules_tested": res["tested"],
-            "exhausted": res["exhausted"],
-        }
-    ring = ring_over(3)
-    res2 = odd_fsd_search(ring, 2, ctx.budget)
-    tested += res2["tested"]
-    entry = {"witness": res2["witness"] is not None, "submodules_tested": res2["tested"], "exhausted": res2["exhausted"]}
-    if res2["witness"] is not None:
-        entry["witness_generators"] = [
-            [format_elem(ring.from_index(x)) for x in g] for g in res2["witness"].gens
-        ]
-    observed["q=3,n=2"] = entry
+        entry = {"witness": res["witness"] is not None, "submodules_tested": res["tested"], "exhausted": res["exhausted"]}
+        if res["witness"] is not None:
+            entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
+        observed[f"q={q},n={n}"] = entry
     len1_refuted = not observed["q=2,n=1"]["witness"] and not observed["q=3,n=1"]["witness"]
     status = "refuted" if len1_refuted else "confirmed"
     return _result(
@@ -674,18 +634,22 @@ def _claim_thm20(ctx):
 # examples scope
 
 
+def _repairs(ring, printed, rebuilt) -> list[list]:
+    """[row, column, printed, rebuilt], 1-based and spelled, for each entry the rebuild changed."""
+    return [
+        [i + 1, j + 1, *_spell(ring, (p, r))]
+        for i, (printed_row, rebuilt_row) in enumerate(zip(printed, rebuilt))
+        for j, (p, r) in enumerate(zip(printed_row, rebuilt_row))
+        if p != r
+    ]
+
+
 def _ex13_code():
     ring = ring_over(3)
     printed = [[ring.parse(e).idx for e in row] for row in EX13_PRINTED_ROWS]
     matrix = SymmetricMatrixR.from_upper_triangle(ring, printed)
-    repaired = [
-        [i + 1, j + 1, format_elem(ring.from_index(printed[i][j])), format_elem(ring.from_index(matrix.rows[i][j]))]
-        for i in range(5)
-        for j in range(5)
-        if matrix.rows[i][j] != printed[i][j]
-    ]
     code, witness = construction_a(ring, matrix)
-    return ring, code, witness, repaired
+    return ring, code, witness, _repairs(ring, printed, matrix.rows)
 
 
 def _claim_ex13(ctx):
@@ -693,12 +657,11 @@ def _claim_ex13(ctx):
     image = code.gray_image()
     ok_witness = isodual_witness_check(code, witness)
     best, words = code.minimum_lee_words(ctx.budget)
-    best_row = [format_elem(ring.from_index(int(x))) for x in words[0]]
     observed = {
         "gray_parameters": [image.n, image.k, best],
         "isodual_witness": ok_witness,
         "repaired_entries": repaired,
-        "minimum_weight_codeword": best_row,
+        "minimum_weight_codeword": _spell(ring, words[0]),
     }
     status = "canonicalized" if best == 9 else "refuted"
     note = (
@@ -716,16 +679,9 @@ def _ex15_code():
     ring = ring_over(5)
     first_row = tuple(ring.parse(e).idx for e in EX15_PRINTED_ROWS[0])
     spec = CirculantSpecR(ring, first_row)
-    rebuilt = spec.rows()
     printed = [[ring.parse(e).idx for e in row] for row in EX15_PRINTED_ROWS]
-    repaired = [
-        [i + 1, j + 1, format_elem(ring.from_index(printed[i][j])), format_elem(ring.from_index(rebuilt[i][j]))]
-        for i in range(5)
-        for j in range(5)
-        if rebuilt[i][j] != printed[i][j]
-    ]
     code, witness = construction_b(ring, spec)
-    return ring, code, witness, repaired
+    return ring, code, witness, _repairs(ring, printed, spec.rows())
 
 
 def _claim_ex15(ctx):
@@ -764,16 +720,9 @@ def _ex17_code():
     ring = ring_over(3)
     core_first = tuple(ring.parse(e).idx for e in EX17_PRINTED_CORE[0])
     spec = BorderedSpecR(ring, ring.parse(EX17_ALPHA).idx, ring.parse(EX17_OMEGA).idx, CirculantSpecR(ring, core_first))
-    rebuilt = spec.core.rows()
     printed = [[ring.parse(e).idx for e in row] for row in EX17_PRINTED_CORE]
-    repaired = [
-        [i + 1, j + 1, format_elem(ring.from_index(printed[i][j])), format_elem(ring.from_index(rebuilt[i][j]))]
-        for i in range(3)
-        for j in range(3)
-        if rebuilt[i][j] != printed[i][j]
-    ]
     code, witness = construction_c(ring, spec)
-    return ring, code, witness, repaired
+    return ring, code, witness, _repairs(ring, printed, spec.core.rows())
 
 
 def _claim_ex17(ctx):

@@ -58,16 +58,18 @@ class WeightEnumerator:
     Gray/Hamming weight, so the alphas sum to n.  A cwe tally holds w_a for
     every a in R.  ``fieldcode.hamming_enumerator_fq`` uses the hamming
     kind for codes over GF(q).
+
+    Keys (ints, or tuples of ints) and counts must be Python ints, not numpy
+    scalars: they are stored as given, and zero counts are dropped.
     """
 
     def __init__(self, kind: str, n: int, q: int, counts: dict):
         if kind not in _WEIGHT_KINDS + ("swe", "cwe"):
             raise ValueError(f"unknown enumerator kind {kind!r}")
-        key = int if kind in _WEIGHT_KINDS else (lambda k: tuple(map(int, k)))
         self.kind = kind
         self.n = n
         self.q = q
-        self.counts = {key(k): int(c) for k, c in counts.items() if c}
+        self.counts = {k: c for k, c in counts.items() if c}
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -207,9 +209,9 @@ def macwilliams_lee(enum: WeightEnumerator, code_size: int, literal: bool = Fals
     return _macwilliams(enum, 3 * enum.n, code_size, literal)
 
 
-def macwilliams_hamming_fq(enum: WeightEnumerator, code_size: int, literal: bool = False) -> WeightEnumerator:
+def macwilliams_hamming_fq(enum: WeightEnumerator, code_size: int) -> WeightEnumerator:
     """Field-level MacWilliams transform for Hamming enumerators over GF(q)."""
-    return _macwilliams(enum, enum.n, code_size, literal)
+    return _macwilliams(enum, enum.n, code_size, False)
 
 
 def product_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -10,6 +10,7 @@ disagreements themselves are recorded in the verification report entries.
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ from vcodes.ring import audit_published_lee_table, ring_over
 from vcodes.ringcode import random_code_r
 from vcodes.verify import run_verification_suite
 from vcodes import wenum
+
+
+# `vcodes verify-paper --scope all --seed 42 --format json --out tests/data/report_seed42.json`;
+# a change that alters the report re-records this file and names what changed
+REPORT_SEED42 = Path(__file__).parent / "data" / "report_seed42.json"
 
 
 def _report_line(num, title, ok, detail):
@@ -269,5 +275,15 @@ def test_criterion_11_determinism(full_report):
     _report_line(
         11, "Determinism", ok,
         f"two verify-paper runs (scope=all, seed=42) produced byte-identical {len(first)}-byte reports",
+    )
+    assert ok
+
+
+def test_criterion_12_recorded_report(full_report):
+    recorded = REPORT_SEED42.read_text()
+    ok = full_report.to_json() + "\n" == recorded
+    _report_line(
+        12, "Recorded report", ok,
+        f"the seed-42 report is byte-identical to the recorded {len(recorded)}-byte {REPORT_SEED42.name}",
     )
     assert ok

@@ -1,5 +1,6 @@
 import pytest
 
+from vcodes import gf
 from vcodes.errors import DivisionByZero, ParamMismatch, ParseError, SearchSpaceTooLarge
 from vcodes.gf import (
     GF,
@@ -101,9 +102,10 @@ def test_divisor_count_matches_multiplicities():
     assert len(monic_divisors_of_xn_minus_1(GF(2), 4)) == 5
 
 
-def test_divisor_cap():
+def test_divisor_cap(monkeypatch):
+    monkeypatch.setattr(gf, "DIVISOR_CAP", 4)
     with pytest.raises(SearchSpaceTooLarge):
-        monic_divisors_of_xn_minus_1(GF(3), 4, cap=4)
+        monic_divisors_of_xn_minus_1(GF(3), 4)
 
 
 def test_parse_format_roundtrip():

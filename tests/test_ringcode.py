@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, SearchSpaceTooLarge, ShapeError
-from vcodes.fieldcode import LinearCodeFq
+from vcodes.fieldcode import LinearCodeFq, random_code
 from vcodes.ring import ring_over
 from vcodes.ringcode import ComponentTriple, LinearCodeR, combine_components, random_code_r
 from vcodes.wenum import lee_enumerator
@@ -104,6 +104,42 @@ def test_combine_components_examples():
         LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), LinearCodeFq.zero_code(field, 1), "crt"
     )
     assert combine_components(R3, tri, "idempotent") == LinearCodeR(R3, 1, [[R3.q]])
+
+
+def _combine_per_entry(ring, triple, mode):
+    """Generators of combine_components, embedding each field entry u on its own (the reference)."""
+    if mode == "idempotent":
+        embeds = (
+            lambda u: ring.crt_table[u, 0, 0],
+            lambda u: ring.crt_table[0, u, 0],
+            lambda u: ring.crt_table[0, 0, u],
+        )
+    else:
+        embeds = (
+            lambda u: ring.index(0, u, 0),  # u * v
+            lambda u: ring.index(u, -u, 0),  # u * (1-v)
+            lambda u: ring.index(u, 0, -u),  # u * (1-v^2)
+        )
+    return tuple(tuple(int(embed(int(u))) for u in row) for code, embed in zip(triple, embeds) for row in code.gen)
+
+
+@pytest.mark.parametrize(
+    "q, mode",
+    [(3, "idempotent"), (5, "idempotent"), (2, "paper-literal"), (3, "paper-literal"), (5, "paper-literal")],
+)
+def test_combine_components_matches_per_entry_embedding(q, mode):
+    ring = ring_over(q)
+    field = ring.field
+    rng = random.Random(f"combine:{q}:{mode}")
+    for trial in range(25):
+        n = rng.randrange(1, 5)
+        # the first trial has three zero components, later ones a zero component a third of the time
+        comps = [
+            LinearCodeFq.zero_code(field, n) if trial == 0 or rng.randrange(3) == 0 else random_code(field, n, rng)
+            for _ in range(3)
+        ]
+        triple = ComponentTriple(*comps, "crt")
+        assert combine_components(ring, triple, mode).gens == _combine_per_entry(ring, triple, mode)
 
 
 def test_combine_idempotent_needs_odd_q():
