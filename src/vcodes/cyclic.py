@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CharacteristicTwoUnsupported, NotADivisor, SearchSpaceTooLarge
 from .fieldcode import cyclic_code_fq, cyclic_dual_generator
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import ComponentTriple, LinearCodeR, combine_components
+from .ringcode import ComponentTriple, LinearCodeR, _flatten, combine_components
 from .submodules import AmbientSpace
 
 
@@ -57,23 +59,21 @@ def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> Li
 
 def is_cyclic_r(code: LinearCodeR) -> bool:
     """True iff one cyclic right shift of every generator stays in the span."""
-    for g in code.gens:
-        if not code.contains(g[-1:] + g[:-1]):
-            return False
-    return True
+    gens = np.array(code.gens, dtype=np.int64).reshape(len(code.gens), code.n)
+    return code.flat.contains(_flatten(code.ring, np.roll(gens, 1, axis=1)))
+
+
+def cyclic_dual_spec(spec: CyclicSpecR) -> CyclicSpecR:
+    """The divisor triple of the componentwise dual: each fi becomes its dual generator."""
+    duals = (cyclic_dual_generator(f, spec.n) for f in (spec.f1, spec.f2, spec.f3))
+    return CyclicSpecR(spec.n, *duals)
 
 
 def cyclic_dual_r(ring: Ring, spec: CyclicSpecR) -> LinearCodeR:
     """Dual cyclic code via componentwise dual generators (q odd)."""
     if ring.q % 2 == 0:
         raise CharacteristicTwoUnsupported("componentwise cyclic dual needs odd q")
-    dual_spec = CyclicSpecR(
-        spec.n,
-        cyclic_dual_generator(spec.f1, spec.n),
-        cyclic_dual_generator(spec.f2, spec.n),
-        cyclic_dual_generator(spec.f3, spec.n),
-    )
-    return cyclic_code_r(ring, dual_spec, "idempotent")
+    return cyclic_code_r(ring, cyclic_dual_spec(spec), "idempotent")
 
 
 def all_divisor_triples(ring: Ring, n: int):

@@ -3,9 +3,10 @@
 A code is held by its generator matrix in reduced row echelon form (a numpy
 int array), so two codes are equal exactly when their matrices are equal.
 Row reduction has two kernels with the same results: ``rref`` reduces one
-small matrix row by row, and ``rref_stack`` reduces a whole (B, r, c) stack
-one column at a time with numpy, for the lattice walks' batched joins and for
-tall matrices such as the brute-force dual's chunks of words.
+small matrix row by row on Python int lists, and ``rref_stack`` reduces a
+whole (B, r, c) stack one column at a time with numpy, for the lattice walks'
+batched joins and for tall matrices such as the brute-force dual's chunks of
+words.
 The exact minimum distance comes from the Brouwer-Zimmermann algorithm over
 several information sets, which certifies every codeword while enumerating
 only low-weight messages.  Weight distributions come from full message-space
@@ -38,28 +39,28 @@ def rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, int, list[int]]:
     m = np.array(mat, dtype=np.int64) % q
     if m.ndim != 2:
         raise ShapeError("matrix must be two-dimensional")
-    nrows, ncols = m.shape
+    rows = m.tolist()
     r = 0
     pivots: list[int] = []
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                pivot_row = i
-                break
+    for c in range(m.shape[1]):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            m[[r, pivot_row]] = m[[pivot_row, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), q - 2, q)) % q
-        for i in range(nrows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % q
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        if top[c] != 1:
+            inverse = pow(top[c], q - 2, q)
+            top[c:] = [x * inverse % q for x in top[c:]]
+        tail = top[c:]  # the pivot row is zero left of column c
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(x - f * y) % q for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return m, r, pivots
+    return np.array(rows, dtype=np.int64).reshape(m.shape), r, pivots
 
 
 def rref_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,14 +239,14 @@ class LinearCodeFq:
         return f"LinearCodeFq(q={self.field.q}, n={self.n}, k={self.k})"
 
     def reduce_vector(self, vec) -> np.ndarray:
-        """Residue of vec after elimination by the generator rows."""
-        v = np.array(vec, dtype=np.int64) % self.field.q
-        for row, col in enumerate(self.pivots):
-            if v[col]:
-                v = (v - v[col] * self.gen[row]) % self.field.q
-        return v
+        """Residue of a vector, or of each row of a stack, after elimination
+        by the generator rows: v - v[pivots] G, as G is in RREF."""
+        q = self.field.q
+        v = np.array(vec, dtype=np.int64) % q
+        return (v - v[..., self.pivots] @ self.gen) % q
 
     def contains(self, vec) -> bool:
+        """True iff the vector, or every row of a stack, lies in the code."""
         return not self.reduce_vector(vec).any()
 
     def dual(self) -> "LinearCodeFq":
@@ -354,10 +355,7 @@ class LinearCodeFq:
 
     def is_cyclic(self) -> bool:
         """True iff the row space is closed under one cyclic right shift."""
-        for row in self.gen:
-            if not self.contains(np.roll(row, 1)):
-                return False
-        return True
+        return self.contains(np.roll(self.gen, 1, axis=1))
 
 
 def hamming_enumerator_fq(code: LinearCodeFq, budget: int = DEFAULT_BUDGET):

@@ -83,6 +83,16 @@ class LinearCodeR:
         return fq_span_rows(self.ring, np.array(self.gens, dtype=np.int64))
 
     @classmethod
+    def _from_flat(cls, ring: Ring, n: int, flat: LinearCodeFq) -> "LinearCodeR":
+        """The code whose flattened F_q code is ``flat``, generated by its
+        unflattened rows without reducing again.  ``flat`` must be closed
+        under multiplication by v, or it is not the R-span of those rows."""
+        code = cls.__new__(cls)
+        code.ring, code.n, code.flat = ring, n, flat
+        code.gens = tuple(map(tuple, code._unflatten(flat.gen).tolist()))
+        return code
+
+    @classmethod
     def from_rows(cls, ring: Ring, rows) -> "LinearCodeR":
         rows = list(rows)
         if not rows:
@@ -163,7 +173,7 @@ class LinearCodeR:
     def contains(self, row) -> bool:
         ring = self.ring
         vec = np.array(_as_index_row(ring, row), dtype=np.int64)
-        return self.flat.contains(ring.coeff[vec].T.reshape(-1))
+        return self.flat.contains(_flatten(ring, vec))
 
     # ---- structure maps ----
 
@@ -273,7 +283,7 @@ class LinearCodeR:
         m = rows.shape[0] // 3
         constraints = rows.reshape(3, m, 3, n).transpose(1, 2, 0, 3).reshape(3 * m, 3 * n)
         kernel = LinearCodeFq(self.ring.field, 3 * n, constraints).dual()
-        return LinearCodeR(self.ring, n, self._unflatten(kernel.gen).tolist())
+        return LinearCodeR._from_flat(self.ring, n, kernel)  # the dual is an R-module
 
     # ---- metrics ----
 

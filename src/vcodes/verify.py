@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from . import wenum
-from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_code_r, cyclic_dual_r, is_cyclic_r, self_dual_cyclic_search
+from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_code_r, cyclic_dual_spec, is_cyclic_r, self_dual_cyclic_search
 from .errors import DEFAULT_BUDGET, TransformInconsistent, VCodesError
 from .fsd import (
     BorderedSpecR,
@@ -143,12 +143,22 @@ class VerificationReport:
 
 
 class _Ctx:
+    """State of one ``run_verification_suite`` call; none of it outlives the run."""
+
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
+        self._cyclic_codes: dict = {}
 
     def rng(self, claim_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{claim_id}")
+
+    def cyclic_code(self, ring, spec: CyclicSpecR, mode: str = "idempotent"):
+        """``cyclic_code_r``, built once per (q, spec, mode) in this run."""
+        key = (ring.q, spec, mode)
+        if key not in self._cyclic_codes:
+            self._cyclic_codes[key] = cyclic_code_r(ring, spec, mode)
+        return self._cyclic_codes[key]
 
 
 def _result(status, observed, expected, tested, note=""):
@@ -443,7 +453,7 @@ def _claim_thm8(ctx):
     ring = ring_over(3)
     for n in (2, 3, 4):
         for spec in all_divisor_triples(ring, n):
-            code = cyclic_code_r(ring, spec, "idempotent")
+            code = ctx.cyclic_code(ring, spec)
             if not is_cyclic_r(code):
                 return _result("refuted", {"n": n, "spec": _spec_obj(spec)}, "triple codes are cyclic", tested)
             comps = code.components_crt()
@@ -462,8 +472,8 @@ def _claim_cor9(ctx):
     ring = ring_over(3)
     for n in (2, 3, 4):
         for spec in all_divisor_triples(ring, n):
-            dual = cyclic_dual_r(ring, spec)
-            direct = cyclic_code_r(ring, spec, "idempotent").dual()
+            dual = ctx.cyclic_code(ring, cyclic_dual_spec(spec))
+            direct = ctx.cyclic_code(ring, spec).dual()
             if dual != direct or not is_cyclic_r(dual):
                 return _result("refuted", {"n": n, "spec": _spec_obj(spec)}, "componentwise dual is the dual and cyclic", tested)
             tested += 1
@@ -512,11 +522,11 @@ def _claim_thm11(ctx):
     for n in (2, 4):
         for spec in all_divisor_triples(ring, n):
             expected = spec.size_formula(ring.q)
-            code = cyclic_code_r(ring, spec, "idempotent")
+            code = ctx.cyclic_code(ring, spec)
             if code.size != expected:
                 return _result("refuted", {"spec": _spec_obj(spec), "size": code.size, "formula": expected}, "|C| = q^(3n - sum deg fi)", tested)
             tested += 1
-            lit = cyclic_code_r(ring, spec, "paper-literal")
+            lit = ctx.cyclic_code(ring, spec, "paper-literal")
             if lit.size != expected:
                 literal_bad += 1
                 if first is None:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vcodes.cyclic import (
@@ -11,7 +13,7 @@ from vcodes.cyclic import (
 from vcodes.errors import CharacteristicTwoUnsupported, NotADivisor
 from vcodes.gf import Poly, parse_poly
 from vcodes.ring import ring_over
-from vcodes.ringcode import LinearCodeR
+from vcodes.ringcode import LinearCodeR, random_code_r
 
 
 R2 = ring_over(2)
@@ -47,6 +49,16 @@ def test_is_cyclic_examples():
     assert is_cyclic_r(LinearCodeR.full_space(R3, 2))
     assert is_cyclic_r(LinearCodeR.zero_code(R3, 2))
     assert not is_cyclic_r(LinearCodeR(R3, 2, [[1, 0]]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_is_cyclic_matches_shifting_each_generator(q):
+    ring, rng = ring_over(q), random.Random(q)
+    for _ in range(40):
+        code = random_code_r(ring, rng.randrange(1, 4), rng)
+        if rng.random() < 0.3:  # add the shifts, so cyclic codes turn up too
+            code = LinearCodeR(ring, code.n, [g[k:] + g[:k] for g in code.gens for k in range(code.n)])
+        assert is_cyclic_r(code) == all(code.contains(g[-1:] + g[:-1]) for g in code.gens)
 
 
 def test_cyclic_dual_example():

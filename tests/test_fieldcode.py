@@ -41,8 +41,8 @@ def test_rref_examples():
 
 @st.composite
 def stacks(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7]))
-    batch, rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 24)), draw(st.integers(0, 18))
+    q = draw(st.sampled_from([2, 3, 5, 7, 131]))
+    batch, rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 24)), draw(st.integers(0, 40))
     rank = draw(st.integers(0, min(rows, cols)))
     zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -60,9 +60,43 @@ def test_rref_stack_matches_rref(case):
     assert reduced.shape == stack.shape
     for b, matrix in enumerate(stack):
         m, rank, piv = rref(matrix, q)
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        assert type(rank) is int and type(piv) is list and all(type(c) is int for c in piv)
         assert np.array_equal(reduced[b], m)
         assert ranks[b] == rank
         assert pivots[b].tolist() == piv + [-1] * (len(matrix) - rank)
+
+
+def _reduce_pivot_by_pivot(code, vec):
+    """The sequential elimination that ``reduce_vector`` does as one product."""
+    v = np.array(vec, dtype=np.int64) % code.field.q
+    for row, col in enumerate(code.pivots):
+        v = (v - v[col] * code.gen[row]) % code.field.q
+    return v
+
+
+@st.composite
+def codes_and_vectors(draw):
+    q = draw(st.sampled_from([2, 3, 5, 131]))
+    n, rows, count = draw(st.integers(1, 12)), draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    code = LinearCodeFq(GF(q), n, rng.integers(0, q, (rows, n)))
+    # codewords, random vectors (mostly outside a small code) and shifted rows
+    words = (rng.integers(0, q, (count, code.k)) @ code.gen) % q
+    vecs = np.concatenate([words, rng.integers(0, q, (count, n)), np.roll(code.gen, 1, axis=1)])
+    return code, vecs[rng.permutation(len(vecs))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(codes_and_vectors())
+def test_membership_matches_the_rank_oracle(case):
+    code, vecs = case
+    q = code.field.q
+    inside = [rref(np.vstack([code.gen, v]), q)[1] == code.k for v in vecs]
+    assert [code.contains(v) for v in vecs] == inside
+    assert code.contains(vecs) == all(inside)
+    assert np.array_equal(code.reduce_vector(vecs), [_reduce_pivot_by_pivot(code, v) for v in vecs])
+    assert code.is_cyclic() == all(code.contains(np.roll(row, 1)) for row in code.gen)
 
 
 def test_dual_examples():

@@ -210,6 +210,11 @@ def test_kernel_dual_matches_oracles(code):
     dual = code.dual()
     assert code.size * dual.size == ring.size**n
     assert dual.dual() == code
+    # the kernel is the dual's flattened code as it stands: a rebuild from its
+    # generators reduces to the same flat code, whose unflattened rows they are
+    rebuilt = LinearCodeR(ring, n, dual.gens)
+    assert dual.flat == rebuilt.flat and dual.flat.pivots == rebuilt.flat.pivots
+    assert dual.gens == tuple(map(tuple, rebuilt._unflatten(rebuilt.flat.gen).tolist()))
     if ring.size**n <= _BRUTE_AMBIENT:
         assert dual == code.brute_force_dual()
     if ring.q % 2:

@@ -1,7 +1,10 @@
+import collections
 import json
+from pathlib import Path
 
 import pytest
 
+from vcodes import verify
 from vcodes.verify import CLAIM_IDS, CLAIMS, SCOPES, run_verification_suite
 
 
@@ -97,3 +100,24 @@ def test_example_distances_are_exact():
     assert ex15.observed["certified_distance_range"] == [2, 3]
     assert "exact by Brouwer-Zimmermann" in ex15.note
     assert entries["ex17-bordered"].observed["gray_parameters"] == [24, 12, 2]
+
+
+def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
+    builds = collections.Counter()
+    build = verify.cyclic_code_r
+
+    def counting(ring, spec, mode="idempotent"):
+        builds[ring.q, spec, mode] += 1
+        return build(ring, spec, mode)
+
+    monkeypatch.setattr(verify, "cyclic_code_r", counting)
+    first = run_verification_suite(scope="cyclic", seed=42)
+    once = dict(builds)
+    assert once and max(once.values()) == 1
+    builds.clear()
+    second = run_verification_suite(scope="cyclic", seed=42)
+    assert builds == once  # every code built again: no state outlived the first run
+    assert second.to_json() == first.to_json()
+    recorded = json.loads((Path(__file__).parent / "data" / "report_seed42.json").read_text())
+    tested = {e["claim_id"]: e["tested"] for e in recorded["entries"]}
+    assert all(e.tested == tested[e.claim_id] for e in first.entries)
