@@ -19,7 +19,7 @@ from .errors import CharacteristicTwoUnsupported, NotADivisor, SearchSpaceTooLar
 from .fieldcode import cyclic_code_fq, cyclic_dual_generator
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import ComponentTriple, LinearCodeR, _flatten, combine_components
+from .ringcode import ComponentTriple, LinearCodeR, combine_components
 from .submodules import AmbientSpace
 
 
@@ -58,9 +58,10 @@ def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> Li
 
 
 def is_cyclic_r(code: LinearCodeR) -> bool:
-    """True iff one cyclic right shift of every generator stays in the span."""
-    gens = np.array(code.gens, dtype=np.int64).reshape(len(code.gens), code.n)
-    return code.flat.contains(_flatten(code.ring, np.roll(gens, 1, axis=1)))
+    """True iff the F_q basis stays in the span when each of its n-blocks shifts right."""
+    gen = code.flat.gen
+    shifted = np.roll(gen.reshape(len(gen), 3, code.n), 1, axis=2)
+    return code.flat.contains(shifted.reshape(gen.shape))
 
 
 def cyclic_dual_spec(spec: CyclicSpecR) -> CyclicSpecR:

@@ -4,6 +4,8 @@ An element a0 + a1*v + a2*v^2 is stored as the index a0 + q*a1 + q^2*a2.
 A ``Ring`` instance precomputes full lookup tables (q^3 is at most a few
 hundred), which the code-enumeration layers index with numpy.
 
+Each F_q-linear symbol map is written once, as a 3x3 matrix whose row i
+gives output coordinate i from (a0, a1, a2), read mod q.
 The Gray map sends a0 + a1*v + a2*v^2 to (a0, a0+a2, a1) and the Lee weight
 of a symbol is the Hamming weight of its Gray image.  The published case
 table for the Lee weight is internally inconsistent (the same support
@@ -29,16 +31,26 @@ from .errors import (
     InvalidEvaluationPoint,
     ParamMismatch,
     ParseError,
+    SearchSpaceTooLarge,
 )
 from .gf import GF
 
 _RING_CACHE: dict[int, "Ring"] = {}
+
+_MAX_SIZE = 512  # sixteen |R| x |R| int64 tables: 15 MB at q = 7, 230 MB at q = 11
+
+GRAY = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # (a0, a0+a2, a1)
+GRAY_INVERSE = np.array([[1, 0, 0], [0, 0, 1], [-1, 1, 0]])  # (g0 | g1 | g2) -> (g0, g2, g1-g0)
+EVALUATION = np.array([[1, 1, 1], [1, -1, 1], [1, 0, 0]])  # a0 + a1 t + a2 t^2 at t = 1, -1, 0
+PROJECTIONS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])  # a, a+b, a+b+c as printed
 
 
 class Ring:
     """R = F_q[v]/(v^3 - v) with precomputed operation tables."""
 
     def __init__(self, field: GF):
+        if field.q**3 > _MAX_SIZE:
+            raise SearchSpaceTooLarge(f"q = {field.q}: |R| = {field.q**3} is too large to tabulate")
         self.field = field
         self.q = field.q
         self.size = field.q**3
@@ -66,15 +78,11 @@ class Ring:
         self.add_table = (s0 + q * s1 + q * q * s2).astype(np.int64)
         self.neg_table = self._encode((-a0) % q, (-a1) % q, (-a2) % q)
 
-        self.gray_table = np.stack([a0, (a0 + a2) % q, a1], axis=1).astype(np.int64)
+        self.gray_table = self.coeff @ GRAY.T % q
         self.lee_table = np.count_nonzero(self.gray_table, axis=1).astype(np.int64)
 
-        self.eval_table = {}
-        for t in (0, 1, (q - 1) % q):
-            self.eval_table[t] = (a0 + a1 * t + a2 * t * t) % q
-        e0 = self.eval_table[0]
-        e1 = self.eval_table[1]
-        em1 = self.eval_table[(q - 1) % q]
+        e1, em1, e0 = (self.coeff @ EVALUATION.T % q).T
+        self.eval_table = {0: e0, 1: e1, q - 1: em1}
         self.unit_mask = (e0 != 0) & (e1 != 0) & (em1 != 0)
 
         if q % 2 == 1:

@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .fieldcode import LinearCodeFq, rref_stack
-from .ring import Ring, RingElem
+from .ring import EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
 
 
 def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
@@ -50,6 +50,19 @@ def _flatten(ring: Ring, rows: np.ndarray) -> np.ndarray:
     """Element-index rows (..., n) as F_q rows (..., 3n): (a0 | a1 | a2) blocks."""
     coeffs = np.swapaxes(ring.coeff[rows], -1, -2)  # (..., 3, n)
     return coeffs.reshape(*rows.shape[:-1], 3 * rows.shape[-1])
+
+
+def _unflatten(q: int, flat: np.ndarray) -> np.ndarray:
+    """F_q rows (..., 3n) as element-index rows (..., n); inverse of ``_flatten``."""
+    n = flat.shape[-1] // 3
+    flat = flat.astype(np.int64, copy=False)  # indices outgrow a narrow word dtype
+    return flat[..., :n] + q * flat[..., n : 2 * n] + q * q * flat[..., 2 * n :]
+
+
+def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The (..., 3, n) output blocks of a 3x3 symbol map from ``ring`` applied to
+    every symbol of F_q rows (..., 3n)."""
+    return matrix @ flat.reshape(*flat.shape[:-1], 3, flat.shape[-1] // 3) % q
 
 
 def _as_index_row(ring: Ring, row) -> tuple[int, ...]:
@@ -89,7 +102,7 @@ class LinearCodeR:
         under multiplication by v, or it is not the R-span of those rows."""
         code = cls.__new__(cls)
         code.ring, code.n, code.flat = ring, n, flat
-        code.gens = tuple(map(tuple, code._unflatten(flat.gen).tolist()))
+        code.gens = tuple(map(tuple, _unflatten(ring.q, flat.gen).tolist()))
         return code
 
     @classmethod
@@ -131,15 +144,10 @@ class LinearCodeR:
 
     # ---- enumeration ----
 
-    def _unflatten(self, flat: np.ndarray) -> np.ndarray:
-        q, n = self.ring.q, self.n
-        flat = flat.astype(np.int64, copy=False)  # indices outgrow a narrow word dtype
-        return flat[:, :n] + q * flat[:, n : 2 * n] + q * q * flat[:, 2 * n :]
-
     def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
         """Yield (rows, n) arrays of element indices; zero word comes first."""
         for flat in self.flat.codeword_chunks(budget):
-            yield self._unflatten(flat)
+            yield _unflatten(self.ring.q, flat)
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """All codewords as element-index rows, sorted lexicographically."""
@@ -177,45 +185,27 @@ class LinearCodeR:
 
     # ---- structure maps ----
 
+    def _components(self, matrix: np.ndarray, provenance: str) -> "ComponentTriple":
+        """The images of C under the rows of an F_q-linear symbol map, which
+        the images of its F_q basis span."""
+        blocks = _map_symbols(self.ring.q, matrix, self.flat.gen)
+        codes = (LinearCodeFq(self.ring.field, self.n, blocks[:, i]) for i in range(3))
+        return ComponentTriple(*codes, provenance)
+
     def components_crt(self) -> "ComponentTriple":
         """Evaluation components (at v=1, v=-1, v=0); q odd only."""
-        ring = self.ring
-        if ring.q % 2 == 0:
+        if self.ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("evaluation components need odd q")
-        rows = (
-            np.array(self.gens, dtype=np.int64)
-            if self.gens
-            else np.zeros((0, self.n), dtype=np.int64)
-        )
-        comps = []
-        for t in (1, (ring.q - 1) % ring.q, 0):
-            comps.append(LinearCodeFq.from_rows(ring.field, self.n, ring.eval_table[t][rows]))
-        return ComponentTriple(comps[0], comps[1], comps[2], "crt")
+        return self._components(EVALUATION, "crt")
 
     def components_paper(self) -> "ComponentTriple":
         """Literal projections a, a+b, a+b+c of the printed definition."""
-        ring = self.ring
-        fq_rows = self.flat.gen
-        n = self.n
-        a = fq_rows[:, :n]
-        b = fq_rows[:, n : 2 * n]
-        c = fq_rows[:, 2 * n :]
-        q = ring.q
-        c1 = LinearCodeFq.from_rows(ring.field, n, a % q)
-        c2 = LinearCodeFq.from_rows(ring.field, n, (a + b) % q)
-        c3 = LinearCodeFq.from_rows(ring.field, n, (a + b + c) % q)
-        return ComponentTriple(c1, c2, c3, "paper-literal")
+        return self._components(PROJECTIONS, "paper-literal")
 
     def gray_image(self) -> LinearCodeFq:
         """The F_q code Psi(C) of length 3n, blocks (a0 | a0+a2 | a1)."""
-        ring = self.ring
-        fq_rows = self.flat.gen
-        n = self.n
-        a0 = fq_rows[:, :n]
-        a1 = fq_rows[:, n : 2 * n]
-        a2 = fq_rows[:, 2 * n :]
-        gray = np.concatenate([a0, (a0 + a2) % ring.q, a1], axis=1)
-        return LinearCodeFq.from_rows(ring.field, 3 * n, gray)
+        gray = _map_symbols(self.ring.q, GRAY, self.flat.gen)
+        return LinearCodeFq(self.ring.field, 3 * self.n, gray)
 
     def minimum_lee_words(self, budget: int = DEFAULT_BUDGET) -> tuple[int, np.ndarray]:
         """Minimum Lee weight d and every codeword of weight d.
@@ -227,15 +217,14 @@ class LinearCodeR:
         flattened generator is in RREF.
         """
         d, words = self.gray_image().minimum_words(budget)
-        n = self.n
-        g0, g1, g2 = words[:, :n], words[:, n : 2 * n], words[:, 2 * n :]
-        flat = np.concatenate([g0, g2, (g1 - g0) % self.ring.q], axis=1)
-        return d, self._unflatten(flat[np.lexsort(flat.T[::-1])])
+        q = self.ring.q
+        flat = _map_symbols(q, GRAY_INVERSE, words).reshape(words.shape)
+        return d, _unflatten(q, flat[np.lexsort(flat.T[::-1])])
 
     def gray_words(self, rows: np.ndarray) -> np.ndarray:
         """Gray images of element-index rows, as (m, 3n) field arrays."""
-        g = self.ring.gray_table[rows]  # (m, n, 3)
-        return np.concatenate([g[:, :, 0], g[:, :, 1], g[:, :, 2]], axis=1)
+        gray = _map_symbols(self.ring.q, GRAY, _flatten(self.ring, rows))
+        return gray.reshape(len(rows), 3 * self.n)
 
     # ---- duals ----
 
@@ -269,7 +258,7 @@ class LinearCodeR:
             stack = np.concatenate([basis, _flatten(ring, rows[mask])])[None]
             reduced, ranks, _ = rref_stack(stack, ring.q)
             basis = reduced[0, : ranks[0]]
-        return LinearCodeR(ring, self.n, self._unflatten(basis).tolist())
+        return LinearCodeR(ring, self.n, _unflatten(ring.q, basis).tolist())
 
     def dual(self) -> "LinearCodeR":
         """C^dual as the kernel of one F_q matrix, for every q.

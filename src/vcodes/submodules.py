@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .fieldcode import LinearCodeFq, rref_stack
 from .ring import Ring
-from .ringcode import LinearCodeR, fq_span_rows
+from .ringcode import LinearCodeR, _unflatten, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
 _MAX_ENTRIES = 1 << 16  # matrix entries in one batched reduction
@@ -68,26 +68,22 @@ class AmbientSpace:
         self.n = n
         self.size = size
         idx = np.arange(size, dtype=np.int64)
-        powers = ring.size ** np.arange(n, dtype=np.int64)
+        self.powers = ring.size ** np.arange(n, dtype=np.int64)
         # column j holds the element index at coordinate j
-        self.decode = (idx[:, None] // powers[None, :]) % ring.size
-        self.vec_shift = np.roll(self.decode, 1, axis=1) @ powers
-        # flattened F_q coordinate (block k, position j) -> its share q^k |R|^j
-        # of the encoded vector, since element indices are c0 + q c1 + q^2 c2
-        q = ring.q
-        self.flat_weights = ((q ** np.arange(3))[:, None] * powers[None, :]).reshape(-1)
+        self.decode = (idx[:, None] // self.powers[None, :]) % ring.size
+        self.vec_shift = np.roll(self.decode, 1, axis=1) @ self.powers
         # kept empty: bench/layers.py, their only reader, sums their nbytes
         self.vec_add = np.empty(0, dtype=np.int64)
         self.vec_smul = np.empty(0, dtype=np.int64)
 
     def code(self, basis: np.ndarray) -> LinearCodeR:
         """The R-code whose flattened F_q span has this basis."""
-        return LinearCodeR(self.ring, self.n, self.decode[basis @ self.flat_weights])
+        return LinearCodeR(self.ring, self.n, _unflatten(self.ring.q, basis))
 
     def members(self, basis: np.ndarray) -> np.ndarray:
         """Every vector of the span of ``basis``, encoded and sorted."""
         words = LinearCodeFq(self.ring.field, 3 * self.n, basis).codewords()
-        return np.sort(words @ self.flat_weights)
+        return np.sort(_unflatten(self.ring.q, words) @ self.powers)
 
     def witness(self, basis: np.ndarray) -> LinearCodeR:
         """The code generated by all its members in encoded order."""
@@ -156,16 +152,10 @@ class AmbientSpace:
 
     def all_ideals(self) -> list[np.ndarray]:
         """Every shift-closed submodule (cyclic code) in R^n, likewise."""
-        representatives = []
-        done: set[int] = set()
-        for a in range(1, self.size):
-            if a in done:
-                continue
-            # one per shift orbit; orbit mates generate the same ideal
-            representatives.append(a)
-            b = a
-            for _ in range(self.n):
-                done.add(b)
-                b = int(self.vec_shift[b])
-        indices = np.array(representatives, dtype=np.int64)
+        # one per shift orbit, its least member; orbit mates generate the same ideal
+        vectors = shifted = least = np.arange(self.size)
+        for _ in range(self.n - 1):
+            shifted = self.vec_shift[shifted]
+            least = np.minimum(least, shifted)
+        indices = np.flatnonzero(least == vectors)[1:]  # the zero vector spans nothing
         return self._lattice(self._atoms(self.principal_ideal, indices, 3 * self.n))

@@ -45,6 +45,12 @@ def test_parse_error_exit_code(capsys):
     assert rc == 1 and "error" in err
 
 
+def test_ring_too_large_to_tabulate_is_a_one_line_error(capsys):
+    rc, out, err = run(capsys, "gray", "--q", "131", "--element", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "131" in err
+
+
 def test_enum_command(tmp_path, capsys):
     code_file = tmp_path / "code.txt"
     code_file.write_text("q=2 n=1\n[0,1,0]\n")

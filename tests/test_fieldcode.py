@@ -22,7 +22,7 @@ from vcodes.fieldcode import (
     self_dual_cyclic_exists,
 )
 from vcodes.ring import ring_over
-from vcodes.ringcode import LinearCodeR
+from vcodes.ringcode import LinearCodeR, _unflatten
 from vcodes.verify import _ex17_code
 from vcodes.wenum import macwilliams_hamming_fq
 
@@ -365,7 +365,7 @@ def test_ring_codeword_chunks_match_the_int64_oracle_at_q7(n, rows, seed):
     code = LinearCodeR(ring, n, rng.integers(0, ring.size, (rows, n)).tolist())
     chunks = list(code.codeword_chunks())
     assert all(len(chunk) <= _CHUNK_ROWS for chunk in chunks)
-    assert np.array_equal(np.concatenate(chunks), code._unflatten(_oracle_words(code.flat)))
+    assert np.array_equal(np.concatenate(chunks), _unflatten(ring.q, _oracle_words(code.flat)))
 
 
 def test_codeword_chunks_memory_does_not_grow_with_k():

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vcodes.cyclic import is_cyclic_r
 from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq, random_code
-from vcodes.ring import ring_over
-from vcodes.ringcode import ComponentTriple, LinearCodeR, combine_components, random_code_r
+from vcodes.ring import EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
+from vcodes.ringcode import (
+    ComponentTriple,
+    LinearCodeR,
+    _flatten,
+    _unflatten,
+    combine_components,
+    random_code_r,
+)
 from vcodes.wenum import lee_enumerator
 
 
@@ -214,7 +222,7 @@ def test_kernel_dual_matches_oracles(code):
     # generators reduces to the same flat code, whose unflattened rows they are
     rebuilt = LinearCodeR(ring, n, dual.gens)
     assert dual.flat == rebuilt.flat and dual.flat.pivots == rebuilt.flat.pivots
-    assert dual.gens == tuple(map(tuple, rebuilt._unflatten(rebuilt.flat.gen).tolist()))
+    assert dual.gens == tuple(map(tuple, _unflatten(ring.q, rebuilt.flat.gen).tolist()))
     if ring.size**n <= _BRUTE_AMBIENT:
         assert dual == code.brute_force_dual()
     if ring.q % 2:
@@ -286,6 +294,66 @@ def test_gray_image_distance_matches_exhaustive(code):
     # every minimum word, in the order full enumeration meets them
     words = np.concatenate(list(code.codeword_chunks()))
     assert rows.tolist() == words[code.ring.lee_table[words].sum(axis=1) == d].tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7]), st.tuples(*[st.integers(0, 6)] * 3))
+def test_symbol_matrices_match_their_formulas(q, coeffs):
+    a0, a1, a2 = (a % q for a in coeffs)
+    x = np.array([a0, a1, a2])
+    gray = [a0, (a0 + a2) % q, a1]
+    evaluations = [(a0 + a1 * t + a2 * t * t) % q for t in (1, -1, 0)]
+    assert (GRAY @ x % q).tolist() == gray
+    assert (EVALUATION @ x % q).tolist() == evaluations
+    assert (PROJECTIONS @ x % q).tolist() == [a0, (a0 + a1) % q, (a0 + a1 + a2) % q]
+    assert (GRAY_INVERSE @ GRAY % q == np.eye(3)).all()
+    ring = ring_over(q)
+    idx = ring.index(a0, a1, a2)
+    assert ring.gray_table[idx].tolist() == gray
+    assert [ring.eval_table[t % q][idx] for t in (1, -1, 0)] == evaluations
+
+
+@st.composite
+def map_codes(draw):
+    ring = ring_over(draw(st.sampled_from([2, 3, 5, 7])))
+    n = draw(st.integers(1, 3 if ring.q < 5 else 2))
+    row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+    gens = draw(st.lists(row, max_size=2))
+    if draw(st.booleans()):  # add the shifts, so cyclic codes turn up too
+        gens = [g[k:] + g[:k] for g in gens for k in range(n)]
+    return LinearCodeR(ring, n, gens)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(map_codes())
+def test_symbol_maps_match_the_hand_sliced_oracles(code):
+    ring, n, q = code.ring, code.n, code.ring.q
+    field = ring.field
+    a0, a1, a2 = (code.flat.gen[:, k * n : (k + 1) * n] for k in range(3))
+    gray = np.concatenate([a0, (a0 + a2) % q, a1], axis=1)
+    assert code.gray_image() == LinearCodeFq.from_rows(field, 3 * n, gray)
+    for comp, rows in zip(code.components_paper(), (a0, a0 + a1, a0 + a1 + a2)):
+        assert comp == LinearCodeFq.from_rows(field, n, rows % q)
+    gens = np.array(code.gens, dtype=np.int64).reshape(-1, n)
+    if q % 2:
+        c0, c1, c2 = np.moveaxis(ring.coeff[gens], -1, 0)  # the generators' coefficients
+        for comp, t in zip(code.components_crt(), (1, -1, 0)):
+            assert comp == LinearCodeFq.from_rows(field, n, (c0 + c1 * t + c2 * t * t) % q)
+    assert np.array_equal(_unflatten(q, _flatten(ring, gens)), gens)
+    assert np.array_equal(_unflatten(q, _flatten(ring, gens[None])), gens[None])
+    table = ring.gray_table[gens]  # (m, n, 3)
+    words = np.concatenate([table[:, :, 0], table[:, :, 1], table[:, :, 2]], axis=1)
+    assert np.array_equal(code.gray_words(gens), words)
+    assert is_cyclic_r(code) == all(code.contains(g[-1:] + g[:-1]) for g in code.gens)
+    if code.dim_fq == 0:
+        return
+    d, words = code.gray_image().minimum_words()
+    g0, g1, g2 = words[:, :n], words[:, n : 2 * n], words[:, 2 * n :]
+    flat = np.concatenate([g0, g2, (g1 - g0) % q], axis=1).astype(np.int64)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    rows = flat[:, :n] + q * flat[:, n : 2 * n] + q * q * flat[:, 2 * n :]
+    best, found = code.minimum_lee_words()
+    assert best == d and np.array_equal(found, rows)
 
 
 def test_component_lemma_strategy_is_tagged():
