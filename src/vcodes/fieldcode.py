@@ -254,11 +254,9 @@ class LinearCodeFq:
         q = self.field.q
         free = [c for c in range(self.n) if c not in self.pivots]
         rows = np.zeros((len(free), self.n), dtype=np.int64)
-        for i, f in enumerate(free):
-            rows[i, f] = 1
-            for r, c in enumerate(self.pivots):
-                rows[i, c] = (-self.gen[r, f]) % q
-        return LinearCodeFq.from_rows(self.field, self.n, rows)
+        rows[np.arange(len(free)), free] = 1
+        rows[:, self.pivots] = -self.gen[:, free].T % q
+        return LinearCodeFq(self.field, self.n, rows)
 
     def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
         """Yield codewords in message order, at most ``_CHUNK_ROWS`` per chunk.

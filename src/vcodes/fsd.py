@@ -211,6 +211,8 @@ def direct_product(c1: LinearCodeR, c2: LinearCodeR) -> LinearCodeR:
 
 
 def is_formally_self_dual(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:
+    if 2 * code.dim_fq != 3 * code.n:
+        return False  # |C| * |C^dual| = |R|^n, so the sizes differ
     dual = code.dual()
     return wenum.lee_enumerator(code, budget) == wenum.lee_enumerator(dual, budget)
 

@@ -99,6 +99,8 @@ class Poly:
 
     @classmethod
     def xn_minus_1(cls, field: GF, n: int) -> "Poly":
+        if n < 1:
+            raise ParamMismatch("n must be >= 1")
         return cls(field, [-1] + [0] * (n - 1) + [1])
 
     @property
@@ -266,8 +268,6 @@ def factor_xn_minus_1(field: GF, n: int) -> list[Poly]:
     found after the smaller degrees are exhausted is necessarily irreducible.
     Repeated factors appear when gcd(n, q) != 1.
     """
-    if n < 1:
-        raise ParamMismatch("n must be >= 1")
     rem = Poly.xn_minus_1(field, n)
     factors: list[Poly] = []
     d = 1

@@ -5,7 +5,9 @@ A ``Ring`` instance precomputes full lookup tables (q^3 is at most a few
 hundred), which the code-enumeration layers index with numpy.
 
 Each F_q-linear symbol map is written once, as a 3x3 matrix whose row i
-gives output coordinate i from (a0, a1, a2), read mod q.
+gives output coordinate i from (a0, a1, a2), read mod q, and so is the
+inner product: ``DUAL_FORM`` is the Gram matrix of the v^2 coefficient of
+x*y, through which ``ringcode`` takes every dual.
 The Gray map sends a0 + a1*v + a2*v^2 to (a0, a0+a2, a1) and the Lee weight
 of a symbol is the Hamming weight of its Gray image.  The published case
 table for the Lee weight is internally inconsistent (the same support
@@ -15,9 +17,10 @@ verification harness can audit it row by row.
 
 Because v^3 - v = v(v-1)(v+1), evaluating v at 0, 1 and -1 gives three ring
 homomorphisms R -> F_q.  For odd q they assemble into a ring isomorphism
-R ~ F_q^3 with orthogonal idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2,
-e0 = 1 - v^2.  For q = 2 the points 1 and -1 collide and R is not
-semisimple; everything CRT-based refuses to run there.
+R ~ F_q^3 whose inverse is u1*e1 + u2*e2 + u0*e0, with orthogonal
+idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2, e0 = 1 - v^2.  For q = 2 the
+points 1 and -1 collide and R is not semisimple; everything CRT-based
+refuses to run there.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ GRAY = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # (a0, a0+a2, a1)
 GRAY_INVERSE = np.array([[1, 0, 0], [0, 0, 1], [-1, 1, 0]])  # (g0 | g1 | g2) -> (g0, g2, g1-g0)
 EVALUATION = np.array([[1, 1, 1], [1, -1, 1], [1, 0, 0]])  # a0 + a1 t + a2 t^2 at t = 1, -1, 0
 PROJECTIONS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])  # a, a+b, a+b+c as printed
+DUAL_FORM = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # x^T F y = v^2 coefficient of x*y
 
 
 class Ring:
@@ -83,19 +87,11 @@ class Ring:
 
         e1, em1, e0 = (self.coeff @ EVALUATION.T % q).T
         self.eval_table = {0: e0, 1: e1, q - 1: em1}
-        self.unit_mask = (e0 != 0) & (e1 != 0) & (em1 != 0)
-
         if q % 2 == 1:
-            # invert idx -> (x(1), x(-1), x(0)); a bijection for odd q
-            crt = np.full((q, q, q), -1, dtype=np.int64)
-            crt[e1, em1, e0] = idx
-            assert (crt >= 0).all()
-            self.crt_table = crt
-            self.e1 = int(crt[1, 0, 0])
-            self.e2 = int(crt[0, 1, 0])
-            self.e0 = int(crt[0, 0, 1])
-        else:
-            self.crt_table = None
+            half = (q + 1) // 2  # the inverse of 2 mod q
+            self.e1 = self.index(0, half, half)  # (v + v^2)/2
+            self.e2 = self.index(0, -half, half)  # (v^2 - v)/2
+            self.e0 = self.index(1, 0, -1)  # 1 - v^2
 
     # ---- index-level helpers (used by the numpy enumeration layers) ----
 
@@ -134,10 +130,11 @@ class Ring:
         )
 
     def crt_combine_index(self, u0: int, u1: int, u2: int) -> int:
-        """Inverse of crt_split_index; needs 2 invertible, so q odd."""
+        """Inverse of crt_split_index, u1*e1 + u2*e2 + u0*e0; needs 2 invertible, so q odd."""
         if self.q % 2 == 0:
             raise CharacteristicTwoUnsupported("CRT combination needs odd q")
-        return int(self.crt_table[u1 % self.q, u2 % self.q, u0 % self.q])
+        half = (self.q + 1) // 2
+        return self.index(u0, half * (u1 - u2), half * (u1 + u2) - u0)
 
     # ---- element-level API ----
 
@@ -249,7 +246,7 @@ class RingElem:
 
     def is_unit(self) -> bool:
         """Unit iff every evaluation of v at a root of v^3 - v is nonzero."""
-        return bool(self.ring.unit_mask[self.idx])
+        return all(table[self.idx] for table in self.ring.eval_table.values())
 
     def evaluate(self, t: int) -> int:
         """Image of the element under the ring map v -> t, t in {0, 1, -1}."""

@@ -4,10 +4,12 @@ A code is the R-span of a generator list.  Since R is a 3-dimensional
 F_q-algebra, the span is also the F_q-span of {g, v*g, v^2*g}, so every code
 wraps the length-3n F_q code of its flattened coordinates
 (a0-block | a1-block | a2-block).  That code gives size, membership,
-equality and chunked codeword enumeration, and the dual is the kernel of one
-F_q matrix, uniformly for every q.  The evaluation/CRT components (q odd)
-serve the component claims and, with ``brute_force_dual``, are the oracles
-the dual is tested against.
+equality and chunked codeword enumeration.  For every q the dual is the F_q
+kernel of ``DUAL_FORM`` applied to that basis: lambda(x) = a2 vanishes on
+no nonzero ideal (the form has determinant -1), so y is orthogonal to C iff
+lambda(c*y) = 0 for every basis word c (Wood, Amer. J. Math. 121, 1999).
+The evaluation/CRT components (q odd) serve the component claims and, with
+``brute_force_dual``, are the oracles the dual is tested against.
 
 Component codes come in two flavours: the canonical evaluation components
 (images of the code under v -> 1, -1, 0) and the literal projections
@@ -30,7 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .fieldcode import LinearCodeFq, rref_stack
-from .ring import EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
+from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
 
 
 def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
@@ -65,6 +67,13 @@ def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return matrix @ flat.reshape(*flat.shape[:-1], 3, flat.shape[-1] // 3) % q
 
 
+def flat_dual(ring: Ring, basis: np.ndarray) -> LinearCodeFq:
+    """The flattened dual of the R-module whose flattened F_q span has this
+    basis: the kernel of ``DUAL_FORM`` applied to every symbol of it."""
+    constraints = _map_symbols(ring.q, DUAL_FORM, basis).reshape(basis.shape)
+    return LinearCodeFq(ring.field, basis.shape[-1], constraints).dual()
+
+
 def _as_index_row(ring: Ring, row) -> tuple[int, ...]:
     out = []
     for x in row:
@@ -87,13 +96,8 @@ class LinearCodeR:
             if len(r) != n:
                 raise ShapeError(f"generator length {len(r)} != n = {n}")
         self.gens = tuple(rows)
-        self.flat = LinearCodeFq(ring.field, 3 * n, self._fq_generator_rows())
-
-    def _fq_generator_rows(self) -> np.ndarray:
-        """Flattened F_q generators: all g, then all v*g, then all v^2*g."""
-        if not self.gens:
-            return np.zeros((0, 3 * self.n), dtype=np.int64)
-        return fq_span_rows(self.ring, np.array(self.gens, dtype=np.int64))
+        gens = np.array(self.gens, dtype=np.int64).reshape(len(rows), n)
+        self.flat = LinearCodeFq(ring.field, 3 * n, fq_span_rows(ring, gens))
 
     @classmethod
     def _from_flat(cls, ring: Ring, n: int, flat: LinearCodeFq) -> "LinearCodeR":
@@ -261,18 +265,9 @@ class LinearCodeR:
         return LinearCodeR(ring, self.n, _unflatten(ring.q, basis).tolist())
 
     def dual(self) -> "LinearCodeR":
-        """C^dual as the kernel of one F_q matrix, for every q.
-
-        With y = y0 + v*y1 + v^2*y2 coordinatewise, <g, y> is the sum of
-        y_k . (v^k g), so its three coefficients are F_q-linear in the
-        flattened y and the matrix is a reshape of the flattened generators.
-        """
-        n = self.n
-        rows = self._fq_generator_rows()
-        m = rows.shape[0] // 3
-        constraints = rows.reshape(3, m, 3, n).transpose(1, 2, 0, 3).reshape(3 * m, 3 * n)
-        kernel = LinearCodeFq(self.ring.field, 3 * n, constraints).dual()
-        return LinearCodeR._from_flat(self.ring, n, kernel)  # the dual is an R-module
+        """C^dual as the F_q kernel of ``DUAL_FORM`` on the flattened basis, for every q."""
+        kernel = flat_dual(self.ring, self.flat.gen)
+        return LinearCodeR._from_flat(self.ring, self.n, kernel)  # the dual is an R-module
 
     # ---- metrics ----
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .fieldcode import LinearCodeFq, rref_stack
 from .ring import Ring
-from .ringcode import LinearCodeR, _unflatten, fq_span_rows
+from .ringcode import LinearCodeR, _unflatten, flat_dual, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
 _MAX_ENTRIES = 1 << 16  # matrix entries in one batched reduction
@@ -113,7 +113,7 @@ class AmbientSpace:
 
     def dual_set(self, basis: np.ndarray) -> np.ndarray:
         """The basis of the ring-dot dual of the submodule."""
-        return self.code(basis).dual().flat.gen
+        return flat_dual(self.ring, basis).gen
 
     def _atoms(self, span, indices: np.ndarray, rows: int) -> np.ndarray:
         """The distinct bases ``span`` gives for the indices, as a padded stack."""

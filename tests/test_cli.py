@@ -51,6 +51,13 @@ def test_ring_too_large_to_tabulate_is_a_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "131" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_cyclic_length_below_one_is_a_one_line_error(capsys, n):
+    rc, out, err = run(capsys, "cyclic", "--q", "3", "--n", n, "--f1", "x+2", "--f2", "1", "--f3", "1")
+    assert rc == 1 and out == ""
+    assert err == "error: n must be >= 1\n"
+
+
 def test_enum_command(tmp_path, capsys):
     code_file = tmp_path / "code.txt"
     code_file.write_text("q=2 n=1\n[0,1,0]\n")

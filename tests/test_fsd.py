@@ -174,8 +174,13 @@ def test_gray_fsd_transfer():
     assert not gray_fsd_transfer(e1code)
 
 
-def test_mirror_codes_are_formally_self_dual():
+def test_mirror_codes_are_formally_self_dual(monkeypatch):
     # span{(1,0)} is isodual under the coordinate swap, so it is FSD
     code = LinearCodeR(R3, 2, [[1, 0]])
     assert is_formally_self_dual(code)
     assert gray_fsd_transfer(code)
+    # at odd n no code has |C| = |C^dual|: the sizes settle it before any dual or enumeration
+    monkeypatch.setattr(LinearCodeR, "dual", lambda code: pytest.fail("dual computed"))
+    monkeypatch.setattr(wenum, "lee_enumerator", lambda *args: pytest.fail("words enumerated"))
+    for ring in (R2, R3):
+        assert not is_formally_self_dual(LinearCodeR(ring, 3, [[1, 0, 0], [0, ring.q, 1]]))

@@ -80,7 +80,7 @@ def test_crt_combine_needs_odd_q():
 
 
 def test_idempotents_are_orthogonal_and_complete():
-    for ring in (R3, R5):
+    for ring in (R3, R5, ring_over(7)):
         e1, e2, e0 = ring.from_index(ring.e1), ring.from_index(ring.e2), ring.from_index(ring.e0)
         assert e1 * e1 == e1 and e2 * e2 == e2 and e0 * e0 == e0
         assert (e1 * e2).is_zero() and (e1 * e0).is_zero() and (e2 * e0).is_zero()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vcodes.cyclic import is_cyclic_r
 from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq, random_code
-from vcodes.ring import EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
+from vcodes.ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
 from vcodes.ringcode import (
     ComponentTriple,
     LinearCodeR,
@@ -118,9 +118,9 @@ def _combine_per_entry(ring, triple, mode):
     """Generators of combine_components, embedding each field entry u on its own (the reference)."""
     if mode == "idempotent":
         embeds = (
-            lambda u: ring.crt_table[u, 0, 0],
-            lambda u: ring.crt_table[0, u, 0],
-            lambda u: ring.crt_table[0, 0, u],
+            lambda u: ring.crt_combine_index(0, u, 0),
+            lambda u: ring.crt_combine_index(0, 0, u),
+            lambda u: ring.crt_combine_index(u, 0, 0),
         )
     else:
         embeds = (
@@ -297,8 +297,8 @@ def test_gray_image_distance_matches_exhaustive(code):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 3, 5, 7]), st.tuples(*[st.integers(0, 6)] * 3))
-def test_symbol_matrices_match_their_formulas(q, coeffs):
+@given(st.sampled_from([2, 3, 5, 7]), st.tuples(*[st.integers(0, 6)] * 3), st.tuples(*[st.integers(0, 6)] * 3))
+def test_symbol_matrices_match_their_formulas(q, coeffs, other):
     a0, a1, a2 = (a % q for a in coeffs)
     x = np.array([a0, a1, a2])
     gray = [a0, (a0 + a2) % q, a1]
@@ -311,6 +311,9 @@ def test_symbol_matrices_match_their_formulas(q, coeffs):
     idx = ring.index(a0, a1, a2)
     assert ring.gray_table[idx].tolist() == gray
     assert [ring.eval_table[t % q][idx] for t in (1, -1, 0)] == evaluations
+    y = np.array([b % q for b in other])
+    assert x @ DUAL_FORM @ y % q == ring.coeff[ring.mul_table[idx, ring.index(*y)], 2]
+    assert round(np.linalg.det(DUAL_FORM)) % q != 0
 
 
 @st.composite

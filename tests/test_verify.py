@@ -2,9 +2,13 @@ import collections
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vcodes import verify
+from vcodes import ringcode, verify
+from vcodes.cyclic import CyclicSpecR
+from vcodes.errors import DEFAULT_BUDGET
+from vcodes.ring import ring_over
 from vcodes.verify import CLAIM_IDS, CLAIMS, SCOPES, run_verification_suite
 
 
@@ -121,3 +125,44 @@ def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
     recorded = json.loads((Path(__file__).parent / "data" / "report_seed42.json").read_text())
     tested = {e["claim_id"]: e["tested"] for e in recorded["entries"]}
     assert all(e.tested == tested[e.claim_id] for e in first.entries)
+
+
+def _identity_dual_form(monkeypatch):
+    monkeypatch.setattr(ringcode, "DUAL_FORM", np.eye(3, dtype=np.int64))
+
+
+def _e2_is_v_squared(monkeypatch):
+    ring = ring_over(3)  # shared instance: monkeypatch restores it
+    monkeypatch.setattr(ring, "e2", ring.index(0, 0, 1))
+
+
+def _cyclic_dual_spec_is_identity(monkeypatch):
+    monkeypatch.setattr(verify, "cyclic_dual_spec", lambda spec: spec)
+
+
+def _size_formula_off_by_one(monkeypatch):
+    formula = CyclicSpecR.size_formula
+    monkeypatch.setattr(CyclicSpecR, "size_formula", lambda spec, q: formula(spec, q) + 1)
+
+
+@pytest.mark.parametrize(
+    "fault, claim_id, tested",
+    [
+        (_identity_dual_form, "thm6-dual-gray-image", 1),
+        (_identity_dual_form, "cor9-cyclic-dual", 1),
+        (_identity_dual_form, "lem19-direct-product", 0),
+        (_identity_dual_form, "thm12-construction-a", 0),
+        (_identity_dual_form, "thm14-construction-b", 0),
+        (_identity_dual_form, "thm16-construction-c", 0),
+        (_e2_is_v_squared, "cor9-cyclic-dual", 4),
+        (_e2_is_v_squared, "thm11-cardinality", 16),
+        (_cyclic_dual_spec_is_identity, "cor9-cyclic-dual", 0),
+        (_size_formula_off_by_one, "thm11-cardinality", 0),
+    ],
+)
+def test_injected_fault_refutes_its_claim(monkeypatch, fault, claim_id, tested):
+    fault(monkeypatch)
+    claim = next(fn for cid, _, _, fn in CLAIMS if cid == claim_id)
+    status, observed, _, count = claim(verify._Ctx(42, DEFAULT_BUDGET))[:4]
+    assert (status, count) == ("refuted", tested)
+    assert observed is not None
