@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharacteristicTwoUnsupported, NotADivisor, SearchSpaceTooLarge
+from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
 from .fieldcode import cyclic_code_fq, cyclic_dual_generator
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
@@ -109,6 +109,8 @@ def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
                 return {"witness": spec, "exhausted": True, "tested": tested}
         return {"witness": None, "exhausted": True, "tested": tested}
 
+    if n < 1:  # the odd-q branch gets this check from monic_divisors_of_xn_minus_1
+        raise ParamMismatch("n must be >= 1")
     space = AmbientSpace(ring, n)
     for ideal in space.all_ideals():
         tested += 1

@@ -4,11 +4,11 @@ One ``WeightEnumerator`` class holds all four kinds: the Lee and Hamming
 enumerators, the symmetrized enumerator (swe) and the complete enumerator
 (cwe).  Each is a sparse integer map from a key to a codeword count;
 nothing here is floating point.  Lee and Hamming are built by one bincount
-of per-row weights, swe and cwe by one tally of distinct sorted rows, and
-``specialize`` collapses swe or cwe to Lee or Hamming through the Lee
-weight of each tally slot.  The MacWilliams step checks the enumerator's
-total against |C|, divides by |C| with an exact integrality check and
-raises instead of rounding.
+of per-row weights, swe and cwe by a 1-D unique of sorted symbol rows that
+tallies only the distinct ones, and ``specialize`` collapses swe or cwe to
+Lee or Hamming through the Lee weight of each tally slot.  The MacWilliams
+step checks the enumerator's total against |C|, divides by |C| with an
+exact integrality check and raises instead of rounding.
 
 The q-ary transform substitutes (X + (q-1)Y, X - Y).  The published
 statement over R prints (X + Y, X - Y), which is the binary special case;
@@ -46,6 +46,7 @@ PUBLISHED_SYMBOL_CLASSES = {
 }
 
 _WEIGHT_KINDS = ("lee", "hamming")  # int keys; swe and cwe have tuple keys
+_TALLY_BLOCK = 4096  # distinct tallies turned into tuple keys at once
 
 
 class WeightEnumerator:
@@ -101,16 +102,27 @@ def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumera
 
 
 def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, slots: int, budget: int) -> WeightEnumerator:
-    """Count codewords by how many of their symbols a fall in slot symbol_slot[a]."""
-    counts: dict[tuple, int] = {}
+    """Count codewords by how many of their symbols a fall in slot symbol_slot[a]:
+    a tally is the multiset of a word's slots, so only the distinct sorted int16
+    slot rows (q^3 <= 512) are tallied, found by a 1-D unique of their bytes."""
+    if not code.n:  # a 0-byte key view has no rows; the one empty word tallies to zero
+        return WeightEnumerator(kind, 0, code.ring.q, {(0,) * slots: code.size})
+    key = np.dtype((np.void, 2 * code.n))  # the bytes of one sorted row
+    symbol_slot = symbol_slot.astype(np.int16)
+    parts = []
     for rows in code.codeword_chunks(budget):
-        # a tally is the multiset of a word's slots, so count sorted rows and
-        # tally only the distinct ones: memory stays O(rows * n), not O(rows * slots)
-        shapes, mult = np.unique(np.sort(symbol_slot[rows], axis=1), axis=0, return_counts=True)
-        tallies = np.zeros((len(shapes), slots), dtype=np.int64)
-        np.add.at(tallies, (np.arange(len(shapes))[:, None], shapes), 1)
-        for t, c in zip(map(tuple, tallies.tolist()), mult.tolist()):
-            counts[t] = counts.get(t, 0) + c
+        rows = np.sort(symbol_slot[rows], axis=1)
+        _, first, mult = np.unique(rows.view(key).ravel(), return_index=True, return_counts=True)
+        parts.append((rows[first], mult))
+    shapes, mults = map(np.concatenate, zip(*parts))
+    _, first, inverse = np.unique(shapes.view(key).ravel(), return_index=True, return_inverse=True)
+    shapes, mult = shapes[first], np.zeros(len(first), dtype=np.int64)
+    np.add.at(mult, inverse, mults)  # exact int64 sums, unlike bincount weights
+    counts: dict[tuple, int] = {}
+    for i in range(0, len(shapes), _TALLY_BLOCK):  # bounded tuple conversion keeps the peak down
+        block = shapes[i : i + _TALLY_BLOCK]
+        tallies = np.bincount((block + slots * np.arange(len(block))[:, None]).ravel(), minlength=len(block) * slots)
+        counts.update(zip(map(tuple, tallies.reshape(-1, slots).tolist()), mult[i : i + _TALLY_BLOCK].tolist()))
     return WeightEnumerator(kind, code.n, code.ring.q, counts)
 
 

@@ -51,9 +51,19 @@ def test_ring_too_large_to_tabulate_is_a_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "131" in err
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_cyclic_length_below_one_is_a_one_line_error(capsys, n):
-    rc, out, err = run(capsys, "cyclic", "--q", "3", "--n", n, "--f1", "x+2", "--f2", "1", "--f3", "1")
+_BELOW_ONE_CASES = {  # id prefix -> the cyclic arguments besides --n
+    "": ["--q", "3", "--f1", "x+2", "--f2", "1", "--f3", "1"],
+    "q3-search:": ["--q", "3", "--search-self-dual"],
+    "q2-search:": ["--q", "2", "--search-self-dual"],  # walks R^n, not x^n - 1
+}
+
+
+@pytest.mark.parametrize(
+    "n,rest",
+    [pytest.param(n, rest, id=tag + n) for tag, rest in _BELOW_ONE_CASES.items() for n in ("0", "-1")],
+)
+def test_cyclic_length_below_one_is_a_one_line_error(capsys, n, rest):
+    rc, out, err = run(capsys, "cyclic", "--n", n, *rest)
     assert rc == 1 and out == ""
     assert err == "error: n must be >= 1\n"
 

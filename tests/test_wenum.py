@@ -1,8 +1,12 @@
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vcodes import fieldcode
 from vcodes.errors import TransformInconsistent
 from vcodes.fieldcode import LinearCodeFq, hamming_enumerator_fq
 from vcodes.gf import GF
@@ -40,9 +44,9 @@ def test_enumerator_totals_match_code_size():
 def _complete_by_word(code):
     """Oracle: tally every codeword's symbols one word at a time."""
     counts = {}
-    for word in code.codewords():
+    for word in code.iter_codewords():
         tally = [0] * code.ring.size
-        for sym in word.tolist():
+        for sym in word:
             tally[sym] += 1
         counts[tuple(tally)] = counts.get(tuple(tally), 0) + 1
     return counts
@@ -51,9 +55,9 @@ def _complete_by_word(code):
 def _symmetrized_by_word(code):
     """Oracle: tally every codeword's symbol classes (Lee weights) one word at a time."""
     counts = {}
-    for word in code.codewords():
+    for word in code.iter_codewords():
         tally = [0] * 4
-        for sym in word.tolist():
+        for sym in word:
             tally[int(code.ring.lee_table[sym])] += 1
         counts[tuple(tally)] = counts.get(tuple(tally), 0) + 1
     return counts
@@ -64,9 +68,64 @@ def test_complete_enumerator_matches_per_word_tallies():
     codes = [random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng) for q in (2, 3, 5) * 6]
     codes.append(LinearCodeR.full_space(R3, 3))  # 3^9 words: more than one chunk
     codes.append(LinearCodeR.zero_code(R2, 2))
+    codes += [LinearCodeR.zero_code(R2, 0), LinearCodeR(R3, 0, [])]  # n = 0: one empty word
     for code in codes:
         assert wenum.complete_enumerator(code).counts == _complete_by_word(code)
         assert wenum.symmetrized_enumerator(code).counts == _symmetrized_by_word(code)
+
+
+def _tally_by_unique_rows(code, symbol_slot, slots):
+    """Oracle: a 2-D unique of each chunk's sorted slot rows, tallied by np.add.at."""
+    counts = {}
+    for rows in code.codeword_chunks():
+        shapes, mult = np.unique(np.sort(symbol_slot[rows], axis=1), axis=0, return_counts=True)
+        tallies = np.zeros((len(shapes), slots), dtype=np.int64)
+        np.add.at(tallies, (np.arange(len(shapes))[:, None], shapes), 1)
+        for t, c in zip(map(tuple, tallies.tolist()), mult.tolist()):
+            counts[t] = counts.get(t, 0) + c
+    return counts
+
+
+_TALLY_ORACLE_ROWS = {2: 3, 3: 2, 5: 1, 7: 1}  # generator rows: at most 729 words
+
+
+@st.composite
+def small_codes(draw):
+    q = draw(st.sampled_from(sorted(_TALLY_ORACLE_ROWS)))
+    ring = ring_over(q)
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+    return LinearCodeR(ring, n, draw(st.lists(row, min_size=1, max_size=_TALLY_ORACLE_ROWS[q])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(small_codes())
+def test_tallies_match_the_unique_rows_oracle_across_chunks(code):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldcode, "_CHUNK_ROWS", 8)  # at most 8 words a chunk, so a tally recurs across chunks
+        kinds = (
+            (wenum.complete_enumerator, np.arange(code.ring.size), code.ring.size),
+            (wenum.symmetrized_enumerator, code.ring.lee_table, 4),
+        )
+        for enum, symbol_slot, slots in kinds:
+            got = enum(code).counts
+            assert got == _tally_by_unique_rows(code, symbol_slot, slots)
+            assert all(type(c) is int and all(type(x) is int for x in t) for t, c in got.items())
+
+
+def test_complete_enumerator_peak_memory():
+    # q = 3, n = 5, F_q-dimension 9: 19,683 words in two chunks, 16,332 distinct tallies
+    code = LinearCodeR(R3, 5, [[1, 0, 0, 5, 22], [0, 1, 0, 13, 7], [0, 0, 1, 19, 11]])
+    tracemalloc.start()
+    try:
+        cwe = wenum.complete_enumerator(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cwe.total() == 19683 and len(cwe.counts) == 16332
+    # 10.7 MB was the peak of the per-chunk 2-D unique kernel; turning every
+    # distinct tally into a tuple at once peaks at 14.6 MB
+    assert peak < 10.7e6
 
 
 def test_symmetrized_examples():
