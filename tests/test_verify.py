@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcodes import ringcode, verify
+from vcodes import ringcode, verify, wenum
 from vcodes.cyclic import CyclicSpecR
 from vcodes.errors import DEFAULT_BUDGET
-from vcodes.ring import ring_over
+from vcodes.fieldcode import LinearCodeFq
+from vcodes.ring import PROJECTIONS, ring_over
+from vcodes.ringcode import LinearCodeR
 from vcodes.verify import CLAIM_IDS, CLAIMS, SCOPES, run_verification_suite
 
 
@@ -145,24 +147,144 @@ def _size_formula_off_by_one(monkeypatch):
     monkeypatch.setattr(CyclicSpecR, "size_formula", lambda spec, q: formula(spec, q) + 1)
 
 
+def _lee_table_entry_off(monkeypatch):
+    ring = ring_over(2)
+    table = ring.lee_table.copy()
+    table[1] += 1
+    monkeypatch.setattr(ring, "lee_table", table)
+
+
+def _gray_table_entry_flipped(monkeypatch):
+    ring = ring_over(2)
+    table = ring.gray_table.copy()
+    table[1, 0] ^= 1
+    monkeypatch.setattr(ring, "gray_table", table)
+
+
+def _gray_words_are_zero(monkeypatch):
+    monkeypatch.setattr(LinearCodeR, "gray_words", lambda code, rows: np.zeros((len(rows), 3 * code.n), dtype=np.int64))
+
+
+def _gray_is_printed_projections(monkeypatch):
+    monkeypatch.setattr(ringcode, "GRAY", PROJECTIONS)
+
+
+def _fq_distance_off_by_one(monkeypatch):
+    distance = LinearCodeFq.min_distance
+    monkeypatch.setattr(LinearCodeFq, "min_distance", lambda code, budget=DEFAULT_BUDGET: distance(code, budget) + 1)
+
+
+def _evaluation_is_printed_projections(monkeypatch):
+    monkeypatch.setattr(ringcode, "EVALUATION", PROJECTIONS)
+
+
+def _specialize_shifts_keys(monkeypatch):
+    specialize = wenum.specialize
+
+    def shifted(enum, target):
+        out = specialize(enum, target)
+        return wenum.WeightEnumerator(out.kind, out.n, out.q, {w + 1: c for w, c in out.counts.items()})
+
+    monkeypatch.setattr(wenum, "specialize", shifted)
+
+
+def _specialize_reads_swe_as_hamming(monkeypatch):
+    specialize = wenum.specialize
+    monkeypatch.setattr(wenum, "specialize", lambda enum, target: specialize(enum, "hamming" if enum.kind == "swe" else target))
+
+
+def _brute_force_dual_is_the_code(monkeypatch):
+    monkeypatch.setattr(LinearCodeR, "brute_force_dual", lambda code, budget=DEFAULT_BUDGET: code)
+
+
+def _is_cyclic_r_always(value):
+    def fault(monkeypatch):
+        monkeypatch.setattr(verify, "is_cyclic_r", lambda code: value)
+
+    fault.__name__ = f"_is_cyclic_r_is_{value}"
+    return fault
+
+
+def _fq_is_cyclic_false(monkeypatch):
+    monkeypatch.setattr(LinearCodeFq, "is_cyclic", lambda code: False)
+
+
+def _search_finds_no_witness(monkeypatch):
+    search = verify.self_dual_cyclic_search
+    monkeypatch.setattr(verify, "self_dual_cyclic_search", lambda ring, n: {**search(ring, n), "witness": None})
+
+
+def _gray_fsd_transfer_always(value):
+    def fault(monkeypatch):
+        monkeypatch.setattr(verify, "gray_fsd_transfer", lambda code, budget=DEFAULT_BUDGET: value)
+
+    fault.__name__ = f"_gray_fsd_transfer_is_{value}"
+    return fault
+
+
+def _direct_product_zeroes_c2(monkeypatch):
+    product = verify.direct_product
+    monkeypatch.setattr(verify, "direct_product", lambda c1, c2: product(c1, LinearCodeR.zero_code(c2.ring, c2.n)))
+
+
+def _fsd_check_false(monkeypatch):
+    monkeypatch.setattr(verify, "is_formally_self_dual", lambda code, budget=DEFAULT_BUDGET: False)
+
+
+# fault, claim, samples that passed before the refutation, the refutation's
+# expected value, and an observed key or value that tells apart two checks
+# with the same expected value (None where the expected value alone does)
+FAULTS = [
+    (_identity_dual_form, "thm6-dual-gray-image", 1, "gray(C)^dual = gray(C^dual)", None),
+    (_identity_dual_form, "cor9-cyclic-dual", 1, "componentwise dual is the dual and cyclic", None),
+    (_identity_dual_form, "lem19-direct-product", 0, "(C1 x C2)^dual = C1^dual x C2^dual", None),
+    (_identity_dual_form, "thm12-construction-a", 0, "symmetric [I|A] codes are isodual, hence FSD", "witness"),
+    (_identity_dual_form, "thm14-construction-b", 0, "double circulant codes are isodual, hence FSD", "witness"),
+    (_identity_dual_form, "thm16-construction-c", 0, "bordered circulant codes are FSD", "witness"),
+    (_e2_is_v_squared, "cor9-cyclic-dual", 4, "componentwise dual is the dual and cyclic", None),
+    (_e2_is_v_squared, "thm11-cardinality", 16, "|C| = q^(3n - sum deg fi)", None),
+    (_cyclic_dual_spec_is_identity, "cor9-cyclic-dual", 0, "componentwise dual is the dual and cyclic", None),
+    (_size_formula_off_by_one, "thm11-cardinality", 0, "|C| = q^(3n - sum deg fi)", None),
+    (_lee_table_entry_off, "thm2-weight-preserving", 1, "w_L = w_H(gray)", "symbol"),
+    (_lee_table_entry_off, "thm7-3-lee-equals-gray", 5, "Lee_C = Ham_gray(C)", None),
+    (_gray_table_entry_flipped, "thm2-weight-preserving", 18, "gray additive", None),
+    (_gray_words_are_zero, "thm2-weight-preserving", 16578, "w_L = w_H(gray)", "vector"),
+    (_gray_is_printed_projections, "thm3-self-orthogonal", 0, "gray image self-orthogonal", None),
+    (_fq_distance_off_by_one, "cor4-min-weights", 0, "d_L(C) = d_H(gray(C))", None),
+    (_evaluation_is_printed_projections, "lem5-dimension", 2, "dim gray(C) = k1+k2+k3", None),
+    (_evaluation_is_printed_projections, "cardinality-identity", 1, "|C| = |C1||C2||C3|", None),
+    (_specialize_shifts_keys, "thm7-1-lee-from-cwe", 0, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", None),
+    (_specialize_shifts_keys, "thm7-2-hamming-from-cwe", 0, "cwe(X, Y, ..., Y) = Ham", None),
+    (_specialize_reads_swe_as_hamming, "thm7-1-lee-from-cwe", 0, "swe specialization = Lee", None),
+    (_brute_force_dual_is_the_code, "thm7-4-macwilliams", 1, "corrected transform matches dual", None),
+    (_is_cyclic_r_always(False), "thm8-cyclic-components", 0, "triple codes are cyclic", None),
+    (_is_cyclic_r_always(True), "thm8-cyclic-components", 640, "negative control", None),
+    (_fq_is_cyclic_false, "thm8-cyclic-components", 0, "components of cyclic codes are cyclic", None),
+    (_search_finds_no_witness, "cor10-self-dual-cyclic", 741, "self-dual cyclic codes exist iff q is a power of 2 and n is even", None),
+    (_gray_fsd_transfer_always(False), "thm18-gray-fsd", 0, "gray image of FSD is FSD", None),
+    (_gray_fsd_transfer_always(True), "thm18-gray-fsd", 40, "negative control should fail", None),
+    (_direct_product_zeroes_c2, "lem19-direct-product", 0, "enumerator product law", None),
+    (_fsd_check_false, "lem19-direct-product", 0, "product of FSD is FSD", None),
+    (_fsd_check_false, "thm12-construction-a", 0, "symmetric [I|A] codes are isodual, hence FSD", "enumerator"),
+]
+
+
+def _strings(obj) -> set:
+    """Keys and string values at the top level of an observed object."""
+    if isinstance(obj, dict):
+        return set(obj) | {v for v in obj.values() if isinstance(v, str)}
+    return set()
+
+
 @pytest.mark.parametrize(
-    "fault, claim_id, tested",
-    [
-        (_identity_dual_form, "thm6-dual-gray-image", 1),
-        (_identity_dual_form, "cor9-cyclic-dual", 1),
-        (_identity_dual_form, "lem19-direct-product", 0),
-        (_identity_dual_form, "thm12-construction-a", 0),
-        (_identity_dual_form, "thm14-construction-b", 0),
-        (_identity_dual_form, "thm16-construction-c", 0),
-        (_e2_is_v_squared, "cor9-cyclic-dual", 4),
-        (_e2_is_v_squared, "thm11-cardinality", 16),
-        (_cyclic_dual_spec_is_identity, "cor9-cyclic-dual", 0),
-        (_size_formula_off_by_one, "thm11-cardinality", 0),
-    ],
+    "fault, claim_id, tested, expected, mark",
+    FAULTS,
+    ids=[f"{f.__name__}-{cid}-{t}" for f, cid, t, *_ in FAULTS],
 )
-def test_injected_fault_refutes_its_claim(monkeypatch, fault, claim_id, tested):
+def test_injected_fault_refutes_its_claim(monkeypatch, fault, claim_id, tested, expected, mark):
     fault(monkeypatch)
     claim = next(fn for cid, _, _, fn in CLAIMS if cid == claim_id)
-    status, observed, _, count = claim(verify._Ctx(42, DEFAULT_BUDGET))[:4]
-    assert (status, count) == ("refuted", tested)
+    status, observed, got_expected, count = claim(verify._Ctx(42, DEFAULT_BUDGET))[:4]
+    assert (status, count, got_expected) == ("refuted", tested, expected)
     assert observed is not None
+    assert mark is None or mark in _strings(observed)
