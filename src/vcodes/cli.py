@@ -266,10 +266,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verification_suite(scope=args.scope, seed=args.seed, budget=args.budget)
-    if args.format == "json":
-        payload = report.to_json(include_timings=args.timings)
-    else:
-        payload = report.to_text()
+    render = report.to_json if args.format == "json" else report.to_text
+    payload = render(include_timings=args.timings)
     if args.out:
         Path(args.out).write_text(payload + ("\n" if not payload.endswith("\n") else ""))
         print(f"report written to {args.out}")

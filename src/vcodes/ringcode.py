@@ -156,8 +156,7 @@ class LinearCodeR:
     def codewords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """All codewords as element-index rows, sorted lexicographically."""
         rows = np.concatenate(list(self.codeword_chunks(budget)), axis=0)
-        order = np.lexsort(rows.T[::-1])
-        return rows[order]
+        return rows[np.lexsort(rows.T[::-1])] if self.n else rows  # n = 0: the empty word, no sort keys
 
     def iter_codewords(self, budget: int = DEFAULT_BUDGET):
         """Stream every codeword exactly once as a tuple of element indices."""

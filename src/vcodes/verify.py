@@ -1,8 +1,8 @@
 """Claim-by-claim verification harness.
 
 Every theorem, corollary, lemma and worked example of the source text gets
-one registered claim with a deterministic checker.  A checker never raises
-on a mathematical disagreement: it returns a status --
+one registered claim with a deterministic checker.  Each claim becomes one
+report entry with a status --
 
   confirmed     the statement held in every test performed,
   refuted       at least one exact counterexample was found,
@@ -12,8 +12,13 @@ on a mathematical disagreement: it returns a status --
   untestable    outside what this artifact can reach (noted, not assumed),
 
 together with observed / expected values and a deterministic count of the
-work done.  Randomized samples draw from a per-claim generator seeded with
-(seed, claim id), so reports are byte-identical for a fixed seed.
+work done.  A checker walks its samples through ``ctx.each``, which counts a
+sample into ``tested`` once every check on it has passed, and raises
+``_Refuted(observed, expected)`` at the first counterexample; ``_run_claim``
+turns that into a ``refuted`` entry and a ``VCodesError`` (e.g. over budget)
+into an ``untestable`` one.  Randomized samples draw from a per-claim
+generator seeded with (seed, claim id), so reports are byte-identical for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -121,12 +126,12 @@ class VerificationReport:
     def to_json(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_json_obj(include_timings), sort_keys=True, separators=(",", ":"))
 
-    def to_text(self) -> str:
+    def to_text(self, include_timings: bool = False) -> str:
         lines = [f"verification report  scope={self.scope} seed={self.seed}"]
         width = max(len(e.claim_id) for e in self.entries) if self.entries else 0
         for e in self.entries:
-            head = f"{e.claim_id:<{width}}  [{e.status:<13}] {e.anchor}"
-            lines.append(f"{head}  ({e.tested} checks, {e.seconds:.2f}s)")
+            cost = f"{e.tested} checks" + (f", {e.seconds:.2f}s" if include_timings else "")
+            lines.append(f"{e.claim_id:<{width}}  [{e.status:<13}] {e.anchor}  ({cost})")
             if e.note:
                 lines.append(f"{'':<{width}}  note: {e.note}")
         counts: dict[str, int] = {}
@@ -148,10 +153,21 @@ class _Ctx:
     def __init__(self, seed: int, budget: int):
         self.seed = seed
         self.budget = budget
+        self.tested = 0
         self._cyclic_codes: dict = {}
 
     def rng(self, claim_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{claim_id}")
+
+    def each(self, samples):
+        """Yield each sample and count it into ``tested`` once the loop body is done with it.
+
+        A loop over ``each`` must not ``continue``: that would count the
+        skipped sample.  Filter the sample stream instead.
+        """
+        for sample in samples:
+            yield sample
+            self.tested += 1
 
     def cyclic_code(self, ring, spec: CyclicSpecR, mode: str = "idempotent"):
         """``cyclic_code_r``, built once per (q, spec, mode) in this run."""
@@ -161,8 +177,29 @@ class _Ctx:
         return self._cyclic_codes[key]
 
 
-def _result(status, observed, expected, tested, note=""):
-    return status, observed, expected, tested, note
+class _Refuted(Exception):
+    """A counterexample: the claim is refuted with this evidence."""
+
+    def __init__(self, observed, expected):
+        super().__init__(observed, expected)
+        self.observed, self.expected = observed, expected
+
+
+CLAIMS: list[tuple] = []  # (claim id, anchor, scope, checker) in definition order
+
+
+def _claim(claim_id: str, anchor: str, scope: str):
+    """Register the decorated checker in ``CLAIMS``.
+
+    A checker takes the run's ``_Ctx`` and returns ``(status, observed,
+    expected, note)``, or raises ``_Refuted``.
+    """
+
+    def register(fn):
+        CLAIMS.append((claim_id, anchor, scope, fn))
+        return fn
+
+    return register
 
 
 def _gens(code) -> list[list[int]]:
@@ -185,6 +222,7 @@ def _random_codes(rng, count, qs=(2, 3), max_n=3):
 # gray scope
 
 
+@_claim("lee-table-audit", "Lee weight case table", "gray")
 def _claim_lee_table(ctx):
     observed = {}
     mismatched = set()
@@ -196,11 +234,11 @@ def _claim_lee_table(ctx):
             "rows_disagreeing": bad,
             "conflicting_row_pairs": audit["conflicting_row_pairs"],
         }
-    return _result(
+    ctx.tested += 3 * len(audit["rows"])
+    return (
         "refuted",
         observed,
         "each table row weight equals the Hamming weight of the Gray image",
-        3 * len(audit["rows"]),
         "the printed case table is internally inconsistent (identical support "
         "patterns under two weights, rows 3/10, 4/6, 5/7) and rows "
         f"{sorted(mismatched)} contradict w_H(gray(x)); the library defines the "
@@ -208,36 +246,31 @@ def _claim_lee_table(ctx):
     )
 
 
+@_claim("thm2-weight-preserving", "Theorem 2", "gray")
 def _claim_thm2(ctx):
     rng = ctx.rng("thm2")
-    tested = 0
     for q in (2, 3, 5):
         ring = ring_over(q)
-        for idx in range(ring.size):
+        for idx in ctx.each(range(ring.size)):
             a0, a1, a2 = ring.triple(idx)
             image = (a0 % q, (a0 + a2) % q, a1 % q)
             if int(ring.lee_table[idx]) != sum(1 for u in image if u):
-                return _result("refuted", {"q": q, "symbol": [a0, a1, a2]}, "w_L = w_H(gray)", tested)
-            tested += 1
-        for i in range(ring.size):
-            for j in range(ring.size):
-                s = int(ring.add_table[i, j])
-                gi, gj, gs = ring.gray_table[i], ring.gray_table[j], ring.gray_table[s]
-                if ((gi + gj) % q != gs).any():
-                    return _result("refuted", {"q": q, "pair": [i, j]}, "gray additive", tested)
-                tested += 1
+                raise _Refuted({"q": q, "symbol": [a0, a1, a2]}, "w_L = w_H(gray)")
+        for i, j in ctx.each(product(range(ring.size), repeat=2)):
+            s = int(ring.add_table[i, j])
+            gi, gj, gs = ring.gray_table[i], ring.gray_table[j], ring.gray_table[s]
+            if ((gi + gj) % q != gs).any():
+                raise _Refuted({"q": q, "pair": [i, j]}, "gray additive")
     # weight preservation on whole vectors
-    for _ in range(50):
+    for _ in ctx.each(range(50)):
         q = rng.choice([2, 3, 5])
         ring = ring_over(q)
         n = rng.randrange(1, 6)
         row = np.array([[rng.randrange(ring.size) for _ in range(n)]])
-        code_like = LinearCodeR(ring, n, row)
-        gray = code_like.gray_words(row)[0]
+        gray = LinearCodeR(ring, n, row).gray_words(row)[0]
         if int(ring.lee_table[row[0]].sum()) != int(np.count_nonzero(gray)):
-            return _result("refuted", {"q": q, "vector": row[0].tolist()}, "w_L = w_H(gray)", tested)
-        tested += 1
-    return _result("confirmed", "exact on all q^3 symbols and all symbol pairs, q in {2,3,5}", "w_L = w_H(gray), gray additive", tested)
+            raise _Refuted({"q": q, "vector": row[0].tolist()}, "w_L = w_H(gray)")
+    return "confirmed", "exact on all q^3 symbols and all symbol pairs, q in {2,3,5}", "w_L = w_H(gray), gray additive", ""
 
 
 def _self_orth_samples(rng, count):
@@ -250,122 +283,92 @@ def _self_orth_samples(rng, count):
     return found
 
 
+@_claim("thm3-self-orthogonal", "Theorem 3", "gray")
 def _claim_thm3(ctx):
-    tested = 0
-    for code in _self_orth_samples(ctx.rng("thm3"), 25):
+    for code in ctx.each(_self_orth_samples(ctx.rng("thm3"), 25)):
         image = code.gray_image()
-        prod = (image.gen @ image.gen.T) % code.ring.q
-        if prod.any():
-            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "gray image self-orthogonal", tested)
-        tested += 1
-    return _result("confirmed", "gray images of all sampled self-orthogonal codes are self-orthogonal", "self-orthogonality transfers", tested)
+        if ((image.gen @ image.gen.T) % code.ring.q).any():
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "gray image self-orthogonal")
+    return "confirmed", "gray images of all sampled self-orthogonal codes are self-orthogonal", "self-orthogonality transfers", ""
 
 
+@_claim("cor4-min-weights", "Corollary 4", "gray")
 def _claim_cor4(ctx):
-    tested = 0
-    for code in _random_codes(ctx.rng("cor4"), 60):
-        if code.dim_fq == 0:
-            continue
+    for code in ctx.each(c for c in _random_codes(ctx.rng("cor4"), 60) if c.dim_fq):
         d1, _ = code.min_lee_distance("exhaustive", ctx.budget)
         d2, _ = code.min_lee_distance("gray-image", ctx.budget)
         if d1 != d2:
-            return _result("refuted", {"q": code.ring.q, "gens": _gens(code), "lee": d1, "gray": d2}, "d_L(C) = d_H(gray(C))", tested)
-        tested += 1
-    return _result("confirmed", "minimum Lee weight equals Gray-image minimum Hamming weight on every sample", "d_L(C) = d_H(gray(C))", tested)
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code), "lee": d1, "gray": d2}, "d_L(C) = d_H(gray(C))")
+    return "confirmed", "minimum Lee weight equals Gray-image minimum Hamming weight on every sample", "d_L(C) = d_H(gray(C))", ""
 
 
+@_claim("lem5-dimension", "Lemma 5 (dimension)", "gray")
 def _claim_lem5_dimension(ctx):
-    tested = 0
-    for code in _random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5)):
+    for code in ctx.each(_random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5))):
         if code.gray_image().k != sum(code.components_crt().dims):
-            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "dim gray(C) = k1+k2+k3", tested)
-        tested += 1
-    return _result("confirmed", "dim gray(C) = k1+k2+k3 with evaluation components on every sample", "dimension formula", tested)
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "dim gray(C) = k1+k2+k3")
+    return "confirmed", "dim gray(C) = k1+k2+k3 with evaluation components on every sample", "dimension formula", ""
 
 
+@_claim("lem5-distance", "Lemma 5 (distance)", "gray")
 def _claim_lem5_distance(ctx):
     rng = ctx.rng("lem5-distance")
-    tested = 0
+    ring = ring_over(3)
+    codes = (random_code_r(ring, rng.randrange(1, 4), rng) for _ in range(120))
     disagreements = 0
     first = None
     lower_bound_ok = True
-    for _ in range(120):
-        ring = ring_over(3)
-        code = random_code_r(ring, rng.randrange(1, 4), rng)
-        if code.dim_fq == 0:
-            continue
+    for code in ctx.each(c for c in codes if c.dim_fq):
         exact, _ = code.min_lee_distance("exhaustive", ctx.budget)
         lemma, _ = code.min_lee_distance("component-lemma", ctx.budget)
-        tested += 1
         if exact != lemma:
             disagreements += 1
-            if exact < lemma:
-                lower_bound_ok = False
-            if first is None:
-                first = {
-                    "gens": _gens(code),
-                    "exact": exact,
-                    "component_minimum": lemma,
-                }
+            lower_bound_ok &= exact > lemma
+            first = first or {"gens": _gens(code), "exact": exact, "component_minimum": lemma}
     status = "refuted" if disagreements else "confirmed"
     note = (
         f"min{{d(C1),d(C2),d(C3)}} disagreed with the exact minimum Lee weight on "
-        f"{disagreements}/{tested} random q=3 codes"
+        f"{disagreements}/{ctx.tested} random q=3 codes"
     )
     if disagreements and lower_bound_ok:
         note += "; it held as a lower bound in every case (idempotent-slot symbols can carry Gray weight 2)"
-    return _result(status, {"disagreements": disagreements, "first_counterexample": first}, "d_L = min{d(C1),d(C2),d(C3)}", tested, note)
+    return status, {"disagreements": disagreements, "first_counterexample": first}, "d_L = min{d(C1),d(C2),d(C3)}", note
 
 
+@_claim("thm6-dual-gray-image", "Theorem 6", "gray")
 def _claim_thm6(ctx):
-    tested = 0
     enumerated = 0
-    for code in _random_codes(ctx.rng("thm6"), 200):
-        q = code.ring.q
+    for code in ctx.each(_random_codes(ctx.rng("thm6"), 200)):
         dual = code.dual()
         lhs = code.gray_image().dual()
-        rhs = dual.gray_image()
-        if lhs != rhs:
-            return _result("refuted", {"q": q, "gens": _gens(code)}, "gray(C)^dual = gray(C^dual)", tested)
-        tested += 1
+        if lhs != dual.gray_image():
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "gray(C)^dual = gray(C^dual)")
         if enumerated < 20 and lhs.size <= 1 << 12:
-            # belt and braces: compare the two codes as literal sets of words
-            a = np.unique(lhs.codewords(ctx.budget), axis=0)
-            b = np.unique(rhs.codewords(ctx.budget), axis=0)
-            if not np.array_equal(a, b):
-                return _result("refuted", {"q": q, "gens": _gens(code)}, "set equality", tested)
+            # belt and braces: the words of gray(C)^dual against Psi applied word by word to C^dual
+            words = np.unique(dual.gray_words(dual.codewords(ctx.budget)), axis=0)
+            if not np.array_equal(np.unique(lhs.codewords(ctx.budget), axis=0), words):
+                raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "set equality")
             enumerated += 1
-    return _result("confirmed", f"basis equality on 200 random codes, literal set equality re-checked on {enumerated}", "gray(C)^dual = gray(C^dual)", tested)
+    return "confirmed", f"basis equality on 200 random codes, literal set equality re-checked on {enumerated}", "gray(C)^dual = gray(C^dual)", ""
 
 
+@_claim("cardinality-identity", "Component cardinality identity", "gray")
 def _claim_cardinality(ctx):
-    tested = 0
-    crt_ok = 0
     literal_bad = 0
     first = None
-    for code in _random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5)):
-        q = code.ring.q
-        tested += 1
+    for code in ctx.each(_random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5))):
         if code.components_crt().size_product() != code.size:
-            return _result("refuted", {"q": q, "gens": _gens(code)}, "|C| = |C1||C2||C3|", tested)
-        crt_ok += 1
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "|C| = |C1||C2||C3|")
         lit = code.components_paper()
         if lit.size_product() != code.size:
             literal_bad += 1
-            if first is None:
-                first = {
-                    "q": q,
-                    "gens": _gens(code),
-                    "size": code.size,
-                    "literal_product": lit.size_product(),
-                }
-    return _result(
+            first = first or {"q": code.ring.q, "gens": _gens(code), "size": code.size, "literal_product": lit.size_product()}
+    return (
         "canonicalized",
-        {"evaluation_components_ok": crt_ok, "literal_projection_mismatches": literal_bad, "first_literal_mismatch": first},
+        {"evaluation_components_ok": ctx.tested, "literal_projection_mismatches": literal_bad, "first_literal_mismatch": first},
         "|C| = |C1||C2||C3|",
-        tested,
         "the identity holds exactly for the evaluation (CRT) components; the "
-        f"literal projections a, a+b, a+b+c broke it on {literal_bad}/{tested} samples",
+        f"literal projections a, a+b, a+b+c broke it on {literal_bad}/{ctx.tested} samples",
     )
 
 
@@ -373,49 +376,44 @@ def _claim_cardinality(ctx):
 # enumerators scope
 
 
+@_claim("thm7-1-lee-from-cwe", "Theorem 7 item 1", "enumerators")
 def _claim_thm7_1(ctx):
-    tested = 0
-    for code in _random_codes(ctx.rng("thm7-1"), 60):
+    for code in ctx.each(_random_codes(ctx.rng("thm7-1"), 60)):
         lee = wenum.lee_enumerator(code, ctx.budget)
         if wenum.specialize(wenum.complete_enumerator(code, ctx.budget), "lee") != lee:
-            return _result("refuted", {"gens": _gens(code)}, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", tested)
+            raise _Refuted({"gens": _gens(code)}, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee")
         if wenum.specialize(wenum.symmetrized_enumerator(code, ctx.budget), "lee") != lee:
-            return _result("refuted", {"gens": _gens(code)}, "swe specialization = Lee", tested)
-        tested += 1
-    return _result("confirmed", "complete and symmetrized enumerators specialize exactly to the Lee enumerator", "specialization identity", tested)
+            raise _Refuted({"gens": _gens(code)}, "swe specialization = Lee")
+    return "confirmed", "complete and symmetrized enumerators specialize exactly to the Lee enumerator", "specialization identity", ""
 
 
+@_claim("thm7-2-hamming-from-cwe", "Theorem 7 item 2", "enumerators")
 def _claim_thm7_2(ctx):
-    tested = 0
-    for code in _random_codes(ctx.rng("thm7-2"), 60):
+    for code in ctx.each(_random_codes(ctx.rng("thm7-2"), 60)):
         ham = wenum.hamming_enumerator_r(code, ctx.budget)
         if wenum.specialize(wenum.complete_enumerator(code, ctx.budget), "hamming") != ham:
-            return _result("refuted", {"gens": _gens(code)}, "cwe(X, Y, ..., Y) = Ham", tested)
-        tested += 1
-    return _result("confirmed", "complete enumerator specializes exactly to the Hamming enumerator", "specialization identity", tested)
+            raise _Refuted({"gens": _gens(code)}, "cwe(X, Y, ..., Y) = Ham")
+    return "confirmed", "complete enumerator specializes exactly to the Hamming enumerator", "specialization identity", ""
 
 
+@_claim("thm7-3-lee-equals-gray", "Theorem 7 item 3", "enumerators")
 def _claim_thm7_3(ctx):
-    tested = 0
-    for code in _random_codes(ctx.rng("thm7-3"), 60):
+    for code in ctx.each(_random_codes(ctx.rng("thm7-3"), 60)):
         lee = wenum.lee_enumerator(code, ctx.budget)
-        gray_counts = code.gray_image().weight_counts(ctx.budget)
-        if lee.counts != gray_counts:
-            return _result("refuted", {"gens": _gens(code)}, "Lee_C = Ham_gray(C)", tested)
-        tested += 1
-    return _result("confirmed", "Lee distribution equals the Gray image Hamming distribution on every sample", "Lee_C(X,Y) = W_gray(C)(X,Y)", tested)
+        if lee.counts != code.gray_image().weight_counts(ctx.budget):
+            raise _Refuted({"gens": _gens(code)}, "Lee_C = Ham_gray(C)")
+    return "confirmed", "Lee distribution equals the Gray image Hamming distribution on every sample", "Lee_C(X,Y) = W_gray(C)(X,Y)", ""
 
 
+@_claim("thm7-4-macwilliams", "Theorem 7 item 4", "enumerators")
 def _claim_thm7_4(ctx):
-    tested = 0
     counterexample = None
-    for code in _random_codes(ctx.rng("thm7-4"), 120, max_n=2):
+    for code in ctx.each(_random_codes(ctx.rng("thm7-4"), 120, max_n=2)):
         dual = code.brute_force_dual(ctx.budget)
         lee = wenum.lee_enumerator(code, ctx.budget)
         dual_lee = wenum.lee_enumerator(dual, ctx.budget)
         if wenum.macwilliams_lee(lee, code.size) != dual_lee:
-            return _result("refuted", {"q": code.ring.q, "gens": _gens(code)}, "corrected transform matches dual", tested)
-        tested += 1
+            raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "corrected transform matches dual")
         if counterexample is None and code.ring.q == 3:
             try:
                 literal = wenum.macwilliams_lee(lee, code.size, literal=True)
@@ -431,11 +429,10 @@ def _claim_thm7_4(ctx):
                     "dual_counts": {str(k): v for k, v in dual_lee.counts.items()},
                     **{k: (v if not isinstance(v, dict) else {str(a): b for a, b in v.items()}) for k, v in detail.items()},
                 }
-    return _result(
+    return (
         "canonicalized",
-        {"corrected_form_matches": tested, "literal_form_counterexample": counterexample},
+        {"corrected_form_matches": ctx.tested, "literal_form_counterexample": counterexample},
         "Lee_{C^dual}(X,Y) = (1/|C|) Lee_C(X+Y, X-Y)",
-        tested,
         "the printed substitution (X+Y, X-Y) is the q=2 special case; the q-ary "
         "transform needs (X+(q-1)Y, X-Y), which matched the brute-force dual "
         "distribution on every sample while the printed form fails at q=3",
@@ -446,192 +443,174 @@ def _claim_thm7_4(ctx):
 # cyclic scope
 
 
-def _claim_thm8(ctx):
-    tested = 0
-    ring = ring_over(3)
-    for n in (2, 3, 4):
-        for spec in all_divisor_triples(ring, n):
-            code = ctx.cyclic_code(ring, spec)
-            if not is_cyclic_r(code):
-                return _result("refuted", {"n": n, "spec": _spec_obj(spec)}, "triple codes are cyclic", tested)
-            comps = code.components_crt()
-            if not all(c.is_cyclic() for c in comps):
-                return _result("refuted", {"n": n, "spec": _spec_obj(spec)}, "components of cyclic codes are cyclic", tested)
-            tested += 1
-    control = LinearCodeR(ring, 2, [[1, 0]])
-    if is_cyclic_r(control):
-        return _result("refuted", {"control": "span{(1,0)}"}, "negative control", tested)
-    tested += 1
-    return _result("confirmed", "all divisor-triple codes are cyclic with cyclic components (q=3, n in {2,3,4}); non-cyclic control rejected", "cyclic iff components cyclic", tested)
-
-
-def _claim_cor9(ctx):
-    tested = 0
-    ring = ring_over(3)
-    for n in (2, 3, 4):
-        for spec in all_divisor_triples(ring, n):
-            dual = ctx.cyclic_code(ring, cyclic_dual_spec(spec))
-            direct = ctx.cyclic_code(ring, spec).dual()
-            if dual != direct or not is_cyclic_r(dual):
-                return _result("refuted", {"n": n, "spec": _spec_obj(spec)}, "componentwise dual is the dual and cyclic", tested)
-            tested += 1
-    return _result("confirmed", "componentwise cyclic dual equals the computed dual and is cyclic on every divisor triple (q=3, n in {2,3,4})", "dual of cyclic is cyclic, componentwise", tested)
+def _triples(ring, ns):
+    """Every divisor triple of every length in ``ns``, length by length."""
+    return (spec for n in ns for spec in all_divisor_triples(ring, n))
 
 
 def _spec_obj(spec: CyclicSpecR) -> dict:
     return {"n": spec.n, "f1": format_poly(spec.f1), "f2": format_poly(spec.f2), "f3": format_poly(spec.f3)}
 
 
+@_claim("thm8-cyclic-components", "Theorem 8", "cyclic")
+def _claim_thm8(ctx):
+    ring = ring_over(3)
+    for spec in ctx.each(_triples(ring, (2, 3, 4))):
+        code = ctx.cyclic_code(ring, spec)
+        if not is_cyclic_r(code):
+            raise _Refuted({"n": spec.n, "spec": _spec_obj(spec)}, "triple codes are cyclic")
+        if not all(c.is_cyclic() for c in code.components_crt()):
+            raise _Refuted({"n": spec.n, "spec": _spec_obj(spec)}, "components of cyclic codes are cyclic")
+    if is_cyclic_r(LinearCodeR(ring, 2, [[1, 0]])):
+        raise _Refuted({"control": "span{(1,0)}"}, "negative control")
+    ctx.tested += 1
+    return "confirmed", "all divisor-triple codes are cyclic with cyclic components (q=3, n in {2,3,4}); non-cyclic control rejected", "cyclic iff components cyclic", ""
+
+
+@_claim("cor9-cyclic-dual", "Corollary 9", "cyclic")
+def _claim_cor9(ctx):
+    ring = ring_over(3)
+    for spec in ctx.each(_triples(ring, (2, 3, 4))):
+        dual = ctx.cyclic_code(ring, cyclic_dual_spec(spec))
+        if dual != ctx.cyclic_code(ring, spec).dual() or not is_cyclic_r(dual):
+            raise _Refuted({"n": spec.n, "spec": _spec_obj(spec)}, "componentwise dual is the dual and cyclic")
+    return "confirmed", "componentwise cyclic dual equals the computed dual and is cyclic on every divisor triple (q=3, n in {2,3,4})", "dual of cyclic is cyclic, componentwise", ""
+
+
+@_claim("cor10-self-dual-cyclic", "Corollary 10", "cyclic")
 def _claim_cor10(ctx):
     observed = {}
-    tested = 0
     consistent = True
     for q, ns in ((3, (2, 3, 4)), (2, (2, 3, 4))):
         ring = ring_over(q)
         for n in ns:
             res = self_dual_cyclic_search(ring, n)
-            tested += res["tested"]
+            ctx.tested += res["tested"]
             found = res["witness"] is not None
             expected = q % 2 == 0 and n % 2 == 0
-            if found != expected:
-                consistent = False
+            consistent &= found == expected
             entry = {"found": found, "criterion": expected, "tested": res["tested"], "exhausted": res["exhausted"]}
             if found and isinstance(res["witness"], CyclicSpecR):
                 entry["witness"] = _spec_obj(res["witness"])
             elif found:
                 entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
             observed[f"q={q},n={n}"] = entry
-    status = "confirmed" if consistent else "refuted"
-    return _result(
-        status,
+    return (
+        "confirmed" if consistent else "refuted",
         observed,
         "self-dual cyclic codes exist iff q is a power of 2 and n is even",
-        tested,
         "exhaustive divisor-triple search at q=3 and exhaustive ideal search at q=2; "
         "prime powers q in {4, 8, ...} are outside this artifact (prime fields only) and stay untested",
     )
 
 
+@_claim("thm11-cardinality", "Theorem 11", "cyclic")
 def _claim_thm11(ctx):
-    tested = 0
     literal_bad = 0
     first = None
     ring = ring_over(3)
-    for n in (2, 4):
-        for spec in all_divisor_triples(ring, n):
-            expected = spec.size_formula(ring.q)
-            code = ctx.cyclic_code(ring, spec)
-            if code.size != expected:
-                return _result("refuted", {"spec": _spec_obj(spec), "size": code.size, "formula": expected}, "|C| = q^(3n - sum deg fi)", tested)
-            tested += 1
-            lit = ctx.cyclic_code(ring, spec, "paper-literal")
-            if lit.size != expected:
-                literal_bad += 1
-                if first is None:
-                    first = {"spec": _spec_obj(spec), "literal_size": lit.size, "formula": expected}
+    for spec in ctx.each(_triples(ring, (2, 4))):
+        expected = spec.size_formula(ring.q)
+        code = ctx.cyclic_code(ring, spec)
+        if code.size != expected:
+            raise _Refuted({"spec": _spec_obj(spec), "size": code.size, "formula": expected}, "|C| = q^(3n - sum deg fi)")
+        lit = ctx.cyclic_code(ring, spec, "paper-literal")
+        if lit.size != expected:
+            literal_bad += 1
+            first = first or {"spec": _spec_obj(spec), "literal_size": lit.size, "formula": expected}
     note = (
-        f"idempotent combination satisfied the size formula on all {tested} divisor triples (q=3, n in {{2,4}}); "
+        f"idempotent combination satisfied the size formula on all {ctx.tested} divisor triples (q=3, n in {{2,4}}); "
         f"the printed combination with coefficients v, 1-v, 1-v^2 missed it on {literal_bad} of them"
     )
-    return _result("confirmed", {"idempotent_ok": tested, "literal_mismatches": literal_bad, "first_literal_mismatch": first}, "|C| = q^(3n - sum deg fi)", tested, note)
+    return "confirmed", {"idempotent_ok": ctx.tested, "literal_mismatches": literal_bad, "first_literal_mismatch": first}, "|C| = q^(3n - sum deg fi)", note
 
 
 # ---------------------------------------------------------------------------
 # fsd scope
 
 
-def _claim_construction(claim_id, builder, make_input, label):
+def _claim_construction(claim_id, anchor, builder, make_input, label):
+    @_claim(claim_id, anchor, "fsd")
     def run(ctx):
         rng = ctx.rng(claim_id)
-        tested = 0
         # 100 inputs at q=3, then odd-q spot checks at q=5 (witness only; enumerators get large)
         for q, count, max_n in ((3, 100, 3), (5, 10, 2)):
             ring = ring_over(q)
-            for _ in range(count):
+            for _ in ctx.each(range(count)):
                 n = rng.randrange(1, max_n + 1)
                 code, witness = builder(ring, make_input(ring, n, rng))
                 if not isodual_witness_check(code, witness):
-                    failure = "witness"
-                elif q == 3 and not is_formally_self_dual(code, ctx.budget):
-                    failure = "enumerator"
-                else:
-                    tested += 1
-                    continue
-                return _result("refuted", {"failure": failure, "q": q, "n": n, "gens": _gens(code)}, label, tested)
-        return _result(
+                    raise _Refuted({"failure": "witness", "q": q, "n": n, "gens": _gens(code)}, label)
+                if q == 3 and not is_formally_self_dual(code, ctx.budget):
+                    raise _Refuted({"failure": "enumerator", "q": q, "n": n, "gens": _gens(code)}, label)
+        return (
             "confirmed",
             "isodual witness verified and Lee enumerators of C and its dual matched exactly on every input",
             label,
-            tested,
             "the certifying equivalence is the proof's signed permutation "
             "(block swap with negation), weight-preserving since w_L(-a) = w_L(a)",
         )
-
-    return run
 
 
 def _random_bordered_input(ring, n, rng):
     return random_bordered(ring, max(n, 2), rng)
 
 
+_claim_construction("thm12-construction-a", "Theorem 12 (construction A)", construction_a, random_symmetric, "symmetric [I|A] codes are isodual, hence FSD")
+_claim_construction("thm14-construction-b", "Theorem 14 (construction B)", construction_b, random_circulant, "double circulant codes are isodual, hence FSD")
+_claim_construction("thm16-construction-c", "Theorem 16 (construction C)", construction_c, _random_bordered_input, "bordered circulant codes are FSD")
+
+
+@_claim("thm18-gray-fsd", "Theorem 18", "fsd")
 def _claim_thm18(ctx):
     rng = ctx.rng("thm18")
-    tested = 0
-    for _ in range(40):
-        ring = ring_over(3)
-        n = rng.randrange(1, 3)
-        code, _ = construction_a(ring, random_symmetric(ring, n, rng))
-        if not gray_fsd_transfer(code, ctx.budget):
-            return _result("refuted", {"gens": _gens(code)}, "gray image of FSD is FSD", tested)
-        tested += 1
-    # negative control: a code that is not FSD must be allowed to fail
     ring = ring_over(3)
-    control = LinearCodeR(ring, 1, [[ring.e1]])
-    if gray_fsd_transfer(control, ctx.budget):
-        return _result("refuted", {"control": "span{e1}, length 1"}, "negative control should fail", tested)
-    tested += 1
-    return _result("confirmed", "gray images of sampled FSD codes are FSD; non-FSD control rejected", "FSD transfers through the Gray map", tested)
+    for _ in ctx.each(range(40)):
+        code, _ = construction_a(ring, random_symmetric(ring, rng.randrange(1, 3), rng))
+        if not gray_fsd_transfer(code, ctx.budget):
+            raise _Refuted({"gens": _gens(code)}, "gray image of FSD is FSD")
+    # negative control: a code that is not FSD must be allowed to fail
+    if gray_fsd_transfer(LinearCodeR(ring, 1, [[ring.e1]]), ctx.budget):
+        raise _Refuted({"control": "span{e1}, length 1"}, "negative control should fail")
+    ctx.tested += 1
+    return "confirmed", "gray images of sampled FSD codes are FSD; non-FSD control rejected", "FSD transfers through the Gray map", ""
 
 
+@_claim("lem19-direct-product", "Lemma 19", "fsd")
 def _claim_lem19(ctx):
     rng = ctx.rng("lem19")
-    tested = 0
-    for _ in range(25):
-        ring = ring_over(3)
+    ring = ring_over(3)
+    for _ in ctx.each(range(25)):
         c1, _ = construction_a(ring, random_symmetric(ring, 1, rng))
         c2, _ = construction_b(ring, random_circulant(ring, rng.randrange(1, 3), rng))
         prod = direct_product(c1, c2)
         l1 = wenum.lee_enumerator(c1, ctx.budget)
         l2 = wenum.lee_enumerator(c2, ctx.budget)
-        lp = wenum.lee_enumerator(prod, ctx.budget)
-        if lp.counts != wenum.product_counts(l1.counts, l2.counts):
-            return _result("refuted", {"gens": _gens(prod)}, "enumerator product law", tested)
+        if wenum.lee_enumerator(prod, ctx.budget).counts != wenum.product_counts(l1.counts, l2.counts):
+            raise _Refuted({"gens": _gens(prod)}, "enumerator product law")
         if prod.dual() != direct_product(c1.dual(), c2.dual()):
-            return _result("refuted", {"gens": _gens(prod)}, "(C1 x C2)^dual = C1^dual x C2^dual", tested)
+            raise _Refuted({"gens": _gens(prod)}, "(C1 x C2)^dual = C1^dual x C2^dual")
         if not is_formally_self_dual(prod, ctx.budget):
-            return _result("refuted", {"gens": _gens(prod)}, "product of FSD is FSD", tested)
-        tested += 1
-    return _result("confirmed", "product enumerators, product duals and FSD closure verified exactly on every pair", "direct products preserve FSD", tested)
+            raise _Refuted({"gens": _gens(prod)}, "product of FSD is FSD")
+    return "confirmed", "product enumerators, product duals and FSD closure verified exactly on every pair", "direct products preserve FSD", ""
 
 
+@_claim("thm20-odd-fsd", "Theorem 20", "fsd")
 def _claim_thm20(ctx):
     observed = {}
-    tested = 0
     for q, n in ((2, 1), (3, 1), (3, 2)):
         ring = ring_over(q)
         res = odd_fsd_search(ring, n, ctx.budget)
-        tested += res["tested"]
+        ctx.tested += res["tested"]
         entry = {"witness": res["witness"] is not None, "submodules_tested": res["tested"], "exhausted": res["exhausted"]}
         if res["witness"] is not None:
             entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
         observed[f"q={q},n={n}"] = entry
     len1_refuted = not observed["q=2,n=1"]["witness"] and not observed["q=3,n=1"]["witness"]
-    status = "refuted" if len1_refuted else "confirmed"
-    return _result(
-        status,
+    return (
+        "refuted" if len1_refuted else "confirmed",
         observed,
         "odd formally self-dual codes exist for all lengths",
-        tested,
         "at length 1 every submodule lattice was exhausted and no FSD code exists at all: "
         "|C| = |C^dual| forces |C|^2 = q^3, impossible for prime q, which breaks the "
         "induction base; odd FSD codes do exist at length 2 (witness recorded)",
@@ -660,6 +639,7 @@ def _ex13_code():
     return ring, code, witness, _repairs(ring, printed, matrix.rows)
 
 
+@_claim("ex13-symmetric", "Example 13", "examples")
 def _claim_ex13(ctx):
     ring, code, witness, repaired = _ex13_code()
     image = code.gray_image()
@@ -680,7 +660,8 @@ def _claim_ex13(ctx):
     )
     if best == 9:
         note = "matrix symmetrized from its upper triangle (entry (4,1) misprinted); published parameters reproduced"
-    return _result(status, observed, [30, 15, 9], code.size, note)
+    ctx.tested += code.size
+    return status, observed, [30, 15, 9], note
 
 
 def _ex15_code():
@@ -692,6 +673,7 @@ def _ex15_code():
     return ring, code, witness, _repairs(ring, printed, spec.rows())
 
 
+@_claim("ex15-double-circulant", "Example 15", "examples")
 def _claim_ex15(ctx):
     ring, code, witness, repaired = _ex15_code()
     image = code.gray_image()
@@ -721,7 +703,8 @@ def _claim_ex15(ctx):
     )
     if exact == 12:
         note = "matrix rebuilt as the circulant of its printed first row; published parameters reproduced"
-    return _result(status, observed, [30, 15, 12], 3 * 5**5, note)
+    ctx.tested += 3 * 5**5
+    return status, observed, [30, 15, 12], note
 
 
 def _ex17_code():
@@ -733,6 +716,7 @@ def _ex17_code():
     return ring, code, witness, _repairs(ring, printed, spec.core.rows())
 
 
+@_claim("ex17-bordered", "Example 17", "examples")
 def _claim_ex17(ctx):
     ring, code, witness, repaired = _ex17_code()
     image = code.gray_image()
@@ -754,56 +738,31 @@ def _claim_ex17(ctx):
     )
     if d == 9:
         note = "core rebuilt from its first row and alpha taken from the prose; published parameters reproduced"
-    return _result(status, observed, [24, 12, 9], code.size, note)
+    ctx.tested += code.size
+    return status, observed, [24, 12, 9], note
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-CLAIMS = (
-    ("lee-table-audit", "Lee weight case table", "gray", _claim_lee_table),
-    ("thm2-weight-preserving", "Theorem 2", "gray", _claim_thm2),
-    ("thm3-self-orthogonal", "Theorem 3", "gray", _claim_thm3),
-    ("cor4-min-weights", "Corollary 4", "gray", _claim_cor4),
-    ("lem5-dimension", "Lemma 5 (dimension)", "gray", _claim_lem5_dimension),
-    ("lem5-distance", "Lemma 5 (distance)", "gray", _claim_lem5_distance),
-    ("thm6-dual-gray-image", "Theorem 6", "gray", _claim_thm6),
-    ("cardinality-identity", "Component cardinality identity", "gray", _claim_cardinality),
-    ("thm7-1-lee-from-cwe", "Theorem 7 item 1", "enumerators", _claim_thm7_1),
-    ("thm7-2-hamming-from-cwe", "Theorem 7 item 2", "enumerators", _claim_thm7_2),
-    ("thm7-3-lee-equals-gray", "Theorem 7 item 3", "enumerators", _claim_thm7_3),
-    ("thm7-4-macwilliams", "Theorem 7 item 4", "enumerators", _claim_thm7_4),
-    ("thm8-cyclic-components", "Theorem 8", "cyclic", _claim_thm8),
-    ("cor9-cyclic-dual", "Corollary 9", "cyclic", _claim_cor9),
-    ("cor10-self-dual-cyclic", "Corollary 10", "cyclic", _claim_cor10),
-    ("thm11-cardinality", "Theorem 11", "cyclic", _claim_thm11),
-    (
-        "thm12-construction-a",
-        "Theorem 12 (construction A)",
-        "fsd",
-        _claim_construction("thm12-construction-a", construction_a, random_symmetric, "symmetric [I|A] codes are isodual, hence FSD"),
-    ),
-    (
-        "thm14-construction-b",
-        "Theorem 14 (construction B)",
-        "fsd",
-        _claim_construction("thm14-construction-b", construction_b, random_circulant, "double circulant codes are isodual, hence FSD"),
-    ),
-    (
-        "thm16-construction-c",
-        "Theorem 16 (construction C)",
-        "fsd",
-        _claim_construction("thm16-construction-c", construction_c, _random_bordered_input, "bordered circulant codes are FSD"),
-    ),
-    ("thm18-gray-fsd", "Theorem 18", "fsd", _claim_thm18),
-    ("lem19-direct-product", "Lemma 19", "fsd", _claim_lem19),
-    ("thm20-odd-fsd", "Theorem 20", "fsd", _claim_thm20),
-    ("ex13-symmetric", "Example 13", "examples", _claim_ex13),
-    ("ex15-double-circulant", "Example 15", "examples", _claim_ex15),
-    ("ex17-bordered", "Example 17", "examples", _claim_ex17),
-)
+# runner
 
 CLAIM_IDS = tuple(c[0] for c in CLAIMS)
+
+
+def _run_claim(ctx: _Ctx, fn) -> tuple:
+    """Run one checker: ``(status, observed, expected, tested, note)``.
+
+    A raised ``_Refuted`` becomes ``refuted`` with the samples that passed
+    before it; a ``VCodesError`` (e.g. over budget) becomes ``untestable``
+    with its message as the note.  Any other exception propagates.
+    """
+    ctx.tested = 0
+    try:
+        status, observed, expected, note = fn(ctx)
+    except _Refuted as exc:
+        return "refuted", exc.observed, exc.expected, ctx.tested, ""
+    except VCodesError as exc:
+        return "untestable", None, None, 0, str(exc)
+    return status, observed, expected, ctx.tested, note
 
 
 def run_verification_suite(
@@ -815,25 +774,9 @@ def run_verification_suite(
     ctx = _Ctx(seed, budget)
     report = VerificationReport(scope=scope, seed=seed)
     for claim_id, anchor, claim_scope, fn in sorted(CLAIMS, key=lambda c: c[0]):
-        if scope != "all" and claim_scope != scope:
-            continue
-        t0 = time.perf_counter()
-        try:
-            status, observed, expected, tested, note = fn(ctx)[:5]
-        except VCodesError as exc:  # e.g. over budget: record why, keep going
-            status, observed, expected, tested, note = _result("untestable", None, None, 0, str(exc))
-        entry = VerificationEntry(
-            claim_id=claim_id,
-            anchor=anchor,
-            status=status,
-            observed=observed,
-            expected=expected,
-            tested=tested,
-            note=note,
-            seconds=time.perf_counter() - t0,
-        )
-        report.entries.append(entry)
-    missing = [cid for cid, _, s, _ in CLAIMS if (scope in ("all", s)) and cid not in {e.claim_id for e in report.entries}]
-    if missing:
-        raise AssertionError(f"claims missing from report: {missing}")
+        if scope in ("all", claim_scope):
+            t0 = time.perf_counter()
+            status, observed, expected, tested, note = _run_claim(ctx, fn)
+            seconds = time.perf_counter() - t0
+            report.entries.append(VerificationEntry(claim_id, anchor, status, observed, expected, tested, note, seconds))
     return report

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -184,6 +185,15 @@ def test_verify_paper_scope_gray(tmp_path, capsys):
     assert statuses["thm2-weight-preserving"] == "confirmed"
     assert statuses["thm6-dual-gray-image"] == "confirmed"
     assert statuses["lee-table-audit"] == "refuted"
+
+
+def test_verify_paper_text_is_reproducible_and_timed_only_on_request(capsys):
+    argv = ("verify-paper", "--scope", "enumerators", "--seed", "42")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert "(60 checks)" in first[1] and not re.search(r"\d\.\d\ds\)", first[1])
+    rc, timed, _ = run(capsys, *argv, "--timings")
+    assert rc == 0 and re.search(r"\(60 checks, \d+\.\d\ds\)", timed)
 
 
 def test_verify_paper_over_budget_claim_is_untestable(capsys):

@@ -61,6 +61,12 @@ def test_zero_code_enumerates_single_word():
     assert words_of(LinearCodeR.zero_code(R3, 3)) == {(0, 0, 0)}
 
 
+def test_length_zero_code_enumerates_the_empty_word():
+    for code in (LinearCodeR.zero_code(R2, 0), LinearCodeR.full_space(R3, 0)):
+        assert code.codewords().shape == (1, 0)
+        assert list(code.iter_codewords()) == [()]
+
+
 def test_iter_codewords_streams_each_exactly_once():
     code = LinearCodeR(R3, 2, [[1, R3.q]])
     seen = list(code.iter_codewords())

@@ -1,3 +1,4 @@
+import ast
 import collections
 import json
 from pathlib import Path
@@ -165,6 +166,11 @@ def _gray_words_are_zero(monkeypatch):
     monkeypatch.setattr(LinearCodeR, "gray_words", lambda code, rows: np.zeros((len(rows), 3 * code.n), dtype=np.int64))
 
 
+def _fq_codewords_drop_last(monkeypatch):
+    codewords = LinearCodeFq.codewords
+    monkeypatch.setattr(LinearCodeFq, "codewords", lambda code, budget=DEFAULT_BUDGET: codewords(code, budget)[:-1])
+
+
 def _gray_is_printed_projections(monkeypatch):
     monkeypatch.setattr(ringcode, "GRAY", PROJECTIONS)
 
@@ -249,10 +255,12 @@ FAULTS = [
     (_lee_table_entry_off, "thm7-3-lee-equals-gray", 5, "Lee_C = Ham_gray(C)", None),
     (_gray_table_entry_flipped, "thm2-weight-preserving", 18, "gray additive", None),
     (_gray_words_are_zero, "thm2-weight-preserving", 16578, "w_L = w_H(gray)", "vector"),
+    (_gray_words_are_zero, "thm6-dual-gray-image", 1, "set equality", None),
+    (_fq_codewords_drop_last, "thm6-dual-gray-image", 0, "set equality", None),
     (_gray_is_printed_projections, "thm3-self-orthogonal", 0, "gray image self-orthogonal", None),
     (_fq_distance_off_by_one, "cor4-min-weights", 0, "d_L(C) = d_H(gray(C))", None),
     (_evaluation_is_printed_projections, "lem5-dimension", 2, "dim gray(C) = k1+k2+k3", None),
-    (_evaluation_is_printed_projections, "cardinality-identity", 1, "|C| = |C1||C2||C3|", None),
+    (_evaluation_is_printed_projections, "cardinality-identity", 0, "|C| = |C1||C2||C3|", None),
     (_specialize_shifts_keys, "thm7-1-lee-from-cwe", 0, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", None),
     (_specialize_shifts_keys, "thm7-2-hamming-from-cwe", 0, "cwe(X, Y, ..., Y) = Ham", None),
     (_specialize_reads_swe_as_hamming, "thm7-1-lee-from-cwe", 0, "swe specialization = Lee", None),
@@ -284,7 +292,37 @@ def _strings(obj) -> set:
 def test_injected_fault_refutes_its_claim(monkeypatch, fault, claim_id, tested, expected, mark):
     fault(monkeypatch)
     claim = next(fn for cid, _, _, fn in CLAIMS if cid == claim_id)
-    status, observed, got_expected, count = claim(verify._Ctx(42, DEFAULT_BUDGET))[:4]
+    status, observed, got_expected, count, _ = verify._run_claim(verify._Ctx(42, DEFAULT_BUDGET), claim)
     assert (status, count, got_expected) == ("refuted", tested, expected)
     assert observed is not None
     assert mark is None or mark in _strings(observed)
+
+
+def _refutation_sites(node, owner=None):
+    """(innermost function, expected literal or None, observed string constants) of each ``raise _Refuted``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _refutation_sites(child, child.name)
+        elif isinstance(child, ast.Raise) and getattr(child.exc, "func", None) and getattr(child.exc.func, "id", "") == "_Refuted":
+            observed, expected = child.exc.args
+            literal = expected.value if isinstance(expected, ast.Constant) else None
+            strings = {c.value for c in ast.walk(observed) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            yield owner, literal, frozenset(strings)
+        else:
+            yield from _refutation_sites(child, owner)
+
+
+def test_every_refutation_check_is_reached_by_a_fault():
+    sites = list(_refutation_sites(ast.parse(Path(verify.__file__).read_text())))
+    assert sites and len(set(sites)) == len(sites)
+    checker = {cid: fn.__name__ for cid, _, _, fn in CLAIMS}
+    reached = set()
+    for fault, claim_id, _, expected, mark in FAULTS:
+        hits = [
+            site
+            for site in sites
+            if site[0] == checker[claim_id] and site[1] in (None, expected) and (mark is None or mark in site[2])
+        ]
+        assert len(hits) <= 1, (fault.__name__, claim_id, hits)  # a row names exactly one check
+        reached.update(hits)
+    assert [site for site in sites if site not in reached] == []
