@@ -203,12 +203,12 @@ def _brute_force_dual_is_the_code(monkeypatch):
     monkeypatch.setattr(LinearCodeR, "brute_force_dual", lambda code, budget=DEFAULT_BUDGET: code)
 
 
-def _is_cyclic_r_always(value):
-    def fault(monkeypatch):
-        monkeypatch.setattr(verify, "is_cyclic_r", lambda code: value)
+def _is_cyclic_r_false(monkeypatch):
+    monkeypatch.setattr(verify, "is_cyclic_r", lambda code: False)
 
-    fault.__name__ = f"_is_cyclic_r_is_{value}"
-    return fault
+
+def _is_cyclic_r_true(monkeypatch):
+    monkeypatch.setattr(verify, "is_cyclic_r", lambda code: True)
 
 
 def _fq_is_cyclic_false(monkeypatch):
@@ -220,12 +220,12 @@ def _search_finds_no_witness(monkeypatch):
     monkeypatch.setattr(verify, "self_dual_cyclic_search", lambda ring, n: {**search(ring, n), "witness": None})
 
 
-def _gray_fsd_transfer_always(value):
-    def fault(monkeypatch):
-        monkeypatch.setattr(verify, "gray_fsd_transfer", lambda code, budget=DEFAULT_BUDGET: value)
+def _gray_fsd_transfer_false(monkeypatch):
+    monkeypatch.setattr(verify, "gray_fsd_transfer", lambda code, budget=DEFAULT_BUDGET: False)
 
-    fault.__name__ = f"_gray_fsd_transfer_is_{value}"
-    return fault
+
+def _gray_fsd_transfer_true(monkeypatch):
+    monkeypatch.setattr(verify, "gray_fsd_transfer", lambda code, budget=DEFAULT_BUDGET: True)
 
 
 def _direct_product_zeroes_c2(monkeypatch):
@@ -265,12 +265,12 @@ FAULTS = [
     (_specialize_shifts_keys, "thm7-2-hamming-from-cwe", 0, "cwe(X, Y, ..., Y) = Ham", None),
     (_specialize_reads_swe_as_hamming, "thm7-1-lee-from-cwe", 0, "swe specialization = Lee", None),
     (_brute_force_dual_is_the_code, "thm7-4-macwilliams", 1, "corrected transform matches dual", None),
-    (_is_cyclic_r_always(False), "thm8-cyclic-components", 0, "triple codes are cyclic", None),
-    (_is_cyclic_r_always(True), "thm8-cyclic-components", 640, "negative control", None),
+    (_is_cyclic_r_false, "thm8-cyclic-components", 0, "triple codes are cyclic", None),
+    (_is_cyclic_r_true, "thm8-cyclic-components", 640, "negative control", None),
     (_fq_is_cyclic_false, "thm8-cyclic-components", 0, "components of cyclic codes are cyclic", None),
     (_search_finds_no_witness, "cor10-self-dual-cyclic", 741, "self-dual cyclic codes exist iff q is a power of 2 and n is even", None),
-    (_gray_fsd_transfer_always(False), "thm18-gray-fsd", 0, "gray image of FSD is FSD", None),
-    (_gray_fsd_transfer_always(True), "thm18-gray-fsd", 40, "negative control should fail", None),
+    (_gray_fsd_transfer_false, "thm18-gray-fsd", 0, "gray image of FSD is FSD", None),
+    (_gray_fsd_transfer_true, "thm18-gray-fsd", 40, "negative control should fail", None),
     (_direct_product_zeroes_c2, "lem19-direct-product", 0, "enumerator product law", None),
     (_fsd_check_false, "lem19-direct-product", 0, "product of FSD is FSD", None),
     (_fsd_check_false, "thm12-construction-a", 0, "symmetric [I|A] codes are isodual, hence FSD", "enumerator"),
@@ -303,7 +303,7 @@ def _refutation_sites(node, owner=None):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef):
             yield from _refutation_sites(child, child.name)
-        elif isinstance(child, ast.Raise) and getattr(child.exc, "func", None) and getattr(child.exc.func, "id", "") == "_Refuted":
+        elif isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and getattr(child.exc.func, "id", None) == "_Refuted":
             observed, expected = child.exc.args
             literal = expected.value if isinstance(expected, ast.Constant) else None
             strings = {c.value for c in ast.walk(observed) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
