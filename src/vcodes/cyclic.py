@@ -12,6 +12,7 @@ by exhaustive ideal enumeration instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -33,10 +34,7 @@ class CyclicSpecR:
     f3: Poly
 
     def __post_init__(self):
-        xn1 = Poly.xn_minus_1(self.f1.field, self.n)
-        for f in (self.f1, self.f2, self.f3):
-            if f.is_zero() or not f.divides(xn1):
-                raise NotADivisor(f"{f} does not divide x^{self.n}-1")
+        _check_divisors(self.n, (self.f1, self.f2, self.f3))
 
     @property
     def degree_sum(self) -> int:
@@ -44,6 +42,14 @@ class CyclicSpecR:
 
     def size_formula(self, q: int) -> int:
         return q ** (3 * self.n - self.degree_sum)
+
+
+def _check_divisors(n: int, polys) -> None:
+    """Raise NotADivisor unless every one of the (nonempty) ``polys`` divides x^n - 1."""
+    xn1 = Poly.xn_minus_1(polys[0].field, n)
+    for f in polys:
+        if f.is_zero() or not f.divides(xn1):
+            raise NotADivisor(f"{f} does not divide x^{n}-1")
 
 
 def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> LinearCodeR:
@@ -81,13 +87,14 @@ def all_divisor_triples(ring: Ring, n: int):
     divisors = monic_divisors_of_xn_minus_1(ring.field, n)
     if len(divisors) ** 3 > DIVISOR_CAP**2:
         raise SearchSpaceTooLarge(f"{len(divisors)}^3 divisor triples")
-    for f1 in divisors:
-        for f2 in divisors:
-            for f3 in divisors:
-                yield CyclicSpecR(n, f1, f2, f3)
+    _check_divisors(n, divisors)
+    for f1, f2, f3 in product(divisors, repeat=3):
+        spec = CyclicSpecR.__new__(CyclicSpecR)
+        spec.__dict__.update(n=n, f1=f1, f2=f2, f3=f3)  # each divisor was checked once above
+        yield spec
 
 
-def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
+def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
     """Exhaustive search for a self-dual cyclic code of length n over R.
 
     Odd q: every cyclic code is a divisor triple in idempotent mode, so the
@@ -95,16 +102,19 @@ def self_dual_cyclic_search(ring: Ring, n: int) -> dict:
     walked (tiny n only) as RREF F_q bases, and the basis of each half-size
     ideal is compared with the basis of its dual, the F_q kernel that
     ``LinearCodeR.dual`` computes for every q.  A witness is generated by
-    all its members, in encoded order.
+    all its members, in encoded order.  ``build(ring, spec, mode)`` makes
+    each odd-q code, ``cyclic_code_r`` when None; a caller that builds the
+    same triples again passes its own memo.
     Returns {"witness": ..., "exhausted": bool, "tested": count}.
     """
     tested = 0
     if ring.q % 2 == 1:
+        build = build or cyclic_code_r
         for spec in all_divisor_triples(ring, n):
             tested += 1
             if 2 * spec.degree_sum != 3 * n:
                 continue  # |C| can only match |C^dual| at the half size
-            code = cyclic_code_r(ring, spec, "idempotent")
+            code = build(ring, spec, "idempotent")
             if code == code.dual():
                 return {"witness": spec, "exhausted": True, "tested": tested}
         return {"witness": None, "exhausted": True, "tested": tested}

@@ -9,15 +9,17 @@ batched joins and for tall matrices such as the brute-force dual's chunks of
 words.
 The exact minimum distance comes from the Brouwer-Zimmermann algorithm over
 several information sets, which certifies every codeword while enumerating
-only low-weight messages.  Weight distributions come from full message-space
-enumeration, which is also the oracle the distance is tested against.  It
-splits the generator into high and low rows: the low rows' words are
-tabulated once, at most ``_CHUNK_ROWS`` of them, and each chunk adds a block
-of high words to that half table, so memory does not grow with the
-dimension.  Words come in message order, in the narrowest signed dtype that
-holds GF(q) (int8 up to q = 128), and digit sums are reduced by subtracting
-q instead of ``% q``.  Both stop with SearchSpaceTooLarge past a codeword
-budget.
+only low-weight messages.  Full message-space enumeration, the oracle the
+distance is tested against, splits the generator into high and low rows:
+the low rows' words are tabulated once, at most ``_CHUNK_ROWS`` of them,
+and each chunk adds a block of high words to that half table, so memory
+does not grow with the dimension.  Words come in message order, in the
+narrowest signed dtype that holds GF(q) (int8 up to q = 128), and digit
+sums are reduced by subtracting q instead of ``% q``.  Weight distributions
+(``span_weight_counts``) split the same way but never form a word: the
+zero coordinates of high - low are the coordinates where high = low, so
+one float32 product of one-hot encoded halves counts them for a whole block.
+All three stop with SearchSpaceTooLarge past a codeword budget.
 """
 
 from __future__ import annotations
@@ -146,6 +148,54 @@ def _span_table(rows: np.ndarray, q: int, dtype: np.dtype) -> np.ndarray:
     return table
 
 
+def _table_rows(q: int, k: int, limit: int) -> int:
+    """The most of k rows whose q^rows words number at most ``limit``."""
+    return max((rows for rows in range(1, k + 1) if q**rows <= limit), default=0)
+
+
+def _span_halves(basis: np.ndarray, q: int, k2: int, dtype: np.dtype, budget: int):
+    """The q^k2 words of the last k2 of k independent ``basis`` rows, as
+    ``dtype`` in message order, and an iterator over blocks of at most
+    ``_CHUNK_ROWS // q^k2`` words of the first k - k2 rows: message
+    i*q^k2 + j is high word i plus low word j."""
+    size = q ** len(basis)
+    if size > budget:
+        raise SearchSpaceTooLarge(f"{size} codewords exceeds budget {budget}")
+    k1 = len(basis) - k2
+    low = _span_table(basis[k1:], q, dtype)
+    step = _CHUNK_ROWS // len(low)
+    highs = (
+        ((_messages(q, k1, start, min(start + step, q**k1)) @ basis[:k1]) % q).astype(dtype)
+        for start in range(0, q**k1, step)
+    )
+    return low, highs
+
+
+def span_weight_counts(basis: np.ndarray, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Entry w counts the words of weight w in the GF(q) span of k
+    independent rows of length N.
+
+    No word is formed: high - low has weight N - #{c : high_c = low_c}, so a
+    block of one-hot encoded high words, (block, N*q) float32, times the
+    one-hot low table counts the zeros of every pair, exactly while
+    N < 2^24.  As low runs over a subspace, high - low runs over the words
+    high + low.  The table takes at most ceil(k/2) rows and _CHUNK_ROWS / 16
+    words, so a block holds 16 or more high words: one or two would run as
+    a matrix-vector product, several times slower a word.
+    """
+    k, n = basis.shape
+    _, unsigned = _word_dtypes(q)
+    k2 = _table_rows(q, (k + 1) // 2, _CHUNK_ROWS // 16)
+    low, highs = _span_halves(basis, q, k2, unsigned, budget)
+    one_hot = np.eye(q, dtype=np.float32)
+    low_hot = one_hot[low].reshape(len(low), n * q)
+    zeros = np.zeros(n + 1, dtype=np.int64)  # entry z counts the words with z zero coordinates
+    for high in highs:
+        matches = one_hot[high].reshape(len(high), n * q) @ low_hot.T
+        zeros += np.bincount(matches.astype(np.intp).ravel(), minlength=n + 1)
+    return zeros[::-1]
+
+
 def _information_sets(gen: np.ndarray, q: int) -> list[tuple[np.ndarray, int]]:
     """Greedy information sets of a full-rank generator.
 
@@ -267,21 +317,12 @@ class LinearCodeFq:
         high word i plus low word j.  Words come in the signed dtype of
         ``_word_dtypes(q)``.
         """
-        q, n = self.field.q, self.n
-        if self.size > budget:
-            raise SearchSpaceTooLarge(f"{self.size} codewords exceeds budget {budget}")
-        k2 = 0
-        while k2 < self.k and q ** (k2 + 1) <= _CHUNK_ROWS:
-            k2 += 1
-        k1 = self.k - k2
+        q = self.field.q
         dtype, unsigned = _word_dtypes(q)
-        low = _span_table(self.gen[k1:], q, unsigned)
-        step = _CHUNK_ROWS // len(low)
-        for start in range(0, q**k1, step):
-            msgs = _messages(q, k1, start, min(start + step, q**k1))
-            high = ((msgs @ self.gen[:k1]) % q).astype(unsigned)
+        low, highs = _span_halves(self.gen, q, _table_rows(q, self.k, _CHUNK_ROWS), unsigned, budget)
+        for high in highs:
             words = _add_mod(high[:, None, :], low[None, :, :], q)
-            yield words.reshape(len(high) * len(low), n).view(dtype)
+            yield words.reshape(len(high) * len(low), self.n).view(dtype)
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         return np.concatenate(list(self.codeword_chunks(budget)), axis=0)
@@ -345,11 +386,8 @@ class LinearCodeFq:
         return upper, minimum
 
     def weight_counts(self, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for words in self.codeword_chunks(budget):
-            w = np.count_nonzero(words, axis=1)
-            counts += np.bincount(w, minlength=self.n + 1)
-        return {i: int(c) for i, c in enumerate(counts) if c}
+        counts = span_weight_counts(self.gen, self.field.q, budget)
+        return {w: c for w, c in enumerate(counts.tolist()) if c}
 
     def is_cyclic(self) -> bool:
         """True iff the row space is closed under one cyclic right shift."""

@@ -205,10 +205,17 @@ class LinearCodeR:
         """Literal projections a, a+b, a+b+c of the printed definition."""
         return self._components(PROJECTIONS, "paper-literal")
 
+    def gray_basis(self) -> np.ndarray:
+        """Psi of each flattened basis row, as (dim_fq, 3n) field rows.
+
+        Psi is bijective on each symbol, so these rows are independent and
+        span Psi(C) without another row reduction.
+        """
+        return _map_symbols(self.ring.q, GRAY, self.flat.gen).reshape(self.dim_fq, 3 * self.n)
+
     def gray_image(self) -> LinearCodeFq:
         """The F_q code Psi(C) of length 3n, blocks (a0 | a0+a2 | a1)."""
-        gray = _map_symbols(self.ring.q, GRAY, self.flat.gen)
-        return LinearCodeFq(self.ring.field, 3 * self.n, gray)
+        return LinearCodeFq(self.ring.field, 3 * self.n, self.gray_basis())
 
     def minimum_lee_words(self, budget: int = DEFAULT_BUDGET) -> tuple[int, np.ndarray]:
         """Minimum Lee weight d and every codeword of weight d.

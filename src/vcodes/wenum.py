@@ -2,11 +2,17 @@
 
 One ``WeightEnumerator`` class holds all four kinds: the Lee and Hamming
 enumerators, the symmetrized enumerator (swe) and the complete enumerator
-(cwe).  Each is a sparse integer map from a key to a codeword count;
-nothing here is floating point.  Lee and Hamming are built by one bincount
-of per-row weights, swe and cwe by a 1-D unique of sorted symbol rows that
-tallies only the distinct ones, and ``specialize`` collapses swe or cwe to
-Lee or Hamming through the Lee weight of each tally slot.  The MacWilliams
+(cwe).  Each is a sparse integer map from a key to a codeword count.
+The Lee enumerator is the Hamming enumerator of the Gray image (Theorem 7
+item 3), counted by ``fieldcode.span_weight_counts`` from the Gray images of
+the flattened basis without forming a word; its float32 products are
+exact, so every count is an integer.  The element-space tally
+``lee_enumerator_by_table`` sums ``lee_table`` over every codeword instead:
+it is the independent side of that theorem's check and the oracle the Gray
+count is tested against.  Hamming is one bincount of per-row weights, swe
+and cwe a 1-D unique of sorted symbol rows that tallies only the distinct
+ones, and ``specialize`` collapses swe or cwe to Lee or Hamming through the
+Lee weight of each tally slot.  The MacWilliams
 step checks the enumerator's total against |C|, divides by |C| with an
 exact integrality check and raises instead of rounding.
 
@@ -30,6 +36,7 @@ from operator import mul
 
 import numpy as np
 
+from . import fieldcode  # a module binding: fieldcode imports this module too
 from .errors import DEFAULT_BUDGET, TransformInconsistent
 from .ring import ring_over
 
@@ -61,7 +68,8 @@ class WeightEnumerator:
     kind for codes over GF(q).
 
     Keys (ints, or tuples of ints) and counts must be Python ints, not numpy
-    scalars: they are stored as given, and zero counts are dropped.
+    scalars: they are stored as given, and zero counts are dropped.  A
+    counts dict without a zero count is kept itself, not copied.
     """
 
     def __init__(self, kind: str, n: int, q: int, counts: dict):
@@ -70,7 +78,7 @@ class WeightEnumerator:
         self.kind = kind
         self.n = n
         self.q = q
-        self.counts = {k: c for k, c in counts.items() if c}
+        self.counts = counts if all(counts.values()) else {k: c for k, c in counts.items() if c}
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -127,7 +135,14 @@ def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, slots: int, budget
 
 
 def lee_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
-    """Exact Lee distribution by enumerating the code over R."""
+    """Exact Lee distribution, as the Hamming weight counts of the Gray image
+    spanned by ``code.gray_basis()``."""
+    counts = fieldcode.span_weight_counts(code.gray_basis(), code.ring.q, budget)
+    return WeightEnumerator("lee", code.n, code.ring.q, dict(enumerate(counts.tolist())))
+
+
+def lee_enumerator_by_table(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    """Exact Lee distribution by summing ``lee_table`` over every codeword over R."""
     return _count_by_weight("lee", code, lambda rows: code.ring.lee_table[rows].sum(axis=1), budget)
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from vcodes.cyclic import (
     self_dual_cyclic_search,
 )
 from vcodes.errors import CharacteristicTwoUnsupported, NotADivisor
-from vcodes.gf import Poly, parse_poly
+from vcodes.gf import Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 
@@ -43,6 +44,21 @@ def test_spec_example_size_81():
 def test_spec_rejects_non_divisors():
     with pytest.raises(NotADivisor):
         spec3(3, "x+1", "1", "1")  # x^3-1 = (x-1)^3 over GF(3)
+
+
+def test_divisor_triples_check_each_divisor_once(monkeypatch):
+    checked = []
+    divides = Poly.divides
+    monkeypatch.setattr(Poly, "divides", lambda f, g: checked.append(f) or divides(f, g))
+    divisors = monic_divisors_of_xn_minus_1(F3, 4)
+    factoring = len(checked)  # the factorization's own trial divisions
+    checked.clear()
+    specs = list(all_divisor_triples(R3, 4))
+    assert checked[factoring:] == divisors  # not three checks per triple
+    checked.clear()
+    assert specs == [CyclicSpecR(4, *fs) for fs in product(divisors, repeat=3)]
+    assert len(checked) == 3 * len(specs)  # a spec built directly checks its own divisors
+    assert len({hash(s) for s in specs}) == len(specs)
 
 
 def test_is_cyclic_examples():

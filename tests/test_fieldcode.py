@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge
 from vcodes.gf import GF, Poly, monic_divisors_of_xn_minus_1, parse_poly
+from vcodes import fieldcode
 from vcodes.fieldcode import (
     _CHUNK_ROWS,
     LinearCodeFq,
@@ -20,6 +21,7 @@ from vcodes.fieldcode import (
     rref_stack,
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
+    span_weight_counts,
 )
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, _unflatten
@@ -325,9 +327,9 @@ _CHUNK_ORACLE_K = {2: 16, 3: 10, 5: 7, 7: 6, 131: 2}
 
 
 @st.composite
-def codes_of_dimension(draw):
-    q = draw(st.sampled_from(sorted(_CHUNK_ORACLE_K)))
-    k = draw(st.integers(0, _CHUNK_ORACLE_K[q]))
+def codes_of_dimension(draw, max_k=_CHUNK_ORACLE_K):
+    q = draw(st.sampled_from(sorted(max_k)))
+    k = draw(st.integers(0, max_k[q]))
     n = k + draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # an identity block makes the rank k; shuffled columns move the pivots
@@ -366,6 +368,43 @@ def test_ring_codeword_chunks_match_the_int64_oracle_at_q7(n, rows, seed):
     chunks = list(code.codeword_chunks())
     assert all(len(chunk) <= _CHUNK_ROWS for chunk in chunks)
     assert np.array_equal(np.concatenate(chunks), _unflatten(ring.q, _oracle_words(code.flat)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(codes_of_dimension({2: 9, 3: 6, 5: 4, 7: 3}))
+def test_span_weight_counts_match_per_word_weights(code):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldcode, "_CHUNK_ROWS", 128)  # tables of at most 128 / 16 = 8 words, several blocks against each
+        got = span_weight_counts(code.gen, code.field.q)
+        want = np.zeros(code.n + 1, dtype=np.int64)
+        for words in code.codeword_chunks():
+            want += np.bincount(np.count_nonzero(words, axis=1), minlength=code.n + 1)
+    assert np.array_equal(got, want)
+
+
+def test_span_weight_counts_at_the_edges():
+    for q in (2, 3, 5, 7):
+        assert span_weight_counts(np.zeros((0, 0), dtype=np.int64), q).tolist() == [1]  # n = 0: the empty word
+        assert span_weight_counts(np.zeros((0, 3), dtype=np.int64), q).tolist() == [1, 0, 0, 0]
+        assert span_weight_counts(np.eye(2, dtype=np.int64), q).tolist() == [1, 2 * (q - 1), (q - 1) ** 2]
+    with pytest.raises(SearchSpaceTooLarge, match="27 codewords exceeds budget 26"):
+        span_weight_counts(np.eye(3, dtype=np.int64), 3, budget=26)
+
+
+def test_weight_counts_peak_memory():
+    # q = 3, k = 12, n = 20: 531,441 words, 33 times _CHUNK_ROWS
+    rng = np.random.default_rng(5)
+    code = LinearCodeFq(F3, 20, np.concatenate([np.eye(12, dtype=np.int64), rng.integers(0, 3, (12, 8))], axis=1))
+    tracemalloc.start()
+    try:
+        counts = code.weight_counts()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == code.size
+    # forming every word in chunks and counting its nonzeros peaked at 1.03 MB;
+    # matching the two one-hot half tables peaks at 0.39 MB
+    assert peak < 1.0e6
 
 
 def test_codeword_chunks_memory_does_not_grow_with_k():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcodes import ringcode, verify, wenum
+from vcodes import cyclic, ringcode, verify, wenum
 from vcodes.cyclic import CyclicSpecR
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq
@@ -118,6 +118,7 @@ def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
         return build(ring, spec, mode)
 
     monkeypatch.setattr(verify, "cyclic_code_r", counting)
+    monkeypatch.setattr(cyclic, "cyclic_code_r", counting)  # the self-dual search's own builder
     first = run_verification_suite(scope="cyclic", seed=42)
     once = dict(builds)
     assert once and max(once.values()) == 1
@@ -203,6 +204,11 @@ def _brute_force_dual_is_the_code(monkeypatch):
     monkeypatch.setattr(LinearCodeR, "brute_force_dual", lambda code, budget=DEFAULT_BUDGET: code)
 
 
+def _macwilliams_is_printed_form(monkeypatch):
+    transform = wenum.macwilliams_lee
+    monkeypatch.setattr(wenum, "macwilliams_lee", lambda enum, code_size, literal=False: transform(enum, code_size, literal=True))
+
+
 def _is_cyclic_r_false(monkeypatch):
     monkeypatch.setattr(verify, "is_cyclic_r", lambda code: False)
 
@@ -217,7 +223,7 @@ def _fq_is_cyclic_false(monkeypatch):
 
 def _search_finds_no_witness(monkeypatch):
     search = verify.self_dual_cyclic_search
-    monkeypatch.setattr(verify, "self_dual_cyclic_search", lambda ring, n: {**search(ring, n), "witness": None})
+    monkeypatch.setattr(verify, "self_dual_cyclic_search", lambda *args: {**search(*args), "witness": None})
 
 
 def _gray_fsd_transfer_false(monkeypatch):
@@ -265,6 +271,7 @@ FAULTS = [
     (_specialize_shifts_keys, "thm7-2-hamming-from-cwe", 0, "cwe(X, Y, ..., Y) = Ham", None),
     (_specialize_reads_swe_as_hamming, "thm7-1-lee-from-cwe", 0, "swe specialization = Lee", None),
     (_brute_force_dual_is_the_code, "thm7-4-macwilliams", 1, "corrected transform matches dual", None),
+    (_macwilliams_is_printed_form, "thm7-4-macwilliams", 0, "corrected transform matches dual", None),
     (_is_cyclic_r_false, "thm8-cyclic-components", 0, "triple codes are cyclic", None),
     (_is_cyclic_r_true, "thm8-cyclic-components", 640, "negative control", None),
     (_fq_is_cyclic_false, "thm8-cyclic-components", 0, "components of cyclic codes are cyclic", None),

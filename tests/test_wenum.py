@@ -89,6 +89,12 @@ def _tally_by_unique_rows(code, symbol_slot, slots):
 _TALLY_ORACLE_ROWS = {2: 3, 3: 2, 5: 1, 7: 1}  # generator rows: at most 729 words
 
 
+def test_zero_counts_are_dropped_and_zero_free_counts_kept():
+    counts = {0: 1, 2: 3}
+    assert wenum.WeightEnumerator("lee", 1, 2, counts).counts is counts  # no copy without a zero
+    assert wenum.WeightEnumerator("lee", 1, 2, {0: 1, 1: 0, 2: 3}).counts == counts
+
+
 @st.composite
 def small_codes(draw):
     q = draw(st.sampled_from(sorted(_TALLY_ORACLE_ROWS)))
@@ -239,9 +245,13 @@ def test_macwilliams_total_mismatch_rejected():
 def test_lee_equals_gray_image_hamming():
     rng = random.Random(64)
     for _ in range(30):
-        q = rng.choice([2, 3])
-        code = random_code_r(ring_over(q), rng.randrange(1, 4), rng)
-        assert wenum.lee_enumerator(code).counts == code.gray_image().weight_counts()
+        q = rng.choice([2, 3, 5])
+        code = random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng)
+        oracle = wenum.lee_enumerator_by_table(code).counts  # lee_table summed over element-index words
+        assert wenum.lee_enumerator(code).counts == oracle == code.gray_image().weight_counts()
+    for q in (2, 3):  # the zero code and a length-0 code hold only the zero word
+        assert wenum.lee_enumerator(LinearCodeR.zero_code(ring_over(q), 2)).counts == {0: 1}
+        assert wenum.lee_enumerator(LinearCodeR.zero_code(ring_over(q), 0)).counts == {0: 1}
 
 
 def test_serialization_roundtrip():
