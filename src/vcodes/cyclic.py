@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
-from .fieldcode import cyclic_code_fq, cyclic_dual_generator
+from .fieldcode import _shift_code, cyclic_dual_generator
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
 from .ringcode import ComponentTriple, LinearCodeR, combine_components
@@ -35,6 +35,13 @@ class CyclicSpecR:
 
     def __post_init__(self):
         _check_divisors(self.n, (self.f1, self.f2, self.f3))
+
+    @classmethod
+    def _checked(cls, n: int, f1: Poly, f2: Poly, f3: Poly) -> "CyclicSpecR":
+        """A spec whose divisors the caller has already checked."""
+        spec = cls.__new__(cls)
+        spec.__dict__.update(n=n, f1=f1, f2=f2, f3=f3)
+        return spec
 
     @property
     def degree_sum(self) -> int:
@@ -55,9 +62,9 @@ def _check_divisors(n: int, polys) -> None:
 def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> LinearCodeR:
     """Combine the three field cyclic codes into an R-code."""
     triple = ComponentTriple(
-        cyclic_code_fq(spec.f1, spec.n),
-        cyclic_code_fq(spec.f2, spec.n),
-        cyclic_code_fq(spec.f3, spec.n),
+        _shift_code(spec.f1, spec.n),  # a spec's divisors are checked when it is made
+        _shift_code(spec.f2, spec.n),
+        _shift_code(spec.f3, spec.n),
         "crt" if mode == "idempotent" else "paper-literal",
     )
     return combine_components(ring, triple, mode)
@@ -73,7 +80,7 @@ def is_cyclic_r(code: LinearCodeR) -> bool:
 def cyclic_dual_spec(spec: CyclicSpecR) -> CyclicSpecR:
     """The divisor triple of the componentwise dual: each fi becomes its dual generator."""
     duals = (cyclic_dual_generator(f, spec.n) for f in (spec.f1, spec.f2, spec.f3))
-    return CyclicSpecR(spec.n, *duals)
+    return CyclicSpecR._checked(spec.n, *duals)  # h* divides x^n - 1 when g does
 
 
 def cyclic_dual_r(ring: Ring, spec: CyclicSpecR) -> LinearCodeR:
@@ -88,10 +95,8 @@ def all_divisor_triples(ring: Ring, n: int):
     if len(divisors) ** 3 > DIVISOR_CAP**2:
         raise SearchSpaceTooLarge(f"{len(divisors)}^3 divisor triples")
     _check_divisors(n, divisors)
-    for f1, f2, f3 in product(divisors, repeat=3):
-        spec = CyclicSpecR.__new__(CyclicSpecR)
-        spec.__dict__.update(n=n, f1=f1, f2=f2, f3=f3)  # each divisor was checked once above
-        yield spec
+    for fs in product(divisors, repeat=3):
+        yield CyclicSpecR._checked(n, *fs)  # each divisor was checked once above
 
 
 def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:

@@ -400,14 +400,26 @@ def hamming_enumerator_fq(code: LinearCodeFq, budget: int = DEFAULT_BUDGET):
 
 def cyclic_code_fq(g: Poly, n: int) -> LinearCodeFq:
     """The cyclic code of length n generated by g, which must divide x^n - 1."""
-    field = g.field
-    if g.is_zero() or not g.divides(Poly.xn_minus_1(field, n)):
-        raise NotADivisor(f"{g} does not divide x^{n}-1 over GF({field.q})")
+    _cofactor(g, n)  # raises NotADivisor
+    return _shift_code(g, n)
+
+
+def _shift_code(g: Poly, n: int) -> LinearCodeFq:
+    """The code spanned by the n - deg g shifts of g, for a g known to divide x^n - 1."""
     k = n - g.degree
     rows = np.zeros((max(k, 0), n), dtype=np.int64)
     for i in range(k):
         rows[i, i : i + g.degree + 1] = g.coeffs
-    return LinearCodeFq.from_rows(field, n, rows)
+    return LinearCodeFq.from_rows(g.field, n, rows)
+
+
+def _cofactor(g: Poly, n: int) -> Poly:
+    """(x^n - 1)/g by one division; raises NotADivisor unless g divides x^n - 1."""
+    if not g.is_zero():
+        h, rem = divmod(Poly.xn_minus_1(g.field, n), g)
+        if rem.is_zero():
+            return h
+    raise NotADivisor(f"{g} does not divide x^{n}-1 over GF({g.field.q})")
 
 
 def cyclic_dual_generator(g: Poly, n: int) -> Poly:
@@ -415,12 +427,7 @@ def cyclic_dual_generator(g: Poly, n: int) -> Poly:
 
     Generates the dual of the cyclic code generated by g.
     """
-    field = g.field
-    xn1 = Poly.xn_minus_1(field, n)
-    if g.is_zero() or not g.divides(xn1):
-        raise NotADivisor(f"{g} does not divide x^{n}-1 over GF({field.q})")
-    h = xn1 // g
-    return h.reciprocal().monic()
+    return _cofactor(g, n).reciprocal().monic()
 
 
 def self_dual_cyclic_exists(field: GF, n: int) -> bool:

@@ -9,10 +9,12 @@ the flattened basis without forming a word; its float32 products are
 exact, so every count is an integer.  The element-space tally
 ``lee_enumerator_by_table`` sums ``lee_table`` over every codeword instead:
 it is the independent side of that theorem's check and the oracle the Gray
-count is tested against.  Hamming is one bincount of per-row weights, swe
-and cwe a 1-D unique of sorted symbol rows that tallies only the distinct
-ones, and ``specialize`` collapses swe or cwe to Lee or Hamming through the
-Lee weight of each tally slot.  The MacWilliams
+count is tested against.  Hamming is one bincount of per-row weights.  swe
+and cwe find the distinct sorted slot rows of the codewords by a 1-D unique
+and hold those rows with their multiplicities; the dict of tuple-keyed
+``counts`` is built from them only on first read.  ``total`` sums the
+multiplicities and ``specialize`` collapses swe or cwe to Lee or Hamming by
+summing the Lee weight of each row's slots.  The MacWilliams
 step checks the enumerator's total against |C|, divides by |C| with an
 exact integrality check and raises instead of rounding.
 
@@ -32,7 +34,6 @@ that identity hold symbol by symbol.
 from __future__ import annotations
 
 from math import comb
-from operator import mul
 
 import numpy as np
 
@@ -70,6 +71,14 @@ class WeightEnumerator:
     Keys (ints, or tuples of ints) and counts must be Python ints, not numpy
     scalars: they are stored as given, and zero counts are dropped.  A
     counts dict without a zero count is kept itself, not copied.
+
+    An swe or cwe enumerator of a code holds slot rows instead of a dict:
+    ``shapes``, a (T, n) int16 array whose row lists in sorted order the
+    slot of each coordinate of one tally t (slot i appears t[i] times), and
+    ``mult``, the (T,) int64 number of codewords with each tally.  ``counts``
+    is built from them on first read.  One made from a counts dict keeps it
+    and gets its slot rows from it, so ``specialize`` and ``total`` read slot
+    rows for every swe and cwe enumerator.
     """
 
     def __init__(self, kind: str, n: int, q: int, counts: dict):
@@ -78,10 +87,29 @@ class WeightEnumerator:
         self.kind = kind
         self.n = n
         self.q = q
-        self.counts = counts if all(counts.values()) else {k: c for k, c in counts.items() if c}
+        self._counts = counts if all(counts.values()) else {k: c for k, c in counts.items() if c}
+        self._rows = None if kind in _WEIGHT_KINDS else _rows_of_counts(self._counts, n, self._slots())
+
+    @classmethod
+    def _of_slot_rows(cls, kind: str, n: int, q: int, shapes: np.ndarray, mult: np.ndarray) -> "WeightEnumerator":
+        enum = cls.__new__(cls)
+        enum.kind, enum.n, enum.q = kind, n, q
+        enum._counts, enum._rows = None, (shapes, mult)
+        return enum
+
+    def _slots(self) -> int:
+        return 4 if self.kind == "swe" else self.q**3
+
+    @property
+    def counts(self) -> dict:
+        if self._counts is None:
+            self._counts = _tally_counts(*self._rows, self._slots())
+        return self._counts
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        if self._rows is not None:
+            return int(self._rows[1].sum())
+        return sum(self._counts.values())
 
     def __eq__(self, other):
         return (
@@ -101,6 +129,27 @@ class WeightEnumerator:
         }
 
 
+def _tally_counts(shapes: np.ndarray, mult: np.ndarray, slots: int) -> dict[tuple, int]:
+    """The counts dict of slot rows, keyed by each row's tally as a tuple of
+    Python ints; a bounded block of rows at a time keeps the peak down."""
+    counts: dict[tuple, int] = {}
+    for i in range(0, len(shapes), _TALLY_BLOCK):
+        block = shapes[i : i + _TALLY_BLOCK]
+        tallies = np.bincount((block + slots * np.arange(len(block))[:, None]).ravel(), minlength=len(block) * slots)
+        counts.update(zip(map(tuple, tallies.reshape(-1, slots).tolist()), mult[i : i + _TALLY_BLOCK].tolist()))
+    return counts
+
+
+def _rows_of_counts(counts: dict, n: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot rows of a counts dict: tally t becomes the row holding slot i t[i] times."""
+    tallies = np.array(list(counts), dtype=np.int64).reshape(len(counts), slots)
+    if (tallies < 0).any() or (tallies.sum(axis=1) != n).any():
+        raise ValueError(f"every tally must hold {slots} nonnegative entries summing to n = {n}")
+    slot_ids = np.tile(np.arange(slots, dtype=np.int16), len(counts))
+    shapes = np.repeat(slot_ids, tallies.ravel()).reshape(len(counts), n)
+    return shapes, np.array(list(counts.values()), dtype=np.int64)
+
+
 def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumerator:
     """Count codewords by the weight ``row_weights`` gives each row."""
     counts = np.zeros(3 * code.n + 1, dtype=np.int64)
@@ -109,12 +158,13 @@ def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumera
     return WeightEnumerator(kind, code.n, code.ring.q, dict(enumerate(counts.tolist())))
 
 
-def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, slots: int, budget: int) -> WeightEnumerator:
+def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> WeightEnumerator:
     """Count codewords by how many of their symbols a fall in slot symbol_slot[a]:
     a tally is the multiset of a word's slots, so only the distinct sorted int16
-    slot rows (q^3 <= 512) are tallied, found by a 1-D unique of their bytes."""
-    if not code.n:  # a 0-byte key view has no rows; the one empty word tallies to zero
-        return WeightEnumerator(kind, 0, code.ring.q, {(0,) * slots: code.size})
+    slot rows (q^3 <= 512) are kept, found by a 1-D unique of their bytes."""
+    if not code.n:  # a 0-byte key view has no rows; the one empty word has the empty row
+        shapes, mult = np.zeros((1, 0), dtype=np.int16), np.array([code.size], dtype=np.int64)
+        return WeightEnumerator._of_slot_rows(kind, 0, code.ring.q, shapes, mult)
     key = np.dtype((np.void, 2 * code.n))  # the bytes of one sorted row
     symbol_slot = symbol_slot.astype(np.int16)
     parts = []
@@ -126,12 +176,7 @@ def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, slots: int, budget
     _, first, inverse = np.unique(shapes.view(key).ravel(), return_index=True, return_inverse=True)
     shapes, mult = shapes[first], np.zeros(len(first), dtype=np.int64)
     np.add.at(mult, inverse, mults)  # exact int64 sums, unlike bincount weights
-    counts: dict[tuple, int] = {}
-    for i in range(0, len(shapes), _TALLY_BLOCK):  # bounded tuple conversion keeps the peak down
-        block = shapes[i : i + _TALLY_BLOCK]
-        tallies = np.bincount((block + slots * np.arange(len(block))[:, None]).ravel(), minlength=len(block) * slots)
-        counts.update(zip(map(tuple, tallies.reshape(-1, slots).tolist()), mult[i : i + _TALLY_BLOCK].tolist()))
-    return WeightEnumerator(kind, code.n, code.ring.q, counts)
+    return WeightEnumerator._of_slot_rows(kind, code.n, code.ring.q, shapes, mult)
 
 
 def lee_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
@@ -151,11 +196,11 @@ def hamming_enumerator_r(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator
 
 
 def symmetrized_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
-    return _count_by_tally("swe", code, code.ring.lee_table, 4, budget)
+    return _count_by_tally("swe", code, code.ring.lee_table, budget)
 
 
 def complete_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
-    return _count_by_tally("cwe", code, np.arange(code.ring.size), code.ring.size, budget)
+    return _count_by_tally("cwe", code, np.arange(code.ring.size), budget)
 
 
 def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
@@ -165,7 +210,8 @@ def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
     symbols of class i, slot a of a cwe tally the symbol a.  Lee substitutes
     X^(3-w) Y^w for a slot of weight w; Hamming keeps X for weight 0 and Y
     for every other slot, which is exact because the Gray map is injective,
-    so only the zero symbol has weight 0.
+    so only the zero symbol has weight 0.  A tally's weight is the sum of
+    the weights of its slot row.
     """
     if target not in ("lee", "hamming"):
         raise ValueError(f"unknown target {target!r}")
@@ -175,12 +221,12 @@ def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
         weights = ring_over(enum.q).lee_table
     else:
         raise ValueError("specialize expects a symmetrized or complete enumerator")
-    weights = (weights if target == "lee" else weights > 0).tolist()
-    out: dict[int, int] = {}
-    for tally, c in enum.counts.items():
-        w = sum(map(mul, tally, weights))
-        out[w] = out.get(w, 0) + c
-    return WeightEnumerator(target, enum.n, enum.q, out)
+    if target == "hamming":
+        weights = weights > 0
+    shapes, mult = enum._rows
+    counts = np.zeros(3 * enum.n + 1, dtype=np.int64)
+    np.add.at(counts, weights[shapes].sum(axis=1), mult)  # exact int64 sums
+    return WeightEnumerator(target, enum.n, enum.q, dict(enumerate(counts.tolist())))
 
 
 def macwilliams_counts(

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,15 @@ def test_enum_command(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj == {"counts": {"0": 1, "1": 2, "2": 1}, "kind": "lee", "n": 1}
+
+
+@pytest.mark.parametrize("kind", ["swe", "cwe"])
+def test_enum_command_tally_kinds_keep_their_json_bytes(tmp_path, capsys, kind):
+    code_file = tmp_path / "code.txt"
+    code_file.write_text("q=3 n=3\n[1,0,0] [0,1,0] [1,1,2]\n")
+    rc, out, _ = run(capsys, "enum", "--kind", kind, "--code", str(code_file), "--format", "json")
+    assert rc == 0
+    assert out == (Path(__file__).parent / "data" / f"enum_q3_{kind}.json").read_text()
 
 
 def test_dual_command_code_file(tmp_path, capsys):

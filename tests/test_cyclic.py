@@ -8,6 +8,7 @@ from vcodes.cyclic import (
     all_divisor_triples,
     cyclic_code_r,
     cyclic_dual_r,
+    cyclic_dual_spec,
     is_cyclic_r,
     self_dual_cyclic_search,
 )
@@ -59,6 +60,20 @@ def test_divisor_triples_check_each_divisor_once(monkeypatch):
     assert specs == [CyclicSpecR(4, *fs) for fs in product(divisors, repeat=3)]
     assert len(checked) == 3 * len(specs)  # a spec built directly checks its own divisors
     assert len({hash(s) for s in specs}) == len(specs)
+
+
+def test_triple_codes_and_dual_specs_trust_checked_divisors(monkeypatch):
+    specs = list(all_divisor_triples(R3, 4))
+    divisors = []
+    divide = Poly.__divmod__  # divides, % and // all divide through it
+    monkeypatch.setattr(Poly, "__divmod__", lambda f, g: divisors.append(g) or divide(f, g))
+    for spec in specs:
+        cyclic_code_r(R3, spec)
+    assert divisors == []  # a spec's divisors were checked when it was made
+    duals = [cyclic_dual_spec(spec) for spec in specs]
+    assert divisors == [f for spec in specs for f in (spec.f1, spec.f2, spec.f3)]  # one division each
+    monkeypatch.undo()
+    assert duals == [CyclicSpecR(4, d.f1, d.f2, d.f3) for d in duals]  # each still a divisor triple
 
 
 def test_is_cyclic_examples():

@@ -265,6 +265,14 @@ def test_cyclic_rejects_non_divisor():
         cyclic_code_fq(parse_poly(F3, "x+1"), 3)  # x^3-1 = (x-1)^3 over GF(3)
 
 
+@pytest.mark.parametrize("g", ["x+1", "0"])
+def test_public_cyclic_entry_points_reject_non_divisors(g):
+    with pytest.raises(NotADivisor):
+        cyclic_dual_generator(parse_poly(F3, g), 3)
+    with pytest.raises(NotADivisor):
+        cyclic_code_fq(parse_poly(F3, g), 3)
+
+
 @pytest.mark.parametrize("q,n", [(2, 4), (2, 7), (3, 4), (3, 6), (5, 4)])
 def test_cyclic_dimension_and_closure(q, n):
     field = GF(q)

@@ -200,6 +200,17 @@ def _specialize_reads_swe_as_hamming(monkeypatch):
     monkeypatch.setattr(wenum, "specialize", lambda enum, target: specialize(enum, "hamming" if enum.kind == "swe" else target))
 
 
+def _cwe_tallies_symbol_1_as_zero(monkeypatch):
+    count = wenum._count_by_tally
+
+    def misfiled(kind, code, symbol_slot, budget):
+        if kind == "cwe":  # the slot rows themselves tally symbol 1 in the zero symbol's slot
+            symbol_slot = np.where(symbol_slot == 1, 0, symbol_slot)
+        return count(kind, code, symbol_slot, budget)
+
+    monkeypatch.setattr(wenum, "_count_by_tally", misfiled)
+
+
 def _brute_force_dual_is_the_code(monkeypatch):
     monkeypatch.setattr(LinearCodeR, "brute_force_dual", lambda code, budget=DEFAULT_BUDGET: code)
 
@@ -270,6 +281,8 @@ FAULTS = [
     (_specialize_shifts_keys, "thm7-1-lee-from-cwe", 0, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", None),
     (_specialize_shifts_keys, "thm7-2-hamming-from-cwe", 0, "cwe(X, Y, ..., Y) = Ham", None),
     (_specialize_reads_swe_as_hamming, "thm7-1-lee-from-cwe", 0, "swe specialization = Lee", None),
+    (_cwe_tallies_symbol_1_as_zero, "thm7-1-lee-from-cwe", 0, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee", None),
+    (_cwe_tallies_symbol_1_as_zero, "thm7-2-hamming-from-cwe", 3, "cwe(X, Y, ..., Y) = Ham", None),
     (_brute_force_dual_is_the_code, "thm7-4-macwilliams", 1, "corrected transform matches dual", None),
     (_macwilliams_is_printed_form, "thm7-4-macwilliams", 0, "corrected transform matches dual", None),
     (_is_cyclic_r_false, "thm8-cyclic-components", 0, "triple codes are cyclic", None),

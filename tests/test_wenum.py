@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vcodes import wenum
 
 R2 = ring_over(2)
 R3 = ring_over(3)
+R5 = ring_over(5)
 
 
 def test_lee_enumerator_examples():
@@ -119,19 +121,100 @@ def test_tallies_match_the_unique_rows_oracle_across_chunks(code):
             assert all(type(c) is int and all(type(x) is int for x in t) for t, c in got.items())
 
 
-def test_complete_enumerator_peak_memory():
-    # q = 3, n = 5, F_q-dimension 9: 19,683 words in two chunks, 16,332 distinct tallies
-    code = LinearCodeR(R3, 5, [[1, 0, 0, 5, 22], [0, 1, 0, 13, 7], [0, 0, 1, 19, 11]])
+def _traced_peak(work):
     tracemalloc.start()
     try:
-        cwe = wenum.complete_enumerator(code)
+        out = work()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cwe.total() == 19683 and len(cwe.counts) == 16332
+    return out, peak
+
+
+def test_complete_enumerator_peak_memory():
+    # q = 3, n = 5, F_q-dimension 9: 19,683 words in two chunks, 16,332 distinct tallies
+    code = LinearCodeR(R3, 5, [[1, 0, 0, 5, 22], [0, 1, 0, 13, 7], [0, 0, 1, 19, 11]])
+
+    def tuple_keys():
+        cwe = wenum.complete_enumerator(code)
+        return cwe.total(), len(cwe.counts)  # counts builds the tuple keys, a block at a time
+
+    (total, distinct), peak = _traced_peak(tuple_keys)
+    assert total == 19683 and distinct == 16332
     # 10.7 MB was the peak of the per-chunk 2-D unique kernel; turning every
     # distinct tally into a tuple at once peaks at 14.6 MB
     assert peak < 10.7e6
+
+
+def test_complete_enumerator_specializes_and_totals_in_little_memory():
+    # q = 5, n = 4, F_q-dimension 6: 15,625 words and 15,581 distinct 125-slot
+    # tallies, whose tuple keys alone peak at 24.7 MB; their slot rows take 0.25 MB
+    code = LinearCodeR(R5, 4, [[1, 0, 7, 93], [0, 1, 58, 31]])
+
+    def slot_rows_only():
+        cwe = wenum.complete_enumerator(code)
+        return wenum.specialize(cwe, "lee"), cwe.total()
+
+    (lee, total), peak = _traced_peak(slot_rows_only)
+    assert total == 15625 and lee == wenum.lee_enumerator(code)
+    assert peak < 4e6  # 2.9 MB measured, most of it the enumeration's chunks
+
+
+def _specialize_by_tally(enum, target):
+    """Oracle: substitute the weight of each slot into every tally, one tuple at a time."""
+    weights = np.arange(4) if enum.kind == "swe" else ring_over(enum.q).lee_table
+    weights = (weights if target == "lee" else weights > 0).tolist()
+    out = {}
+    for tally, c in enum.counts.items():
+        w = sum(map(mul, tally, weights))
+        out[w] = out.get(w, 0) + c
+    return out
+
+
+@st.composite
+def tiny_codes(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    ring = ring_over(q)
+    n = draw(st.integers(0, 3))
+    row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+    return LinearCodeR(ring, n, draw(st.lists(row, max_size=_TALLY_ORACLE_ROWS[q])))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(tiny_codes(), st.sampled_from(["lee", "hamming"]))
+def test_tally_enumerators_match_per_word_oracles(code, target):
+    for build, by_word in (
+        (wenum.symmetrized_enumerator, _symmetrized_by_word),
+        (wenum.complete_enumerator, _complete_by_word),
+    ):
+        enum = build(code)
+        by_hand = wenum.WeightEnumerator(enum.kind, code.n, code.ring.q, by_word(code))
+        assert enum.total() == code.size == by_hand.total()  # read before counts is built
+        assert enum.counts == by_hand.counts and enum == by_hand
+        assert sum(enum.counts.values()) == code.size
+        expected = _specialize_by_tally(by_hand, target)
+        assert wenum.specialize(enum, target).counts == expected
+        assert wenum.specialize(by_hand, target).counts == expected
+
+
+def test_specialize_and_total_build_no_tuple_keys(monkeypatch):
+    def no_keys(*args):
+        raise AssertionError("a counts dict was built")
+
+    monkeypatch.setattr(wenum, "_tally_counts", no_keys)
+    code = LinearCodeR(R3, 3, [[1, 2, 3], [4, 5, 6]])
+    lee, ham = wenum.lee_enumerator(code), wenum.hamming_enumerator_r(code)
+    for enum in (wenum.complete_enumerator(code), wenum.symmetrized_enumerator(code)):
+        assert enum.total() == code.size
+        assert wenum.specialize(enum, "lee") == lee and wenum.specialize(enum, "hamming") == ham
+    with pytest.raises(AssertionError, match="counts dict"):
+        enum.counts  # the builder the enumerators would have used is the patched one
+
+
+def test_hand_made_tallies_must_fill_n_slots():
+    for counts in ({(1, 0, 0, 0): 1}, {(3, 0, 0, -1): 2}, {(2, 0, 0): 1}):
+        with pytest.raises(ValueError):
+            wenum.WeightEnumerator("swe", 2, 3, counts)
 
 
 def test_symmetrized_examples():
