@@ -111,9 +111,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)

@@ -20,7 +20,8 @@ homomorphisms R -> F_q.  For odd q they assemble into a ring isomorphism
 R ~ F_q^3 whose inverse is u1*e1 + u2*e2 + u0*e0, with orthogonal
 idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2, e0 = 1 - v^2.  For q = 2 the
 points 1 and -1 collide and R is not semisimple; everything CRT-based
-refuses to run there.
+refuses to run there, although the idempotents 1 + v^2 and v^2 still split
+R ~ F_2 x F_2[u]/(u^2).  ``Ring.idempotents`` lists them for every q.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class Ring:
             self.e1 = self.index(0, half, half)  # (v + v^2)/2
             self.e2 = self.index(0, -half, half)  # (v^2 - v)/2
             self.e0 = self.index(1, 0, -1)  # 1 - v^2
+            self.idempotents = (self.e0, self.e1, self.e2)
+        else:
+            self.idempotents = (self.index(1, 0, 1), self.index(0, 0, 1))  # 1 + v^2, v^2
 
     # ---- index-level helpers (used by the numpy enumeration layers) ----
 
@@ -121,16 +125,8 @@ class Ring:
             raise InvalidEvaluationPoint(f"v cannot evaluate at {t} (roots of v^3-v only)")
         return int(self.eval_table[t][idx])
 
-    def crt_split_index(self, idx: int) -> tuple[int, int, int]:
-        """(x(0), x(1), x(-1)); defined for every q."""
-        return (
-            int(self.eval_table[0][idx]),
-            int(self.eval_table[1][idx]),
-            int(self.eval_table[(self.q - 1) % self.q][idx]),
-        )
-
     def crt_combine_index(self, u0: int, u1: int, u2: int) -> int:
-        """Inverse of crt_split_index, u1*e1 + u2*e2 + u0*e0; needs 2 invertible, so q odd."""
+        """The x with (x(0), x(1), x(-1)) = (u0, u1, u2), u1*e1 + u2*e2 + u0*e0; needs q odd."""
         if self.q % 2 == 0:
             raise CharacteristicTwoUnsupported("CRT combination needs odd q")
         half = (self.q + 1) // 2
@@ -244,16 +240,9 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.idx == 0
 
-    def is_unit(self) -> bool:
-        """Unit iff every evaluation of v at a root of v^3 - v is nonzero."""
-        return all(table[self.idx] for table in self.ring.eval_table.values())
-
     def evaluate(self, t: int) -> int:
         """Image of the element under the ring map v -> t, t in {0, 1, -1}."""
         return self.ring.evaluate_index(self.idx, t)
-
-    def crt_split(self) -> tuple[int, int, int]:
-        return self.ring.crt_split_index(self.idx)
 
     def gray(self) -> tuple[int, int, int]:
         """(a0, a0+a2, a1) over F_q."""

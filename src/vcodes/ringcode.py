@@ -164,23 +164,6 @@ class LinearCodeR:
             for r in rows:
                 yield tuple(map(int, r))
 
-    def closure_codewords(self, budget: int = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
-        """Span by raw fixpoint closure; the independent oracle for the span."""
-        ring = self.ring
-        if self.size > budget:
-            raise SearchSpaceTooLarge(f"{self.size} codewords exceeds budget {budget}")
-        words = {(0,) * self.n}
-        for g in self.gens:
-            scaled = []
-            for r in range(ring.size):
-                scaled.append(tuple(int(ring.mul_table[r, gj]) for gj in g))
-            words = {
-                tuple(int(ring.add_table[wj, sj]) for wj, sj in zip(w, s))
-                for w in words
-                for s in scaled
-            }
-        return words
-
     def contains(self, row) -> bool:
         ring = self.ring
         vec = np.array(_as_index_row(ring, row), dtype=np.int64)

@@ -7,16 +7,17 @@ RREF basis of its flattened F_q span (the ``flat.gen`` of its
 ``LinearCodeR``), so equal submodules have equal bases and
 ``basis.tobytes()`` is the lattice key.
 
-Every submodule is the join of the cyclic (one-generator) submodules of its
-elements, so a breadth-first closure over joins with the deduplicated cyclic
-spans enumerates the full lattice; for ideals the cyclic spans are replaced
-by principal ideals (spans of all coordinate shifts).  The atoms and the
-joins are computed in batches: a batch is a zero-padded stack of matrices
-reduced by one ``rref_stack`` call, and a frontier level joins every node
-with every atom at once.  Each batch holds at most ``_MAX_ENTRIES`` matrix
-entries, so memory stays flat however large the level.  Members, encoded as
-integers base |R|, are listed only to order the walk and to spell out a
-witness.
+R is the product of the rings e*R over its primitive idempotents e
+(``Ring.idempotents``), so a submodule M of R^n is the direct sum of the
+submodules e*M of e*R^n, each shift-closed when M is.  A factor lattice is
+the closure of the zero node under joins with its atoms, walked
+breadth-first: the deduplicated cyclic spans of the vectors of e*R^n, or
+for ideals their principal ideals, one per shift orbit.  The product joins
+every node of one factor with every node of the next, and each pair is a
+new node.  Joins run in batches: a zero-padded stack of at most
+``_MAX_ENTRIES`` matrix entries reduced by one ``rref_stack`` call, so
+memory stays flat however large the level.  Members, encoded as integers
+base |R|, are listed only to order the walk and to spell out a witness.
 """
 
 from __future__ import annotations
@@ -124,31 +125,54 @@ class AmbientSpace:
             atoms += _collect(span(indices[start : start + step]), seen)
         return _pad(atoms, 3 * self.n)
 
-    def _lattice(self, atoms: np.ndarray) -> list[np.ndarray]:
+    def _joins(self, nodes: np.ndarray, atoms: np.ndarray):
+        """Every node joined with every atom, as reduced batches within ``_MAX_ENTRIES``."""
+        pairs = _step((nodes.shape[1] + atoms.shape[1]) * 3 * self.n)
+        atom_step = max(1, min(len(atoms), pairs))  # a factor of R^0 has no atoms
+        node_step = max(1, pairs // atom_step)
+        for i in range(0, len(nodes), node_step):
+            for j in range(0, len(atoms), atom_step):
+                yield self.join(nodes[i : i + node_step], atoms[j : j + atom_step])
+
+    def _closure(self, atoms: np.ndarray) -> list[np.ndarray]:
+        """Every join of some of the atoms, the zero node included."""
         zero = np.zeros((0, 3 * self.n), dtype=np.int64)
         seen = {zero.tobytes(): zero}
         frontier = [zero]
         while frontier:
             nodes = _pad(frontier, 3 * self.n)
-            pairs = _step((nodes.shape[1] + atoms.shape[1]) * 3 * self.n)
-            atom_step = max(1, min(len(atoms), pairs))  # n = 0 has no atoms
-            node_step = max(1, pairs // atom_step)
             frontier = []
-            for i in range(0, len(nodes), node_step):
-                for j in range(0, len(atoms), atom_step):
-                    joined = self.join(nodes[i : i + node_step], atoms[j : j + atom_step])
-                    frontier += _collect(joined, seen)
+            for joined in self._joins(nodes, atoms):
+                frontier += _collect(joined, seen)
+        return list(seen.values())
+
+    def _lattice(self, span, indices: np.ndarray, rows: int) -> list[np.ndarray]:
+        """The product of the lattices of the e*R^n, ordered by (size, members).
+
+        ``span`` gives the atoms of a factor from the indices that lie in it.
+        """
+        vectors = self.decode[indices]
+        factors = []
+        for e in self.ring.idempotents:
+            inside = (self.ring.mul_table[e][vectors] == vectors).all(axis=1)  # e*x = x
+            factors.append(self._closure(self._atoms(span, indices[inside], rows)))
+        nodes = factors[0]
+        for factor in factors[1:]:
+            # e*R^n meets the earlier factors only in 0, so every pair is a new node
+            product: dict[bytes, np.ndarray] = {}
+            for joined in self._joins(_pad(nodes, 3 * self.n), _pad(factor, 3 * self.n)):
+                _collect(joined, product)
+            nodes = list(product.values())
 
         def order(basis):
             members = self.members(basis)
             return len(members), members.tobytes()
 
-        return sorted(seen.values(), key=order)
+        return sorted(nodes, key=order)
 
     def all_submodules(self) -> list[np.ndarray]:
         """Every R-submodule of R^n, as RREF bases ordered by (size, members)."""
-        indices = np.arange(1, self.size)
-        return self._lattice(self._atoms(self.cyclic_span, indices, 3))
+        return self._lattice(self.cyclic_span, np.arange(1, self.size), 3)
 
     def all_ideals(self) -> list[np.ndarray]:
         """Every shift-closed submodule (cyclic code) in R^n, likewise."""
@@ -158,4 +182,4 @@ class AmbientSpace:
             shifted = self.vec_shift[shifted]
             least = np.minimum(least, shifted)
         indices = np.flatnonzero(least == vectors)[1:]  # the zero vector spans nothing
-        return self._lattice(self._atoms(self.principal_ideal, indices, 3 * self.n))
+        return self._lattice(self.principal_ideal, indices, 3 * self.n)

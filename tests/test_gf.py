@@ -73,7 +73,7 @@ def test_factor_product_reconstructs(q, n):
     prod = Poly.one(field)
     factors = factor_xn_minus_1(field, n)
     for f in factors:
-        assert f.is_monic()
+        assert f.coeffs[-1] == 1
         prod = prod * f
     assert prod == Poly.xn_minus_1(field, n)
 

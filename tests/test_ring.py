@@ -15,6 +15,16 @@ R3 = ring_over(3)
 R5 = ring_over(5)
 
 
+def crt_split(x):
+    """(x(0), x(1), x(-1)), read from the evaluation tables."""
+    return tuple(x.evaluate(t) for t in (0, 1, -1))
+
+
+def is_unit(x):
+    """Unit iff every evaluation of v at a root of v^3 - v is nonzero."""
+    return all(crt_split(x))
+
+
 def test_mul_examples():
     v = R3.v
     assert v * (v * v) == v  # v^3 = v
@@ -63,15 +73,15 @@ def test_evaluate_is_multiplicative(ring):
 
 
 def test_crt_examples():
-    assert R3.v.crt_split() == (0, 1, 2)
+    assert crt_split(R3.v) == (0, 1, 2)
     assert crt_combine(R3, 0, 1, 2) == R3.v
-    assert R5.one.crt_split() == (1, 1, 1)
+    assert crt_split(R5.one) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("ring", [R3, R5])
 def test_crt_roundtrip_everywhere(ring):
     for x in ring.elements():
-        assert crt_combine(ring, *x.crt_split()) == x
+        assert crt_combine(ring, *crt_split(x)) == x
 
 
 def test_crt_combine_needs_odd_q():
@@ -85,19 +95,31 @@ def test_idempotents_are_orthogonal_and_complete():
         assert e1 * e1 == e1 and e2 * e2 == e2 and e0 * e0 == e0
         assert (e1 * e2).is_zero() and (e1 * e0).is_zero() and (e2 * e0).is_zero()
         assert e1 + e2 + e0 == ring.one
+        assert ring.idempotents == (ring.e0, ring.e1, ring.e2)
+
+
+@pytest.mark.parametrize("q, sizes", [(2, [2, 4]), (3, [3] * 3), (5, [5] * 3), (7, [7] * 3)])
+def test_idempotents_split_r_for_every_q(q, sizes):
+    ring = ring_over(q)
+    es = [ring.from_index(e) for e in ring.idempotents]
+    for i, e in enumerate(es):
+        assert e * e == e
+        assert all((e * f).is_zero() for f in es[i + 1 :])
+    assert sum(es, ring.zero) == ring.one
+    assert [len({e * x for x in ring.elements()}) for e in es] == sizes
 
 
 def test_unit_examples():
-    assert R3.elem(2).is_unit()
-    assert not R3.v.is_unit()
-    assert not R3.parse("1+v").is_unit()
+    assert is_unit(R3.elem(2))
+    assert not is_unit(R3.v)
+    assert not is_unit(R3.parse("1+v"))
 
 
 @pytest.mark.parametrize("ring", [R2, R3])
 def test_units_match_exhaustive_inverse_search(ring):
     for x in ring.elements():
         has_inverse = any((x * y) == ring.one for y in ring.elements())
-        assert x.is_unit() == has_inverse
+        assert is_unit(x) == has_inverse
 
 
 def test_gray_examples():

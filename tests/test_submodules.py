@@ -1,8 +1,11 @@
-"""The RREF-basis lattice walks against an independent closure oracle.
+"""The RREF-basis lattice walks against two oracles.
 
 Every submodule of R^n with n <= 2 is generated by two vectors, so the
 closure spans of all pairs (a, b) are exactly the submodules, and the
-shift-closed ones among them are the ideals.
+shift-closed ones among them are the ideals.  The walk, which goes one
+idempotent factor at a time, is also checked against the ambient walk it
+replaced: the closure of the zero submodule under joins with the atoms of
+all of R^n at once.
 """
 
 from functools import lru_cache
@@ -17,6 +20,8 @@ from vcodes import submodules
 from vcodes.fieldcode import rref_stack
 from vcodes.submodules import AmbientSpace
 
+from oracles import closure_codewords
+
 
 def _encode(ring, word) -> int:
     return sum(x * ring.size**j for j, x in enumerate(word))
@@ -27,11 +32,45 @@ def _oracle(q, n, ideals_only):
     vectors = list(product(range(ring.size), repeat=n))
     spans = set()
     for a, b in combinations_with_replacement(vectors, 2):
-        words = LinearCodeR(ring, n, [a, b]).closure_codewords()
+        words = closure_codewords(LinearCodeR(ring, n, [a, b]))
         if ideals_only and any(w[-1:] + w[:-1] not in words for w in words):
             continue
         spans.add(frozenset(_encode(ring, w) for w in words))
     return spans
+
+
+def _order(space, basis):
+    members = space.members(basis)
+    return len(members), members.tobytes()
+
+
+def _ambient_walk(space, ideals_only):
+    """Every join of the distinct atoms of R^n, one frontier level at a time."""
+    if ideals_only:
+        least = set()  # one generator per shift orbit
+        for x in range(1, space.size):
+            orbit = [x]
+            for _ in range(space.n - 1):
+                orbit.append(int(space.vec_shift[orbit[-1]]))
+            least.add(min(orbit))
+        atoms = space.principal_ideal(np.array(sorted(least), dtype=np.int64))
+    else:
+        atoms = space.cyclic_span(np.arange(1, space.size))
+    atoms = atoms[sorted({a.tobytes(): i for i, a in enumerate(atoms)}.values())]  # distinct ones
+    zero = np.zeros((0, 3 * space.n), dtype=np.int64)
+    seen = {zero.tobytes(): zero}
+    frontier = [zero]
+    while frontier and len(atoms):
+        nodes = np.zeros((len(frontier), max(map(len, frontier)), 3 * space.n), dtype=np.int64)
+        for i, basis in enumerate(frontier):
+            nodes[i, : len(basis)] = basis
+        frontier = []
+        for matrix in space.join(nodes, atoms):
+            basis = matrix[: matrix.any(axis=1).sum()]
+            if basis.tobytes() not in seen:
+                seen[basis.tobytes()] = basis
+                frontier.append(basis)
+    return sorted(seen.values(), key=lambda basis: _order(space, basis))
 
 
 @lru_cache(maxsize=None)
@@ -118,3 +157,45 @@ def test_ambient_arrays_are_linear_in_the_ambient():
     limit = space.size * space.n
     arrays = {k: v.size for k, v in vars(space).items() if isinstance(v, np.ndarray)}
     assert arrays and all(size <= limit for size in arrays.values()), arrays
+
+
+@pytest.mark.parametrize(
+    "q, n, ideals_only",
+    [(2, 0, False), (2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False)]
+    + [(2, 1, True), (2, 2, True), (2, 3, True), (2, 4, True), (3, 1, True), (3, 2, True)],
+)
+def test_factor_walk_matches_the_ambient_walk(q, n, ideals_only):
+    space, walk = _walk(q, n, ideals_only)
+    oracle = _ambient_walk(AmbientSpace(ring_over(q), n), ideals_only)
+    assert [(b.shape, b.tobytes()) for b in walk] == [(b.shape, b.tobytes()) for b in oracle]
+    # M -> (e*M for each idempotent e) is one-to-one and onto the product of the factor lattices
+    factors = []
+    for e in space.ring.idempotents:
+        scaled = space.ring.mul_table[e][space.decode] @ space.powers
+        factors.append({frozenset(scaled[space.members(b)].tolist()) for b in walk})
+    assert len(walk) == np.prod([len(f) for f in factors])
+
+
+def _matrices_reduced(monkeypatch, q, n, ideals_only):
+    reduced = []
+
+    def spy(stack, q):
+        reduced.append(len(stack))
+        return rref_stack(stack, q)
+
+    monkeypatch.setattr(submodules, "rref_stack", spy)
+    space = AmbientSpace(ring_over(q), n)
+    walk = space.all_ideals() if ideals_only else space.all_submodules()
+    return walk, sum(reduced)
+
+
+def test_factor_walk_reduces_few_matrices(monkeypatch):
+    # the ambient walk reduced 10128 matrices here
+    walk, reduced = _matrices_reduced(monkeypatch, 2, 4, True)
+    assert len(walk) == 115 and reduced <= 1000
+
+
+def test_submodules_of_r3_at_q2(monkeypatch):
+    walk, reduced = _matrices_reduced(monkeypatch, 2, 3, False)
+    assert len(walk) == 2064 == 16 * 129
+    assert reduced <= 10000  # the ambient walk reduced 592879 matrices
