@@ -265,10 +265,6 @@ class LinearCodeFq:
     def full_space(cls, field: GF, n: int) -> "LinearCodeFq":
         return cls(field, n, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def zero_code(cls, field: GF, n: int) -> "LinearCodeFq":
-        return cls(field, n, np.zeros((0, n), dtype=np.int64))
-
     @property
     def size(self) -> int:
         return self.field.q**self.k
@@ -452,10 +448,3 @@ def self_dual_cyclic_audit(field: GF, n: int) -> dict:
         "exhausted": witness is None,
         "criterion": self_dual_cyclic_exists(field, n),
     }
-
-
-def random_code(field: GF, n: int, rng) -> LinearCodeFq:
-    """Seeded random code used by the verification suites."""
-    rows = rng.randrange(1, n + 1)
-    mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
-    return LinearCodeFq.from_rows(field, n, mat)

@@ -1,13 +1,16 @@
 """Arithmetic in R = F_q[v]/(v^3 - v).
 
 An element a0 + a1*v + a2*v^2 is stored as the index a0 + q*a1 + q^2*a2.
-A ``Ring`` instance precomputes full lookup tables (q^3 is at most a few
-hundred), which the code-enumeration layers index with numpy.
+A ``Ring`` instance precomputes one row per element (coefficients,
+negation, Gray image, Lee weight, evaluations), which the code-enumeration
+layers index with numpy.
 
 Each F_q-linear symbol map is written once, as a 3x3 matrix whose row i
 gives output coordinate i from (a0, a1, a2), read mod q, and so is the
 inner product: ``DUAL_FORM`` is the Gram matrix of the v^2 coefficient of
-x*y, through which ``ringcode`` takes every dual.
+x*y, through which ``ringcode`` takes every dual.  Multiplication by v is
+``V``, so multiplication by r = a0 + a1*v + a2*v^2 is the matrix
+``Ring.times(r)`` = a0*I + a1*V + a2*V^2, and every product goes through it.
 The Gray map sends a0 + a1*v + a2*v^2 to (a0, a0+a2, a1) and the Lee weight
 of a symbol is the Hamming weight of its Gray image.  The published case
 table for the Lee weight is internally inconsistent (the same support
@@ -41,17 +44,19 @@ from .gf import GF
 
 _RING_CACHE: dict[int, "Ring"] = {}
 
-_MAX_SIZE = 512  # sixteen |R| x |R| int64 tables: 15 MB at q = 7, 230 MB at q = 11
+_MAX_SIZE = 512  # q <= 7; per-element tables hold |R| rows, complete-enumerator tallies |R| slots
 
 GRAY = np.array([[1, 0, 0], [1, 0, 1], [0, 1, 0]])  # (a0, a0+a2, a1)
 GRAY_INVERSE = np.array([[1, 0, 0], [0, 0, 1], [-1, 1, 0]])  # (g0 | g1 | g2) -> (g0, g2, g1-g0)
 EVALUATION = np.array([[1, 1, 1], [1, -1, 1], [1, 0, 0]])  # a0 + a1 t + a2 t^2 at t = 1, -1, 0
 PROJECTIONS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])  # a, a+b, a+b+c as printed
 DUAL_FORM = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # x^T F y = v^2 coefficient of x*y
+V = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]])  # v*x = (0, a0+a2, a1), as v^3 = v
+_POWERS_OF_V = np.stack([np.eye(3, dtype=np.int64), V, V @ V]).reshape(3, 9)  # row k: V^k, flattened
 
 
 class Ring:
-    """R = F_q[v]/(v^3 - v) with precomputed operation tables."""
+    """R = F_q[v]/(v^3 - v) with precomputed per-element tables."""
 
     def __init__(self, field: GF):
         if field.q**3 > _MAX_SIZE:
@@ -63,25 +68,9 @@ class Ring:
 
     def _build_tables(self):
         q = self.q
-        idx = np.arange(self.size)
-        a0 = idx % q
-        a1 = (idx // q) % q
-        a2 = idx // (q * q)
-        self.coeff = np.stack([a0, a1, a2], axis=1).astype(np.int64)
-
-        i, j = np.meshgrid(idx, idx, indexing="ij")
-        b0, b1, b2 = a0[j], a1[j], a2[j]
-        x0, x1, x2 = a0[i], a1[i], a2[i]
-        # product coefficients after reducing v^3 -> v, v^4 -> v^2
-        c0 = (x0 * b0) % q
-        c1 = (x0 * b1 + x1 * b0 + x1 * b2 + x2 * b1) % q
-        c2 = (x0 * b2 + x1 * b1 + x2 * b0 + x2 * b2) % q
-        self.mul_table = (c0 + q * c1 + q * q * c2).astype(np.int64)
-        s0 = (x0 + b0) % q
-        s1 = (x1 + b1) % q
-        s2 = (x2 + b2) % q
-        self.add_table = (s0 + q * s1 + q * q * s2).astype(np.int64)
-        self.neg_table = self._encode((-a0) % q, (-a1) % q, (-a2) % q)
+        idx = np.arange(self.size, dtype=np.int64)
+        self.coeff = np.stack([idx % q, idx // q % q, idx // (q * q)], axis=1)
+        self.neg_table = self.index(*-self.coeff.T)
 
         self.gray_table = self.coeff @ GRAY.T % q
         self.lee_table = np.count_nonzero(self.gray_table, axis=1).astype(np.int64)
@@ -99,9 +88,6 @@ class Ring:
 
     # ---- index-level helpers (used by the numpy enumeration layers) ----
 
-    def _encode(self, a0, a1, a2):
-        return (a0 + self.q * a1 + self.q * self.q * a2).astype(np.int64)
-
     def index(self, a0: int, a1: int, a2: int) -> int:
         q = self.q
         return (a0 % q) + q * (a1 % q) + q * q * (a2 % q)
@@ -110,11 +96,10 @@ class Ring:
         q = self.q
         return (idx % q, (idx // q) % q, idx // (q * q))
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
-
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_table[i, j])
+    def times(self, r) -> np.ndarray:
+        """The 3x3 matrix a0*I + a1*V + a2*V^2 (mod q) of multiplication by
+        the element of index r; for an array of indices, one per index."""
+        return (self.coeff[r] @ _POWERS_OF_V % self.q).reshape(*np.shape(r), 3, 3)
 
     def neg(self, i: int) -> int:
         return int(self.neg_table[i])
@@ -221,7 +206,8 @@ class RingElem:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return RingElem(self.ring, self.ring.add(self.idx, o.idx))
+        ring = self.ring
+        return ring.elem(*(ring.coeff[self.idx] + ring.coeff[o.idx]).tolist())
 
     __radd__ = __add__
 
@@ -233,7 +219,8 @@ class RingElem:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return RingElem(self.ring, self.ring.mul(self.idx, o.idx))
+        ring = self.ring
+        return ring.elem(*(ring.times(self.idx) @ ring.coeff[o.idx]).tolist())
 
     __rmul__ = __mul__
 

@@ -40,12 +40,14 @@ def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
 
     The R-span of g_1..g_m is the F_q-span of all g, then all v*g, then all
     v^2*g; each row is flattened to (a0-block | a1-block | a2-block), so the
-    result has shape (..., 3m, 3n).
+    result has shape (..., 3m, 3n).  Column k of ``times(x)`` holds the
+    coefficients of v^k * x, so the rows are a transpose of ``times(gens)``.
     """
-    stacked = np.concatenate(
-        [gens, ring.mul_table[gens, ring.q], ring.mul_table[gens, ring.q * ring.q]], axis=-2
-    )
-    return _flatten(ring, stacked)
+    lead = gens.ndim - 2
+    m, n = gens.shape[-2:]
+    # (..., m, n, coefficient, power) -> (..., power, m, coefficient, n)
+    products = ring.times(gens).transpose(*range(lead), lead + 3, lead, lead + 2, lead + 1)
+    return products.reshape(*gens.shape[:-2], 3 * m, 3 * n)
 
 
 def _flatten(ring: Ring, rows: np.ndarray) -> np.ndarray:
@@ -117,10 +119,6 @@ class LinearCodeR:
         return cls(ring, len(rows[0]), rows)
 
     @classmethod
-    def zero_code(cls, ring: Ring, n: int) -> "LinearCodeR":
-        return cls(ring, n, [])
-
-    @classmethod
     def full_space(cls, ring: Ring, n: int) -> "LinearCodeR":
         rows = []
         for i in range(n):
@@ -157,12 +155,6 @@ class LinearCodeR:
         """All codewords as element-index rows, sorted lexicographically."""
         rows = np.concatenate(list(self.codeword_chunks(budget)), axis=0)
         return rows[np.lexsort(rows.T[::-1])] if self.n else rows  # n = 0: the empty word, no sort keys
-
-    def iter_codewords(self, budget: int = DEFAULT_BUDGET):
-        """Stream every codeword exactly once as a tuple of element indices."""
-        for rows in self.codeword_chunks(budget):
-            for r in rows:
-                yield tuple(map(int, r))
 
     def contains(self, row) -> bool:
         ring = self.ring
@@ -222,33 +214,32 @@ class LinearCodeR:
     # ---- duals ----
 
     def dot(self, x, y) -> int:
-        """Ring inner product of two element-index rows."""
+        """Ring inner product of two element-index rows: sum_j times(x_j) @ coeff(y_j)."""
         ring = self.ring
-        acc = 0
-        for xi, yi in zip(x, y):
-            acc = int(ring.add_table[acc, ring.mul_table[xi, yi]])
-        return acc
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        return ring.index(*np.einsum("jab,jb->a", ring.times(x), ring.coeff[y]).tolist())
 
     def brute_force_dual(self, budget: int = DEFAULT_BUDGET) -> "LinearCodeR":
         """All of R^n filtered for orthogonality to every generator.
 
-        The dual words of each chunk are folded into a running F_q basis of
-        their flattened span, which is the flattened dual, and the code is
-        built from its at most 3n unflattened rows.
+        <g, y> for a flattened word y is the (3, 3n) form of g, whose block j
+        is ``times(g_j)``; the forms of all m generators stack into one
+        (3m, 3n) matrix that tests a chunk of flattened words in one product.
+        The dual words are folded into a running F_q basis of their span, the
+        flattened dual, and the code is built from its unflattened rows.
         """
         ring = self.ring
         ambient = ring.size**self.n
         if ambient > budget:
             raise SearchSpaceTooLarge(f"ambient {ambient} exceeds budget {budget}")
+        gens = np.array(self.gens, dtype=np.int64).reshape(len(self.gens), self.n)
+        forms = ring.times(gens).transpose(0, 2, 3, 1).reshape(3 * len(gens), 3 * self.n)
+        forms = forms.T.astype(np.float32)  # a product sums 3n terms below q^2: exact in float32
         basis = np.zeros((0, 3 * self.n), dtype=np.int64)
-        for rows in LinearCodeR.full_space(ring, self.n).codeword_chunks(budget):
-            mask = np.ones(rows.shape[0], dtype=bool)
-            for g in self.gens:
-                acc = np.zeros(rows.shape[0], dtype=np.int64)
-                for j, gj in enumerate(g):
-                    acc = ring.add_table[acc, ring.mul_table[rows[:, j], gj]]
-                mask &= acc == 0
-            stack = np.concatenate([basis, _flatten(ring, rows[mask])])[None]
+        for words in LinearCodeFq.full_space(ring.field, 3 * self.n).codeword_chunks(budget):
+            products = (words.astype(np.float32) @ forms).astype(np.int32)
+            mask = ~(products % ring.q).any(axis=1)
+            stack = np.concatenate([basis, words[mask]])[None]
             reduced, ranks, _ = rref_stack(stack, ring.q)
             basis = reduced[0, : ranks[0]]
         return LinearCodeR(ring, self.n, _unflatten(ring.q, basis).tolist())
@@ -337,8 +328,10 @@ def combine_components(ring: Ring, triple: ComponentTriple, mode: str) -> Linear
         units = (ring.index(0, 1, 0), ring.index(1, -1, 0), ring.index(1, 0, -1))  # v, 1-v, 1-v^2
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # a field scalar u is the ring element of index u, so u * unit is one table lookup
-    gens = np.concatenate([ring.mul_table[unit][code.gen] for unit, code in zip(units, triple)])
+    # a field scalar u is the ring element of index u, with coefficients (u, 0, 0)
+    products = ring.times(np.array(units)) @ ring.coeff[: ring.q].T % ring.q  # [unit, coefficient, u]
+    multiples = np.array([1, ring.q, ring.q**2]) @ products  # [unit, u]: the index of u * unit
+    gens = np.concatenate([unit_multiples[code.gen] for unit_multiples, code in zip(multiples, triple)])
     return LinearCodeR(ring, n, gens)
 
 

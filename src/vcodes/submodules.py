@@ -27,7 +27,7 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .fieldcode import LinearCodeFq, rref_stack
 from .ring import Ring
-from .ringcode import LinearCodeR, _unflatten, flat_dual, fq_span_rows
+from .ringcode import LinearCodeR, _flatten, _map_symbols, _unflatten, flat_dual, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
 _MAX_ENTRIES = 1 << 16  # matrix entries in one batched reduction
@@ -151,10 +151,11 @@ class AmbientSpace:
 
         ``span`` gives the atoms of a factor from the indices that lie in it.
         """
-        vectors = self.decode[indices]
+        vectors = _flatten(self.ring, self.decode[indices])
         factors = []
         for e in self.ring.idempotents:
-            inside = (self.ring.mul_table[e][vectors] == vectors).all(axis=1)  # e*x = x
+            scaled = _map_symbols(self.ring.q, self.ring.times(e), vectors).reshape(vectors.shape)
+            inside = (scaled == vectors).all(axis=1)  # e*x = x
             factors.append(self._closure(self._atoms(span, indices[inside], rows)))
         nodes = factors[0]
         for factor in factors[1:]:

@@ -27,7 +27,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
@@ -256,11 +256,12 @@ def _claim_thm2(ctx):
             image = (a0 % q, (a0 + a2) % q, a1 % q)
             if int(ring.lee_table[idx]) != sum(1 for u in image if u):
                 raise _Refuted({"q": q, "symbol": [a0, a1, a2]}, "w_L = w_H(gray)")
-        for i, j in ctx.each(product(range(ring.size), repeat=2)):
-            s = int(ring.add_table[i, j])
-            gi, gj, gs = ring.gray_table[i], ring.gray_table[j], ring.gray_table[s]
-            if ((gi + gj) % q != gs).any():
-                raise _Refuted({"q": q, "pair": [i, j]}, "gray additive")
+        for i in range(ring.size):
+            sums = ring.index(*(ring.coeff[i] + ring.coeff).T)  # the index of i + j for every j
+            for j in ctx.each(range(ring.size)):
+                gi, gj, gs = ring.gray_table[i], ring.gray_table[j], ring.gray_table[sums[j]]
+                if ((gi + gj) % q != gs).any():
+                    raise _Refuted({"q": q, "pair": [i, j]}, "gray additive")
     # weight preservation on whole vectors
     for _ in ctx.each(range(50)):
         q = rng.choice([2, 3, 5])

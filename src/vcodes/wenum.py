@@ -161,7 +161,7 @@ def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumera
 def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> WeightEnumerator:
     """Count codewords by how many of their symbols a fall in slot symbol_slot[a]:
     a tally is the multiset of a word's slots, so only the distinct sorted int16
-    slot rows (q^3 <= 512) are kept, found by a 1-D unique of their bytes."""
+    slot rows (a slot is below |R| < 2^15) are kept, found by a 1-D unique of their bytes."""
     if not code.n:  # a 0-byte key view has no rows; the one empty word has the empty row
         shapes, mult = np.zeros((1, 0), dtype=np.int16), np.array([code.size], dtype=np.int64)
         return WeightEnumerator._of_slot_rows(kind, 0, code.ring.q, shapes, mult)

@@ -32,6 +32,8 @@ from vcodes.ringcode import random_code_r
 from vcodes.verify import run_verification_suite
 from vcodes import wenum
 
+from oracles import ring_tables
+
 
 # `vcodes verify-paper --scope all --seed 42 --format json --out tests/data/report_seed42.json`;
 # a change that alters the report re-records this file and names what changed
@@ -57,7 +59,7 @@ def test_criterion_1_gray_lee_foundation():
             image = (a0, (a0 + a2) % q, a1)
             ok &= int(ring.lee_table[idx]) == sum(1 for u in image if u)
         gray = ring.gray_table
-        add = ring.add_table
+        add = ring_tables(q)[1]
         i = np.arange(ring.size)
         sums = gray[add[i[:, None], i[None, :]]]
         ok &= bool(((gray[i][:, None, :] + gray[i][None, :, :]) % q == sums).all())

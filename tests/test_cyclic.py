@@ -17,7 +17,7 @@ from vcodes.gf import Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 
-from oracles import closure_codewords
+from oracles import closure_codewords, zero_code_r
 
 
 R2 = ring_over(2)
@@ -80,7 +80,7 @@ def test_triple_codes_and_dual_specs_trust_checked_divisors(monkeypatch):
 
 def test_is_cyclic_examples():
     assert is_cyclic_r(LinearCodeR.full_space(R3, 2))
-    assert is_cyclic_r(LinearCodeR.zero_code(R3, 2))
+    assert is_cyclic_r(zero_code_r(R3, 2))
     assert not is_cyclic_r(LinearCodeR(R3, 2, [[1, 0]]))
 
 

@@ -16,7 +16,6 @@ from vcodes.fieldcode import (
     cyclic_code_fq,
     cyclic_dual_generator,
     hamming_enumerator_fq,
-    random_code,
     rref,
     rref_stack,
     self_dual_cyclic_audit,
@@ -27,6 +26,8 @@ from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, _unflatten
 from vcodes.verify import _ex17_code
 from vcodes.wenum import macwilliams_hamming_fq
+
+from oracles import random_code, zero_code_fq
 
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -108,12 +109,12 @@ def test_dual_examples():
     dual = rep.dual()
     assert dual.k == 2
     assert dual.contains([1, 2, 0])
-    zero = LinearCodeFq.zero_code(F3, 2)
+    zero = zero_code_fq(F3, 2)
     assert zero.dual() == LinearCodeFq.full_space(F3, 2)
 
 
 def test_length_zero_codes():
-    zero, full = LinearCodeFq.zero_code(F3, 0), LinearCodeFq.full_space(F3, 0)
+    zero, full = zero_code_fq(F3, 0), LinearCodeFq.full_space(F3, 0)
     assert zero == full and (zero.k, zero.size) == (0, 1)
     assert zero.dual() == full
     assert zero.codewords().shape == (1, 0)
@@ -137,7 +138,7 @@ def test_min_distance_examples():
     assert rep3.min_distance() == 3
     assert rep3.dual().min_distance() == 2
     with pytest.raises(EmptyCode):
-        LinearCodeFq.zero_code(F3, 3).min_distance()
+        zero_code_fq(F3, 3).min_distance()
 
 
 def test_min_distance_budget():

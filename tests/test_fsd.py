@@ -25,6 +25,8 @@ from vcodes.fsd import (
 )
 from vcodes import wenum
 
+from oracles import zero_code_r
+
 
 R2 = ring_over(2)
 R3 = ring_over(3)
@@ -115,9 +117,9 @@ def test_construction_b_q2():
 
 def test_direct_product_examples():
     c1, _ = construction_a(R3, [[R3.q]])
-    zero_len0 = LinearCodeR.zero_code(R3, 0)
+    zero_len0 = zero_code_r(R3, 0)
     assert direct_product(c1, zero_len0) == c1
-    z2 = direct_product(LinearCodeR.zero_code(R3, 2), LinearCodeR.zero_code(R3, 1))
+    z2 = direct_product(zero_code_r(R3, 2), zero_code_r(R3, 1))
     assert z2.size == 1 and z2.n == 3
     prod = direct_product(c1, c1)
     assert prod.n == 4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from vcodes.errors import (
     ParamMismatch,
     ParseError,
 )
-from vcodes.ring import audit_published_lee_table, crt_combine, format_elem, parse_elem, ring_over
+from vcodes.gf import GF
+from vcodes.ring import V, Ring, audit_published_lee_table, crt_combine, format_elem, parse_elem, ring_over
+
+from oracles import ring_tables
 
 
 R2 = ring_over(2)
@@ -65,11 +70,12 @@ def test_evaluate_rejects_non_roots():
 @pytest.mark.parametrize("ring", [R2, R3])
 def test_evaluate_is_multiplicative(ring):
     points = {0, 1, (ring.q - 1) % ring.q}
+    mul = ring_tables(ring.q)[0]
     for t in points:
         ev = ring.eval_table[t]
         for i in range(ring.size):
             for j in range(ring.size):
-                assert ev[ring.mul_table[i, j]] == (ev[i] * ev[j]) % ring.q
+                assert ev[mul[i, j]] == (ev[i] * ev[j]) % ring.q
 
 
 def test_crt_examples():
@@ -144,10 +150,11 @@ def test_lee_weight_is_gray_hamming_everywhere(ring):
 @pytest.mark.parametrize("ring", [R2, R3, R5])
 def test_gray_is_additive(ring):
     q = ring.q
+    add = ring_tables(q)[1]
     for i in range(ring.size):
         gi = ring.gray_table[i]
         for j in range(ring.size):
-            s = int(ring.add_table[i, j])
+            s = int(add[i, j])
             assert ((gi + ring.gray_table[j]) % q == ring.gray_table[s]).all()
 
 
@@ -178,8 +185,7 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("ring", [R2, R3])
 def test_ring_axioms_exhaustive(ring):
-    mul = ring.mul_table
-    add = ring.add_table
+    mul, add = ring_tables(ring.q)
     assert (mul == mul.T).all()  # commutative
     assert (add == add.T).all()
     idx = np.arange(ring.size)
@@ -195,10 +201,50 @@ def test_ring_axioms_random_q5():
     i = rng.integers(0, R5.size, 10_000)
     j = rng.integers(0, R5.size, 10_000)
     k = rng.integers(0, R5.size, 10_000)
-    mul, add = R5.mul_table, R5.add_table
+    mul, add = ring_tables(5)
     assert (mul[mul[i, j], k] == mul[i, mul[j, k]]).all()
     assert (mul[i, add[j, k]] == add[mul[i, j], mul[i, k]]).all()
     assert (mul[i, j] == mul[j, i]).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_times_matches_the_oracle_product(q):
+    ring = ring_over(q)
+    idx = np.arange(ring.size)
+    matrices = ring.times(idx)
+    products = matrices @ ring.coeff.T % q  # [x, coefficient, y]
+    assert np.array_equal(products.transpose(0, 2, 1), ring.coeff[ring_tables(q)[0]])
+    assert all(np.array_equal(ring.times(x), matrices[x]) for x in range(ring.size))
+    assert np.array_equal(ring.times(ring.v.idx), V)
+    assert np.array_equal(ring.times(ring.one.idx), np.eye(3))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_ring_elem_arithmetic_matches_the_oracle(q):
+    ring = ring_over(q)
+    mul, add = ring_tables(q)
+    if ring.size <= 27:
+        pairs = [(i, j) for i in range(ring.size) for j in range(ring.size)]
+    else:
+        pairs = np.random.default_rng(q).integers(0, ring.size, (2000, 2)).tolist()
+    for i, j in pairs:
+        x, y = ring.from_index(i), ring.from_index(j)
+        assert (x + y).idx == add[i, j] and type((x + y).idx) is int
+        assert (x * y).idx == mul[i, j] and type((x * y).idx) is int
+        assert add[(x - y).idx, j] == i
+        assert add[(-x).idx, i] == 0
+
+
+def test_ring_build_allocates_no_element_pair_table():
+    """Building R over GF(7) stays far below one |R| x |R| int64 table (0.9 MB)."""
+    field = GF(7)
+    tracemalloc.start()
+    try:
+        Ring(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("ring", [R2, R3, R5])

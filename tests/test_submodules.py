@@ -20,7 +20,7 @@ from vcodes import submodules
 from vcodes.fieldcode import rref_stack
 from vcodes.submodules import AmbientSpace
 
-from oracles import closure_codewords
+from oracles import closure_codewords, ring_tables
 
 
 def _encode(ring, word) -> int:
@@ -171,9 +171,18 @@ def test_factor_walk_matches_the_ambient_walk(q, n, ideals_only):
     # M -> (e*M for each idempotent e) is one-to-one and onto the product of the factor lattices
     factors = []
     for e in space.ring.idempotents:
-        scaled = space.ring.mul_table[e][space.decode] @ space.powers
+        scaled = ring_tables(q)[0][e][space.decode] @ space.powers
         factors.append({frozenset(scaled[space.members(b)].tolist()) for b in walk})
     assert len(walk) == np.prod([len(f) for f in factors])
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 1)])
+def test_brute_force_dual_equals_the_kernel_dual_on_every_submodule(q, n):
+    space = AmbientSpace(ring_over(q), n)
+    for basis in space.all_submodules():
+        code = space.code(basis)
+        brute, dual = code.brute_force_dual(), code.dual()
+        assert brute == dual and brute.gens == dual.gens
 
 
 def _matrices_reduced(monkeypatch, q, n, ideals_only):

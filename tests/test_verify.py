@@ -14,6 +14,8 @@ from vcodes.ring import PROJECTIONS, ring_over
 from vcodes.ringcode import LinearCodeR
 from vcodes.verify import CLAIM_IDS, CLAIMS, SCOPES, run_verification_suite
 
+from oracles import zero_code_r
+
 
 EXPECTED_IDS = {
     "lee-table-audit",
@@ -247,7 +249,7 @@ def _gray_fsd_transfer_true(monkeypatch):
 
 def _direct_product_zeroes_c2(monkeypatch):
     product = verify.direct_product
-    monkeypatch.setattr(verify, "direct_product", lambda c1, c2: product(c1, LinearCodeR.zero_code(c2.ring, c2.n)))
+    monkeypatch.setattr(verify, "direct_product", lambda c1, c2: product(c1, zero_code_r(c2.ring, c2.n)))
 
 
 def _fsd_check_false(monkeypatch):

@@ -15,6 +15,8 @@ from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 from vcodes import wenum
 
+from oracles import iter_codewords, zero_code_r
+
 
 R2 = ring_over(2)
 R3 = ring_over(3)
@@ -22,7 +24,7 @@ R5 = ring_over(5)
 
 
 def test_lee_enumerator_examples():
-    zero = LinearCodeR.zero_code(R2, 1)
+    zero = zero_code_r(R2, 1)
     assert wenum.lee_enumerator(zero).counts == {0: 1}
     assert wenum.hamming_enumerator_r(zero).counts == {0: 1}
     assert wenum.lee_enumerator(zero) != wenum.hamming_enumerator_r(zero)  # kind is part of ==
@@ -46,7 +48,7 @@ def test_enumerator_totals_match_code_size():
 def _complete_by_word(code):
     """Oracle: tally every codeword's symbols one word at a time."""
     counts = {}
-    for word in code.iter_codewords():
+    for word in iter_codewords(code):
         tally = [0] * code.ring.size
         for sym in word:
             tally[sym] += 1
@@ -57,7 +59,7 @@ def _complete_by_word(code):
 def _symmetrized_by_word(code):
     """Oracle: tally every codeword's symbol classes (Lee weights) one word at a time."""
     counts = {}
-    for word in code.iter_codewords():
+    for word in iter_codewords(code):
         tally = [0] * 4
         for sym in word:
             tally[int(code.ring.lee_table[sym])] += 1
@@ -69,8 +71,8 @@ def test_complete_enumerator_matches_per_word_tallies():
     rng = random.Random(13)
     codes = [random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng) for q in (2, 3, 5) * 6]
     codes.append(LinearCodeR.full_space(R3, 3))  # 3^9 words: more than one chunk
-    codes.append(LinearCodeR.zero_code(R2, 2))
-    codes += [LinearCodeR.zero_code(R2, 0), LinearCodeR(R3, 0, [])]  # n = 0: one empty word
+    codes.append(zero_code_r(R2, 2))
+    codes += [zero_code_r(R2, 0), LinearCodeR(R3, 0, [])]  # n = 0: one empty word
     for code in codes:
         assert wenum.complete_enumerator(code).counts == _complete_by_word(code)
         assert wenum.symmetrized_enumerator(code).counts == _symmetrized_by_word(code)
@@ -218,7 +220,7 @@ def test_hand_made_tallies_must_fill_n_slots():
 
 
 def test_symmetrized_examples():
-    zero = LinearCodeR.zero_code(R2, 3)
+    zero = zero_code_r(R2, 3)
     assert wenum.symmetrized_enumerator(zero).counts == {(3, 0, 0, 0): 1}
     cv = LinearCodeR(R2, 1, [[R2.q]])
     assert wenum.symmetrized_enumerator(cv).counts == {
@@ -237,7 +239,7 @@ def test_class_tallies_partition_length():
 
 
 def test_specialize_examples():
-    zero = LinearCodeR.zero_code(R3, 2)
+    zero = zero_code_r(R3, 2)
     assert wenum.specialize(wenum.symmetrized_enumerator(zero), "lee").counts == {0: 1}
     cv = LinearCodeR(R2, 1, [[R2.q]])
     cwe = wenum.complete_enumerator(cv)
@@ -261,7 +263,7 @@ def test_specializations_match_direct_enumerators():
 
 
 def test_macwilliams_examples():
-    zero = LinearCodeR.zero_code(R2, 1)
+    zero = zero_code_r(R2, 1)
     out = wenum.macwilliams_lee(wenum.lee_enumerator(zero), 1)
     assert out.counts == {0: 1, 1: 3, 2: 3, 3: 1}
     cv = LinearCodeR(R2, 1, [[R2.q]])
@@ -333,8 +335,8 @@ def test_lee_equals_gray_image_hamming():
         oracle = wenum.lee_enumerator_by_table(code).counts  # lee_table summed over element-index words
         assert wenum.lee_enumerator(code).counts == oracle == code.gray_image().weight_counts()
     for q in (2, 3):  # the zero code and a length-0 code hold only the zero word
-        assert wenum.lee_enumerator(LinearCodeR.zero_code(ring_over(q), 2)).counts == {0: 1}
-        assert wenum.lee_enumerator(LinearCodeR.zero_code(ring_over(q), 0)).counts == {0: 1}
+        assert wenum.lee_enumerator(zero_code_r(ring_over(q), 2)).counts == {0: 1}
+        assert wenum.lee_enumerator(zero_code_r(ring_over(q), 0)).counts == {0: 1}
 
 
 def test_serialization_roundtrip():
