@@ -37,7 +37,7 @@ from .fsd import (
 )
 from .gf import format_poly, parse_poly
 from .fieldcode import LinearCodeFq
-from .ring import format_elem, parse_elem, ring_over
+from .ring import format_elem, format_row, parse_elem, ring_over
 from .verify import SCOPES, run_verification_suite
 
 _ENUM_BUILDERS = {
@@ -153,9 +153,7 @@ def _cmd_dual(args) -> int:
             "n": code.n,
             "size": code.size,
             "dual_size": dual.size,
-            "dual_generators": [
-                [format_elem(code.ring.from_index(x)) for x in g] for g in dual.gens
-            ],
+            "dual_generators": [format_row(code.ring, g) for g in dual.gens],
         }
         _emit(args, obj, [f"|C| = {code.size}  |C^dual| = {dual.size}", format_code_file(dual).rstrip()])
     else:
@@ -193,7 +191,7 @@ def _cmd_cyclic(args) -> int:
         elif isinstance(witness, CyclicSpecR):
             wobj = {"f1": format_poly(witness.f1), "f2": format_poly(witness.f2), "f3": format_poly(witness.f3)}
         else:
-            wobj = {"generators": [[format_elem(ring.from_index(x)) for x in g] for g in witness.gens]}
+            wobj = {"generators": [format_row(ring, g) for g in witness.gens]}
         obj = {"witness": wobj, "exhausted": res["exhausted"], "tested": res["tested"]}
         _emit(args, obj, [json.dumps(obj, sort_keys=True)])
         return 0
@@ -210,7 +208,7 @@ def _cmd_cyclic(args) -> int:
         "size": code.size,
         "size_formula": spec.size_formula(args.q),
         "is_cyclic": is_cyclic_r(code),
-        "generators": [[format_elem(ring.from_index(x)) for x in g] for g in code.gens],
+        "generators": [format_row(ring, g) for g in code.gens],
     }
     _emit(args, obj, [f"|C| = {code.size} (formula {obj['size_formula']}), cyclic: {obj['is_cyclic']}"])
     return 0
@@ -244,7 +242,7 @@ def _cmd_construct(args) -> int:
     obj = {
         "q": code.ring.q,
         "length": code.n,
-        "generators": [[format_elem(code.ring.from_index(x)) for x in g] for g in code.gens],
+        "generators": [format_row(code.ring, g) for g in code.gens],
         "witness": witness.to_json_obj(),
         "isodual_witness_check": ok,
     }

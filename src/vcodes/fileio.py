@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError
 from .fieldcode import LinearCodeFq
 from .gf import GF
-from .ring import Ring, format_elem, parse_elem, ring_over
+from .ring import Ring, format_row, parse_elem, ring_over
 from .ringcode import LinearCodeR
 
 _HEADER_RE = re.compile(r"^q=(\d+)\s+n=(\d+)$")
@@ -53,38 +53,34 @@ def format_matrix_file(field: GF, mat) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_code_file(text: str) -> LinearCodeR:
-    q, n, lines = _split_header(text)
-    ring = ring_over(q)
-    gens = []
-    for ln in lines:
-        entries = ln.split()
-        if len(entries) != n:
-            raise ParseError(f"generator has {len(entries)} entries, expected {n}")
-        gens.append([parse_elem(ring, e).idx for e in entries])
-    return LinearCodeR(ring, n, gens)
-
-
-def parse_ring_matrix_file(text: str) -> tuple[Ring, list[tuple[int, ...]]]:
-    """A square grid of ring elements in the code-file syntax."""
+def _element_rows(text: str, what: str) -> tuple[Ring, int, list[tuple[int, ...]]]:
+    """The ring, the length n and the element-index rows of a file in the code-file syntax."""
     q, n, lines = _split_header(text)
     ring = ring_over(q)
     rows = []
     for ln in lines:
         entries = ln.split()
         if len(entries) != n:
-            raise ParseError(f"matrix row has {len(entries)} entries, expected {n}")
+            raise ParseError(f"{what} has {len(entries)} entries, expected {n}")
         rows.append(tuple(parse_elem(ring, e).idx for e in entries))
+    return ring, n, rows
+
+
+def parse_code_file(text: str) -> LinearCodeR:
+    return LinearCodeR(*_element_rows(text, "generator"))
+
+
+def parse_ring_matrix_file(text: str) -> tuple[Ring, list[tuple[int, ...]]]:
+    """A square grid of ring elements in the code-file syntax."""
+    ring, n, rows = _element_rows(text, "matrix row")
     if len(rows) != n:
         raise ParseError(f"matrix has {len(rows)} rows, expected {n}")
     return ring, rows
 
 
 def format_code_file(code: LinearCodeR) -> str:
-    lines = [f"q={code.ring.q} n={code.n}"]
-    for g in code.gens:
-        lines.append(" ".join(format_elem(code.ring.from_index(x)) for x in g))
-    return "\n".join(lines) + "\n"
+    rows = [" ".join(format_row(code.ring, g)) for g in code.gens]
+    return "\n".join([f"q={code.ring.q} n={code.n}", *rows]) + "\n"
 
 
 def parse_vector(ring: Ring, text: str) -> tuple[int, ...]:

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DEFAULT_BUDGET, NotSymmetric, ParamMismatch, ShapeError
 from .ring import Ring
-from .ringcode import LinearCodeR, _as_index_row
+from .ringcode import LinearCodeR, _index_rows
 from .submodules import AmbientSpace
 from . import wenum
 
@@ -37,19 +39,28 @@ class SignedPermutation:
     src: tuple[int, ...]
     negate: tuple[bool, ...]
 
-    def apply(self, ring: Ring, row) -> tuple[int, ...]:
-        out = []
-        for s, neg in zip(self.src, self.negate):
-            x = row[s]
-            out.append(int(ring.neg_table[x]) if neg else int(x))
-        return tuple(out)
+    def __post_init__(self):
+        if sorted(self.src) != list(range(len(self.negate))):
+            raise ShapeError(f"src {self.src} is not a permutation of range({len(self.negate)})")
+
+    def apply(self, ring: Ring, rows) -> np.ndarray:
+        """The images of element-index rows (..., n)."""
+        rows = np.asarray(rows, dtype=np.int64)[..., list(self.src)]
+        return np.where(self.negate, ring.neg_table[rows], rows)
 
     def apply_code(self, code: LinearCodeR) -> LinearCodeR:
-        gens = [self.apply(code.ring, g) for g in code.gens]
-        return LinearCodeR(code.ring, code.n, gens)
+        rows = np.reshape(code.gens, (len(code.gens), code.n))  # keeps n when there are no generators
+        return LinearCodeR(code.ring, code.n, self.apply(code.ring, rows))
 
     def to_json_obj(self) -> dict:
         return {"src": list(self.src), "negate": [int(b) for b in self.negate]}
+
+
+def _square(ring: Ring, rows) -> np.ndarray:
+    matrix = _index_rows(ring, rows)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ShapeError("matrix must be square")
+    return matrix
 
 
 class SymmetricMatrixR:
@@ -57,25 +68,19 @@ class SymmetricMatrixR:
 
     def __init__(self, ring: Ring, rows):
         self.ring = ring
-        self.rows = tuple(_as_index_row(ring, r) for r in rows)
+        matrix = _square(ring, rows)
+        differ = np.argwhere(matrix != matrix.T)  # row-major, so the first pair has i < j
+        if len(differ):
+            i, j = differ[0].tolist()
+            raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+        self.rows = tuple(map(tuple, matrix.tolist()))
         self.n = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.n:
-                raise ShapeError("matrix must be square")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
 
     @classmethod
     def from_upper_triangle(cls, ring: Ring, rows) -> "SymmetricMatrixR":
         """Symmetrize a printed grid, trusting entries on or above the diagonal."""
-        raw = [list(_as_index_row(ring, r)) for r in rows]
-        n = len(raw)
-        for i in range(n):
-            for j in range(i):
-                raw[i][j] = raw[j][i]
-        return cls(ring, raw)
+        upper = np.triu(_square(ring, rows))
+        return cls(ring, upper + np.triu(upper, 1).T)
 
 
 @dataclass(frozen=True)
@@ -90,9 +95,9 @@ class CirculantSpecR:
         return len(self.first_row)
 
     def rows(self) -> list[tuple[int, ...]]:
-        m = list(self.first_row)
-        n = len(m)
-        return [tuple(m[(j - i) % n] for j in range(n)) for i in range(n)]
+        shifts = np.arange(self.order)
+        grid = np.array(self.first_row, dtype=np.int64)[(shifts - shifts[:, None]) % self.order]
+        return list(map(tuple, grid.tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,35 +114,21 @@ class BorderedSpecR:
         return self.core.order + 1
 
     def rows(self) -> list[tuple[int, ...]]:
-        n = self.order
-        core_rows = self.core.rows()
-        rows = [tuple([self.alpha] + [self.omega] * (n - 1))]
-        for i in range(n - 1):
-            rows.append(tuple([self.omega] + list(core_rows[i])))
-        return rows
+        grid = np.full((self.order, self.order), self.omega, dtype=np.int64)
+        grid[0, 0] = self.alpha
+        grid[1:, 1:] = np.reshape(self.core.rows(), (self.core.order,) * 2)
+        return list(map(tuple, grid.tolist()))
 
 
 def _identity_block_code(ring: Ring, b_rows) -> LinearCodeR:
-    n = len(b_rows)
-    gens = []
-    for i, brow in enumerate(b_rows):
-        left = [0] * n
-        left[i] = 1
-        gens.append(tuple(left) + tuple(brow))
-    return LinearCodeR(ring, 2 * n, gens)
+    b = _square(ring, b_rows)
+    return LinearCodeR(ring, 2 * len(b), np.hstack([np.eye(len(b), dtype=np.int64), b]))
 
 
-def _witness(n: int, block_perm) -> SignedPermutation:
-    """(x, y) -> (-y.J, x.J) with J given as an index permutation."""
-    src = []
-    negate = []
-    for i in range(n):
-        src.append(n + block_perm(i))
-        negate.append(True)
-    for i in range(n):
-        src.append(block_perm(i))
-        negate.append(False)
-    return SignedPermutation(tuple(src), tuple(negate))
+def _witness(block: np.ndarray) -> SignedPermutation:
+    """(x, y) -> (-y.J, x.J) with J given as an index array."""
+    n = len(block)
+    return SignedPermutation(tuple(np.concatenate([n + block, block]).tolist()), (True,) * n + (False,) * n)
 
 
 def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
@@ -145,58 +136,46 @@ def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
     if not isinstance(matrix, SymmetricMatrixR):
         matrix = SymmetricMatrixR(ring, matrix)
     code = _identity_block_code(ring, matrix.rows)
-    return code, _witness(matrix.n, lambda i: i)
+    return code, _witness(np.arange(matrix.n))
 
 
 def construction_b(ring: Ring, spec) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | M] with M circulant (double circulant construction)."""
     if not isinstance(spec, CirculantSpecR):
-        spec = CirculantSpecR(ring, _as_index_row(ring, spec))
-    n = spec.order
+        spec = CirculantSpecR(ring, tuple(_index_rows(ring, [spec])[0].tolist()))
     code = _identity_block_code(ring, spec.rows())
-    return code, _witness(n, lambda i: (-i) % n)
+    return code, _witness(-np.arange(spec.order) % spec.order)  # J: i -> -i mod n
 
 
 def construction_c(ring: Ring, spec: BorderedSpecR) -> tuple[LinearCodeR, SignedPermutation]:
-    """[I_n | bordered circulant]; the witness reverses the core indices."""
+    """[I_n | bordered circulant]; the witness fixes the border and reverses the core."""
     if spec.core.order < 1:
         raise ShapeError("bordered construction needs a core of order >= 1")
-    n = spec.order
-    m = n - 1
-
-    def perm(i: int) -> int:
-        return 0 if i == 0 else 1 + ((1 - i) % m)
-
     code = _identity_block_code(ring, spec.rows())
-    return code, _witness(n, perm)
+    m = spec.core.order
+    return code, _witness(np.concatenate([[0], 1 + -np.arange(m) % m]))
 
 
-def _right_block(code: LinearCodeR) -> list[tuple[int, ...]]:
+def _right_block(code: LinearCodeR) -> np.ndarray:
     """Recover B from generators in [I_n | B] form."""
     n = code.n // 2
     if code.n % 2 or len(code.gens) != n:
         raise ShapeError("witness check expects n generators of length 2n")
-    for i, g in enumerate(code.gens):
-        left = g[:n]
-        if any(left[j] != (1 if j == i else 0) for j in range(n)):
-            raise ShapeError("generators are not in [I_n | B] form")
-    return [g[n:] for g in code.gens]
+    gens = _index_rows(code.ring, code.gens)
+    if (gens[:, :n] != np.eye(n, dtype=np.int64)).any():
+        raise ShapeError("generators are not in [I_n | B] form")
+    return gens[:, n:]
 
 
 def isodual_witness_check(code: LinearCodeR, witness: SignedPermutation) -> bool:
     """Certify C isodual: companion [-B^T | I] spans the dual, and the
     signed permutation carries C exactly onto it."""
-    ring = code.ring
-    n = code.n // 2
-    b_rows = _right_block(code)
-    companion = []
-    for i in range(n):
-        left = [int(ring.neg_table[b_rows[j][i]]) for j in range(n)]
-        right = [0] * n
-        right[i] = 1
-        companion.append(tuple(left) + tuple(right))
+    if len(witness.src) != code.n:
+        raise ShapeError(f"a witness of length {len(witness.src)} cannot act on length {code.n}")
+    b = _right_block(code)
+    companion = np.hstack([code.ring.neg_table[b.T], np.eye(len(b), dtype=np.int64)])
     dual = code.dual()
-    if LinearCodeR(ring, code.n, companion) != dual:
+    if LinearCodeR(code.ring, code.n, companion) != dual:
         return False
     return witness.apply_code(code) == dual
 
@@ -245,13 +224,9 @@ def gray_fsd_transfer(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def random_symmetric(ring: Ring, n: int, rng) -> SymmetricMatrixR:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            x = rng.randrange(ring.size)
-            rows[i][j] = x
-            rows[j][i] = x
-    return SymmetricMatrixR(ring, rows)
+    """Entries on and above the diagonal, drawn in row-major order."""
+    upper = [[rng.randrange(ring.size) if j >= i else 0 for j in range(n)] for i in range(n)]
+    return SymmetricMatrixR.from_upper_triangle(ring, upper)
 
 
 def random_circulant(ring: Ring, n: int, rng) -> CirculantSpecR:

@@ -287,6 +287,11 @@ def format_elem(x: RingElem) -> str:
     return f"[{x.a0},{x.a1},{x.a2}]"
 
 
+def format_row(ring: Ring, row) -> list[str]:
+    """An element-index row in the canonical triple form, entry by entry."""
+    return [format_elem(ring.from_index(int(x))) for x in row]
+
+
 # The published Lee-weight case table, row by row, exactly as printed.
 # Each row: (claimed weight, test on a0, test on a1, third condition).
 # "mod?" marks rows whose printed condition ends in an unstated modulus;

@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
 )
 from .fieldcode import LinearCodeFq, rref_stack
+from . import wenum
 from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
 
 
@@ -76,15 +77,33 @@ def flat_dual(ring: Ring, basis: np.ndarray) -> LinearCodeFq:
     return LinearCodeFq(ring.field, basis.shape[-1], constraints).dual()
 
 
-def _as_index_row(ring: Ring, row) -> tuple[int, ...]:
-    out = []
-    for x in row:
-        if isinstance(x, RingElem):
-            ring.check_same(x.ring)
-            out.append(x.idx)
-        else:
-            out.append(int(x) % ring.size)
-    return tuple(out)
+def _entry_index(ring: Ring, x) -> int:
+    if isinstance(x, RingElem):
+        ring.check_same(x.ring)
+        return x.idx
+    if isinstance(x, (int, np.integer)):
+        return int(x) % ring.size
+    raise ParamMismatch(f"an R-vector entry must be an int or a RingElem, not {type(x).__name__}")
+
+
+def _index_rows(ring: Ring, rows) -> np.ndarray:
+    """R-vector rows as an (m, n) int64 array of element indices mod |R|, from
+    an integer array or nested lists; no rows give shape (0, 0).  Every R-vector
+    input enters here, and only an object array (``RingElem`` entries) is read
+    entry by entry."""
+    try:
+        grid = np.asarray(rows)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise ShapeError(f"R-vector rows differ in length: {exc}") from None
+    if grid.dtype == object:
+        grid = np.array([_entry_index(ring, x) for x in grid.flat], dtype=np.int64).reshape(grid.shape)
+    elif grid.size and grid.dtype.kind not in "biu":
+        raise ParamMismatch(f"R-vector entries must be ints or RingElem, not {grid.dtype}")
+    if grid.shape == (0,):
+        grid = grid.reshape(0, 0)
+    if grid.ndim != 2:
+        raise ShapeError(f"R-vector rows must form an (m, n) grid, not shape {grid.shape}")
+    return grid.astype(np.int64) % ring.size
 
 
 class LinearCodeR:
@@ -93,12 +112,11 @@ class LinearCodeR:
     def __init__(self, ring: Ring, n: int, gens):
         self.ring = ring
         self.n = n
-        rows = [_as_index_row(ring, g) for g in gens]
-        for r in rows:
-            if len(r) != n:
-                raise ShapeError(f"generator length {len(r)} != n = {n}")
-        self.gens = tuple(rows)
-        gens = np.array(self.gens, dtype=np.int64).reshape(len(rows), n)
+        gens = _index_rows(ring, gens)
+        if len(gens) and gens.shape[1] != n:
+            raise ShapeError(f"generator length {gens.shape[1]} != n = {n}")
+        gens = gens.reshape(len(gens), n)
+        self.gens = tuple(map(tuple, gens.tolist()))
         self.flat = LinearCodeFq(ring.field, 3 * n, fq_span_rows(ring, gens))
 
     @classmethod
@@ -120,12 +138,7 @@ class LinearCodeR:
 
     @classmethod
     def full_space(cls, ring: Ring, n: int) -> "LinearCodeR":
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[i] = 1
-            rows.append(row)
-        return cls(ring, n, rows)
+        return cls(ring, n, np.eye(n, dtype=np.int64))
 
     @property
     def dim_fq(self) -> int:
@@ -158,7 +171,7 @@ class LinearCodeR:
 
     def contains(self, row) -> bool:
         ring = self.ring
-        vec = np.array(_as_index_row(ring, row), dtype=np.int64)
+        vec = _index_rows(ring, [row])[0]
         return self.flat.contains(_flatten(ring, vec))
 
     # ---- structure maps ----
@@ -216,7 +229,7 @@ class LinearCodeR:
     def dot(self, x, y) -> int:
         """Ring inner product of two element-index rows: sum_j times(x_j) @ coeff(y_j)."""
         ring = self.ring
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        x, y = _index_rows(ring, [x, y])
         return ring.index(*np.einsum("jab,jb->a", ring.times(x), ring.coeff[y]).tolist())
 
     def brute_force_dual(self, budget: int = DEFAULT_BUDGET) -> "LinearCodeR":
@@ -256,23 +269,16 @@ class LinearCodeR:
     ) -> tuple[int, str]:
         """Minimum nonzero Lee weight with the provenance of the number.
 
-        'exhaustive' and 'gray-image' are exact and must agree; the
-        'component-lemma' value min{d(C_i)} is a published formula under
-        test and is returned tagged, never silently substituted.
+        'exhaustive' (the element-space tally ``wenum.lee_enumerator_by_table``)
+        and 'gray-image' are exact and must agree; the 'component-lemma' value
+        min{d(C_i)} is a published formula under test and is returned tagged,
+        never silently substituted.
         """
-        ring = self.ring
         if strategy == "exhaustive":
             if self.dim_fq == 0:
                 raise EmptyCode("zero code has no nonzero Lee weight")
-            best = 3 * self.n + 1
-            for rows in self.codeword_chunks(budget):
-                w = ring.lee_table[rows].sum(axis=1)
-                nz = w[w > 0]
-                if nz.size:
-                    best = min(best, int(nz.min()))
-                    if best == 1:
-                        break
-            return best, "exhaustive"
+            counts = wenum.lee_enumerator_by_table(self, budget).counts
+            return min(w for w in counts if w), "exhaustive"
         if strategy == "gray-image":
             return self.gray_image().min_distance(budget), "gray-image"
         if strategy == "component-lemma":

@@ -51,7 +51,7 @@ from .fsd import (
     random_symmetric,
 )
 from .gf import format_poly
-from .ring import audit_published_lee_table, format_elem, ring_over
+from .ring import audit_published_lee_table, format_row, ring_over
 from .ringcode import LinearCodeR, random_code_r
 
 SCOPES = ("all", "gray", "enumerators", "cyclic", "fsd", "examples")
@@ -204,11 +204,6 @@ def _claim(claim_id: str, anchor: str, scope: str):
 
 def _gens(code) -> list[list[int]]:
     return list(map(list, code.gens))
-
-
-def _spell(ring, row) -> list[str]:
-    """Element-index row as printed ring elements."""
-    return [format_elem(ring.from_index(int(x))) for x in row]
 
 
 def _random_codes(rng, count, qs=(2, 3), max_n=3):
@@ -499,7 +494,7 @@ def _claim_cor10(ctx):
             if found and isinstance(res["witness"], CyclicSpecR):
                 entry["witness"] = _spec_obj(res["witness"])
             elif found:
-                entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
+                entry["witness_generators"] = [format_row(ring, g) for g in res["witness"].gens]
             observed[f"q={q},n={n}"] = entry
     return (
         "confirmed" if consistent else "refuted",
@@ -610,7 +605,7 @@ def _claim_thm20(ctx):
         ctx.tested += res["tested"]
         entry = {"witness": res["witness"] is not None, "submodules_tested": res["tested"], "exhausted": res["exhausted"]}
         if res["witness"] is not None:
-            entry["witness_generators"] = [_spell(ring, g) for g in res["witness"].gens]
+            entry["witness_generators"] = [format_row(ring, g) for g in res["witness"].gens]
         observed[f"q={q},n={n}"] = entry
     len1_refuted = not observed["q=2,n=1"]["witness"] and not observed["q=3,n=1"]["witness"]
     return (
@@ -630,7 +625,7 @@ def _claim_thm20(ctx):
 def _repairs(ring, printed, rebuilt) -> list[list]:
     """[row, column, printed, rebuilt], 1-based and spelled, for each entry the rebuild changed."""
     return [
-        [i + 1, j + 1, *_spell(ring, (p, r))]
+        [i + 1, j + 1, *format_row(ring, (p, r))]
         for i, (printed_row, rebuilt_row) in enumerate(zip(printed, rebuilt))
         for j, (p, r) in enumerate(zip(printed_row, rebuilt_row))
         if p != r
@@ -655,7 +650,7 @@ def _claim_ex13(ctx):
         "gray_parameters": [image.n, image.k, best],
         "isodual_witness": ok_witness,
         "repaired_entries": repaired,
-        "minimum_weight_codeword": _spell(ring, words[0]),
+        "minimum_weight_codeword": format_row(ring, words[0]),
     }
     status = "canonicalized" if best == 9 else "refuted"
     note = (
@@ -672,9 +667,8 @@ def _claim_ex13(ctx):
 
 def _ex15_code():
     ring = ring_over(5)
-    first_row = tuple(ring.parse(e).idx for e in EX15_PRINTED_ROWS[0])
-    spec = CirculantSpecR(ring, first_row)
     printed = [[ring.parse(e).idx for e in row] for row in EX15_PRINTED_ROWS]
+    spec = CirculantSpecR(ring, tuple(printed[0]))
     code, witness = construction_b(ring, spec)
     return ring, code, witness, _repairs(ring, printed, spec.rows())
 
@@ -715,9 +709,8 @@ def _claim_ex15(ctx):
 
 def _ex17_code():
     ring = ring_over(3)
-    core_first = tuple(ring.parse(e).idx for e in EX17_PRINTED_CORE[0])
-    spec = BorderedSpecR(ring, ring.parse(EX17_ALPHA).idx, ring.parse(EX17_OMEGA).idx, CirculantSpecR(ring, core_first))
     printed = [[ring.parse(e).idx for e in row] for row in EX17_PRINTED_CORE]
+    spec = BorderedSpecR(ring, ring.parse(EX17_ALPHA).idx, ring.parse(EX17_OMEGA).idx, CirculantSpecR(ring, tuple(printed[0])))
     code, witness = construction_c(ring, spec)
     return ring, code, witness, _repairs(ring, printed, spec.core.rows())
 

@@ -24,9 +24,10 @@ statement over R prints (X + Y, X - Y), which is the binary special case;
 where it breaks for q > 2.
 
 The published symbol-class bookkeeping (eta classes and their alpha sums)
-is kept in ``PUBLISHED_SYMBOL_CLASSES`` for comparison only: its class
-memberships contradict the weight identity w_L = alpha1 + 2*alpha2 +
-3*alpha3 that the same page relies on.  The working definition used
+is kept in ``PUBLISHED_SYMBOL_CLASSES`` for comparison only; no report
+cites it, and only ``tests/test_wenum.py`` reads it.  Its class memberships
+contradict the weight identity w_L = alpha1 + 2*alpha2 + 3*alpha3 that the
+same page relies on.  The working definition used
 throughout is class(symbol) = Hamming weight of the Gray image, which makes
 that identity hold symbol by symbol.
 """
@@ -45,7 +46,7 @@ from .ring import ring_over
 #   0, a0, a1*v, a2*v^2, a0+a1*v, a0+a2*v^2, a1*v+a2*v^2, a0+a1*v+a2*v^2
 # and each alpha_i sums the tallies of the listed classes.  Classes 4..7
 # appear under several alphas at once, which is why this table cannot
-# reproduce the Lee weight; it is exported only so reports can cite it.
+# reproduce the Lee weight.  No report cites it; only the tests read it.
 PUBLISHED_SYMBOL_CLASSES = {
     "alpha0": (0,),
     "alpha1": (3, 4, 6, 7),

@@ -60,3 +60,88 @@ def random_code(field, n: int, rng) -> LinearCodeFq:
     rows = rng.randrange(1, n + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
     return LinearCodeFq.from_rows(field, n, mat)
+
+
+# ---- the tuple-by-tuple FSD builders, references for the array builders in ``fsd`` ----
+
+
+def signed_permutation_apply(ring, witness, row) -> tuple[int, ...]:
+    """One row under a ``SignedPermutation``, entry by entry."""
+    out = []
+    for s, neg in zip(witness.src, witness.negate):
+        x = row[s]
+        out.append(int(ring.neg_table[x]) if neg else int(x))
+    return tuple(out)
+
+
+def identity_block_rows(b_rows) -> list[tuple[int, ...]]:
+    """The generator rows of [I_n | B]."""
+    n = len(b_rows)
+    gens = []
+    for i, brow in enumerate(b_rows):
+        left = [0] * n
+        left[i] = 1
+        gens.append(tuple(left) + tuple(brow))
+    return gens
+
+
+def companion_rows(ring, b_rows) -> list[tuple[int, ...]]:
+    """The rows of [-B^T | I_n], which span the dual of [I_n | B]."""
+    n = len(b_rows)
+    companion = []
+    for i in range(n):
+        left = [int(ring.neg_table[b_rows[j][i]]) for j in range(n)]
+        right = [0] * n
+        right[i] = 1
+        companion.append(tuple(left) + tuple(right))
+    return companion
+
+
+def upper_triangle_rows(rows) -> list[tuple[int, ...]]:
+    """A square grid symmetrized from the entries on and above its diagonal."""
+    raw = [list(r) for r in rows]
+    for i in range(len(raw)):
+        for j in range(i):
+            raw[i][j] = raw[j][i]
+    return [tuple(r) for r in raw]
+
+
+def random_symmetric_rows(ring, n: int, rng) -> list[tuple[int, ...]]:
+    """A random symmetric grid, drawn in row-major order on and above the diagonal."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rng.randrange(ring.size)
+            rows[i][j] = x
+            rows[j][i] = x
+    return [tuple(r) for r in rows]
+
+
+def circulant_rows(first_row) -> list[tuple[int, ...]]:
+    """Row i is the right shift of row i-1."""
+    m = list(first_row)
+    n = len(m)
+    return [tuple(m[(j - i) % n] for j in range(n)) for i in range(n)]
+
+
+def bordered_rows(alpha: int, omega: int, core_first) -> list[tuple[int, ...]]:
+    """The alpha corner and omega edges around the circulant of ``core_first``."""
+    n = len(core_first) + 1
+    core_rows = circulant_rows(core_first)
+    rows = [tuple([alpha] + [omega] * (n - 1))]
+    for i in range(n - 1):
+        rows.append(tuple([omega] + list(core_rows[i])))
+    return rows
+
+
+def block_witness(n: int, block_perm) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """(src, negate) of (x, y) -> (-y.J, x.J), J given as an index map."""
+    src = []
+    negate = []
+    for i in range(n):
+        src.append(n + block_perm(i))
+        negate.append(True)
+    for i in range(n):
+        src.append(block_perm(i))
+        negate.append(False)
+    return tuple(src), tuple(negate)

@@ -223,8 +223,13 @@ def test_verify_paper_over_budget_claim_is_untestable(capsys):
 def test_code_file_roundtrip():
     ring = ring_over(3)
     code = LinearCodeR(ring, 2, [[1, ring.q], [ring.q**2, 2]])
-    back = parse_code_file(format_code_file(code))
+    text = format_code_file(code)
+    assert text == "q=3 n=2\n[1,0,0] [0,1,0]\n[0,0,1] [2,0,0]\n"
+    back = parse_code_file(text)
     assert back == code
+    assert parse_code_file("q=3 n=0\n") == LinearCodeR(ring, 0, [])
+    with pytest.raises(ParseError, match="generator has 1 entries"):
+        parse_code_file("q=3 n=2\n[1,0,0]\n")
 
 
 def test_matrix_file_errors():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcodes.errors import NotSymmetric, ParamMismatch, ShapeError
 from vcodes.ring import ring_over
@@ -25,6 +26,7 @@ from vcodes.fsd import (
 )
 from vcodes import wenum
 
+import oracles
 from oracles import zero_code_r
 
 
@@ -186,3 +188,73 @@ def test_mirror_codes_are_formally_self_dual(monkeypatch):
     monkeypatch.setattr(wenum, "lee_enumerator", lambda *args: pytest.fail("words enumerated"))
     for ring in (R2, R3):
         assert not is_formally_self_dual(LinearCodeR(ring, 3, [[1, 0, 0], [0, ring.q, 1]]))
+
+
+def test_signed_permutation_shape_checked():
+    with pytest.raises(ShapeError):
+        SignedPermutation((5, 0), (True, False))  # 5 is out of range
+    with pytest.raises(ShapeError):
+        SignedPermutation((1, 0, 2), (True, False))  # one sign short
+    with pytest.raises(ShapeError):
+        SignedPermutation((0, 0), (True, False))  # not a permutation
+    code, witness = construction_a(R3, [[1, 2], [2, 0]])
+    with pytest.raises(ShapeError):
+        isodual_witness_check(code, SignedPermutation((1, 0), (True, False)))
+
+
+@st.composite
+def fsd_inputs(draw):
+    """A ring, a length n <= 4 (n = 0 and 1 included) and the entries of the three builders."""
+    ring = ring_over(draw(st.sampled_from([2, 3, 5])))
+    n = draw(st.integers(0, 4))
+    entry = st.integers(0, ring.size - 1)
+    grid = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    first_row = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    border = (draw(entry), draw(entry))
+    return ring, n, grid, first_row, border
+
+
+def _assert_matches_references(ring, code, witness, b_rows, block_perm, words):
+    n = len(b_rows)
+    assert code.gens == tuple(oracles.identity_block_rows(b_rows))
+    assert (witness.src, witness.negate) == oracles.block_witness(n, block_perm)
+    moved = witness.apply(ring, words)
+    assert [tuple(r) for r in moved.tolist()] == [oracles.signed_permutation_apply(ring, witness, w) for w in words]
+    moved_gens = [oracles.signed_permutation_apply(ring, witness, g) for g in code.gens]
+    assert witness.apply_code(code) == LinearCodeR(ring, 2 * n, moved_gens)
+    # the check passes only when its own companion spans the dual, so both companions span it
+    assert isodual_witness_check(code, witness)
+    assert LinearCodeR(ring, 2 * n, oracles.companion_rows(ring, b_rows)) == code.dual()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fsd_inputs())
+def test_array_builders_match_tuple_references(inputs):
+    ring, n, grid, first_row, (alpha, omega) = inputs
+    words = [tuple(g) for g in grid] or [()]  # rows of length n for the witness to move
+
+    symmetric = oracles.upper_triangle_rows(grid)
+    matrix = SymmetricMatrixR.from_upper_triangle(ring, grid)
+    assert matrix.rows == tuple(symmetric)
+    code, witness = construction_a(ring, matrix)
+    _assert_matches_references(ring, code, witness, symmetric, lambda i: i, [c + c for c in words])
+
+    spec = CirculantSpecR(ring, first_row)
+    assert spec.rows() == oracles.circulant_rows(first_row)
+    code, witness = construction_b(ring, spec)
+    _assert_matches_references(ring, code, witness, spec.rows(), lambda i: (-i) % n, [c + c for c in words])
+
+    if n >= 1:  # a bordered matrix of order n + 1 around this circulant core
+        bordered = BorderedSpecR(ring, alpha, omega, spec)
+        assert bordered.rows() == oracles.bordered_rows(alpha, omega, first_row)
+        code, witness = construction_c(ring, bordered)
+        perm = lambda i: 0 if i == 0 else 1 + ((1 - i) % n)  # noqa: E731
+        rows = [(alpha,) + c + (omega,) + c for c in words]
+        _assert_matches_references(ring, code, witness, bordered.rows(), perm, rows)
+
+
+def test_random_symmetric_keeps_its_draws():
+    for q, n, seed in ((2, 0, 1), (3, 1, 2), (3, 3, 3), (5, 4, 4)):
+        ring = ring_over(q)
+        drawn = random_symmetric(ring, n, random.Random(seed)).rows
+        assert drawn == tuple(oracles.random_symmetric_rows(ring, n, random.Random(seed)))

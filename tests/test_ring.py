@@ -10,7 +10,7 @@ from vcodes.errors import (
     ParseError,
 )
 from vcodes.gf import GF
-from vcodes.ring import V, Ring, audit_published_lee_table, crt_combine, format_elem, parse_elem, ring_over
+from vcodes.ring import V, Ring, audit_published_lee_table, crt_combine, format_elem, format_row, parse_elem, ring_over
 
 from oracles import ring_tables
 
@@ -170,6 +170,9 @@ def test_parse_format_roundtrip():
     for ring in (R2, R3, R5):
         for x in ring.elements():
             assert parse_elem(ring, format_elem(x)) == x
+        row = np.arange(ring.size)
+        assert format_row(ring, row) == [format_elem(x) for x in ring.elements()]
+        assert format_row(ring, ()) == []
 
 
 def test_parse_errors():

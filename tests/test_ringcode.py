@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcodes.cyclic import is_cyclic_r
-from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, SearchSpaceTooLarge, ShapeError
+from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq
 from vcodes.ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
 from vcodes.ringcode import (
@@ -42,6 +42,38 @@ def test_construction_examples():
 def test_ragged_generators_rejected():
     with pytest.raises(ShapeError):
         LinearCodeR(R3, 2, [[1, 2], [1]])
+    with pytest.raises(ShapeError):
+        LinearCodeR(R3, 2, [[R3.one, R3.v], [R3.one]])  # ragged rows of elements
+    with pytest.raises(ShapeError):
+        LinearCodeR(R3, 2, [[1, 2, 0]])
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, "2", None, b"2"])
+def test_non_element_entries_rejected(entry):
+    with pytest.raises(ParamMismatch):
+        LinearCodeR(R3, 2, [[1, entry]])
+    with pytest.raises(ParamMismatch):
+        LinearCodeR(R3, 2, [[R3.v, entry]])  # next to a RingElem the row is read entry by entry
+    with pytest.raises(ParamMismatch):
+        LinearCodeR(R3, 2, [[1, 0]]).contains([1, entry])
+    with pytest.raises(ParamMismatch):
+        LinearCodeR(R3, 2, [[R2.v, 0]])  # an element of another ring
+
+
+def test_array_list_and_element_rows_build_one_code():
+    rng = np.random.default_rng(41)
+    for q in (2, 3, 5):
+        ring = ring_over(q)
+        grid = rng.integers(0, ring.size, (3, 4))
+        codes = [
+            LinearCodeR(ring, 4, grid),
+            LinearCodeR(ring, 4, grid.tolist()),
+            LinearCodeR(ring, 4, [[ring.from_index(int(x)) for x in row] for row in grid]),
+            LinearCodeR(ring, 4, grid + 7 * ring.size),  # indices are read mod |R|
+        ]
+        for code in codes[1:]:
+            assert code.gens == codes[0].gens == tuple(map(tuple, grid.tolist()))
+            assert np.array_equal(code.flat.gen, codes[0].flat.gen) and code.flat == codes[0].flat
 
 
 def test_enumeration_matches_closure_oracle():
