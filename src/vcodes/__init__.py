@@ -27,15 +27,15 @@ from .fieldcode import (
     LinearCodeFq,
     cyclic_code_fq,
     cyclic_dual_generator,
-    hamming_enumerator_fq,
     rref,
     self_dual_cyclic_audit,
     self_dual_cyclic_exists,
 )
-from .ringcode import ComponentTriple, LinearCodeR, combine_components
+from .ringcode import LinearCodeR, combine_components
 from .wenum import (
     WeightEnumerator,
     complete_enumerator,
+    hamming_enumerator_fq,
     hamming_enumerator_r,
     lee_enumerator,
     macwilliams_hamming_fq,

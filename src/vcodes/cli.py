@@ -48,12 +48,6 @@ _ENUM_BUILDERS = {
 }
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--seed", type=int, default=42)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcodes",
@@ -61,32 +55,32 @@ def build_parser() -> argparse.ArgumentParser:
         "duals, enumerators, cyclic and formally self-dual constructions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --format for every subcommand; --budget for those that enumerate codewords
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    enumerating = argparse.ArgumentParser(add_help=False, parents=[output])
+    enumerating.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("gray", help="Gray image and Lee weight of one element")
-    _common(p)
+    p = sub.add_parser("gray", parents=[output], help="Gray image and Lee weight of one element")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--element", required=True)
 
-    p = sub.add_parser("weight", help="Lee weight of an element or a vector")
-    _common(p)
+    p = sub.add_parser("weight", parents=[output], help="Lee weight of an element or a vector")
     p.add_argument("--q", type=int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--element")
     g.add_argument("--vector", help="whitespace-separated elements")
 
-    p = sub.add_parser("dual", help="dual of a code file (over R) or matrix file (over GF(q))")
-    _common(p)
+    p = sub.add_parser("dual", parents=[output], help="dual of a code file (over R) or matrix file (over GF(q))")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--code", help="code file over R")
     g.add_argument("--matrix", help="generator matrix file over GF(q)")
 
-    p = sub.add_parser("enum", help="weight enumerator of a code over R")
-    _common(p)
+    p = sub.add_parser("enum", parents=[enumerating], help="weight enumerator of a code over R")
     p.add_argument("--kind", choices=tuple(_ENUM_BUILDERS), default="lee")
     p.add_argument("--code", required=True)
 
-    p = sub.add_parser("cyclic", help="cyclic code from a divisor triple, or self-dual search")
-    _common(p)
+    p = sub.add_parser("cyclic", parents=[output], help="cyclic code from a divisor triple, or self-dual search")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--f1")
@@ -95,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("idempotent", "paper-literal"), default="idempotent")
     p.add_argument("--search-self-dual", action="store_true")
 
-    p = sub.add_parser("construct", help="formally self-dual constructions")
-    _common(p)
+    p = sub.add_parser("construct", parents=[enumerating], help="formally self-dual constructions")
     p.add_argument("kind", choices=("a", "b", "c"))
     p.add_argument("--q", type=int)
     p.add_argument("--matrix-file", help="symmetric matrix over R (construction a)")
@@ -104,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", help="border corner (construction c)")
     p.add_argument("--omega", help="border edge (construction c)")
 
-    p = sub.add_parser("verify-paper", help="run the claim verification suite")
-    _common(p)
+    p = sub.add_parser("verify-paper", parents=[enumerating], help="run the claim verification suite")
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--scope", choices=SCOPES, default="all")
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--timings", action="store_true", help="include wall-clock seconds (not byte-reproducible)")

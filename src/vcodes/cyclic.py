@@ -17,10 +17,10 @@ from itertools import product
 import numpy as np
 
 from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
-from .fieldcode import _shift_code, cyclic_dual_generator
+from .fieldcode import _shift_rows, cyclic_dual_generator
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import ComponentTriple, LinearCodeR, combine_components
+from .ringcode import LinearCodeR, _embed
 from .submodules import AmbientSpace
 
 
@@ -60,14 +60,10 @@ def _check_divisors(n: int, polys) -> None:
 
 
 def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> LinearCodeR:
-    """Combine the three field cyclic codes into an R-code."""
-    triple = ComponentTriple(
-        _shift_code(spec.f1, spec.n),  # a spec's divisors are checked when it is made
-        _shift_code(spec.f2, spec.n),
-        _shift_code(spec.f3, spec.n),
-        "crt" if mode == "idempotent" else "paper-literal",
-    )
-    return combine_components(ring, triple, mode)
+    """The R-span of the shift rows of f1, f2, f3, each times its unit for ``mode``:
+    the three field cyclic codes combined, with one row reduction."""
+    # a spec's divisors are checked when it is made
+    return _embed(ring, spec.n, [_shift_rows(f, spec.n) for f in (spec.f1, spec.f2, spec.f3)], mode)
 
 
 def is_cyclic_r(code: LinearCodeR) -> bool:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
 from .gf import GF, Poly, monic_divisors_of_xn_minus_1
-from . import wenum
 
 _CHUNK_ROWS = 1 << 14
 
@@ -244,8 +243,10 @@ class LinearCodeFq:
         self.field = field
         self.n = n
         gen = np.asarray(gen, dtype=np.int64)
-        # numpy cannot infer -1 next to a zero-length axis; length 0 is {()}
-        gen = gen.reshape(-1, n) if n else np.zeros((0, 0), dtype=np.int64)
+        if not gen.size:
+            gen = np.zeros((0, n), dtype=np.int64)
+        elif gen.ndim != 2 or gen.shape[1] != n:
+            raise ShapeError(f"a generator matrix of length {n} needs n columns, not shape {gen.shape}")
         reduced, rank, pivots = rref(gen, field.q)
         self.gen = reduced[:rank]
         self.k = rank
@@ -253,12 +254,10 @@ class LinearCodeFq:
 
     @classmethod
     def from_rows(cls, field: GF, n: int, rows) -> "LinearCodeFq":
-        rows = list(rows)
-        if not rows:
-            return cls(field, n, np.zeros((0, n), dtype=np.int64))
-        arr = np.array(rows, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != n:
-            raise ShapeError(f"rows must all have length {n}")
+        try:
+            arr = np.array(list(rows), dtype=np.int64)
+        except ValueError:  # numpy refuses ragged rows
+            raise ShapeError(f"rows must all have length {n}") from None
         return cls(field, n, arr)
 
     @classmethod
@@ -390,23 +389,19 @@ class LinearCodeFq:
         return self.contains(np.roll(self.gen, 1, axis=1))
 
 
-def hamming_enumerator_fq(code: LinearCodeFq, budget: int = DEFAULT_BUDGET):
-    return wenum.WeightEnumerator("hamming", code.n, code.field.q, code.weight_counts(budget))
-
-
 def cyclic_code_fq(g: Poly, n: int) -> LinearCodeFq:
     """The cyclic code of length n generated by g, which must divide x^n - 1."""
     _cofactor(g, n)  # raises NotADivisor
-    return _shift_code(g, n)
+    return LinearCodeFq(g.field, n, _shift_rows(g, n))
 
 
-def _shift_code(g: Poly, n: int) -> LinearCodeFq:
-    """The code spanned by the n - deg g shifts of g, for a g known to divide x^n - 1."""
+def _shift_rows(g: Poly, n: int) -> np.ndarray:
+    """The (n - deg g) x n matrix of the shifts of g, for a g known to divide x^n - 1."""
     k = n - g.degree
     rows = np.zeros((max(k, 0), n), dtype=np.int64)
     for i in range(k):
         rows[i, i : i + g.degree + 1] = g.coeffs
-    return LinearCodeFq.from_rows(g.field, n, rows)
+    return rows
 
 
 def _cofactor(g: Poly, n: int) -> Poly:

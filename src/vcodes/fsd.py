@@ -90,6 +90,9 @@ class CirculantSpecR:
     ring: Ring
     first_row: tuple[int, ...]
 
+    def __post_init__(self):  # entries are element indices mod |R|, as in the code built from them
+        object.__setattr__(self, "first_row", tuple(_index_rows(self.ring, [self.first_row])[0].tolist()))
+
     @property
     def order(self) -> int:
         return len(self.first_row)
@@ -108,6 +111,11 @@ class BorderedSpecR:
     alpha: int
     omega: int
     core: CirculantSpecR
+
+    def __post_init__(self):
+        alpha, omega = _index_rows(self.ring, [[self.alpha, self.omega]])[0].tolist()
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "omega", omega)
 
     @property
     def order(self) -> int:
@@ -142,7 +150,7 @@ def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
 def construction_b(ring: Ring, spec) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | M] with M circulant (double circulant construction)."""
     if not isinstance(spec, CirculantSpecR):
-        spec = CirculantSpecR(ring, tuple(_index_rows(ring, [spec])[0].tolist()))
+        spec = CirculantSpecR(ring, spec)
     code = _identity_block_code(ring, spec.rows())
     return code, _witness(-np.arange(spec.order) % spec.order)  # J: i -> -i mod n
 

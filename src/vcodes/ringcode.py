@@ -19,8 +19,6 @@ verification harness measures which one satisfies the published identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -176,22 +174,25 @@ class LinearCodeR:
 
     # ---- structure maps ----
 
-    def _components(self, matrix: np.ndarray, provenance: str) -> "ComponentTriple":
+    def _components(self, matrix: np.ndarray) -> tuple[LinearCodeFq, LinearCodeFq, LinearCodeFq]:
         """The images of C under the rows of an F_q-linear symbol map, which
         the images of its F_q basis span."""
         blocks = _map_symbols(self.ring.q, matrix, self.flat.gen)
-        codes = (LinearCodeFq(self.ring.field, self.n, blocks[:, i]) for i in range(3))
-        return ComponentTriple(*codes, provenance)
+        return tuple(LinearCodeFq(self.ring.field, self.n, blocks[:, i]) for i in range(3))
 
-    def components_crt(self) -> "ComponentTriple":
-        """Evaluation components (at v=1, v=-1, v=0); q odd only."""
+    def components_crt(self) -> tuple[LinearCodeFq, LinearCodeFq, LinearCodeFq]:
+        """Evaluation components at v = 1, -1, 0, in that order; q odd only.
+
+        They recombine through the idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2
+        and e0 = 1-v^2 (``combine_components`` in 'idempotent' mode).
+        """
         if self.ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("evaluation components need odd q")
-        return self._components(EVALUATION, "crt")
+        return self._components(EVALUATION)
 
-    def components_paper(self) -> "ComponentTriple":
+    def components_paper(self) -> tuple[LinearCodeFq, LinearCodeFq, LinearCodeFq]:
         """Literal projections a, a+b, a+b+c of the printed definition."""
-        return self._components(PROJECTIONS, "paper-literal")
+        return self._components(PROJECTIONS)
 
     def gray_basis(self) -> np.ndarray:
         """Psi of each flattened basis row, as (dim_fq, 3n) field rows.
@@ -290,42 +291,21 @@ class LinearCodeR:
         raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@dataclass
-class ComponentTriple:
-    """F_q component codes of an R-code, with their provenance.
-
-    For 'crt' the slots are the evaluation images at v = 1, -1, 0 in that
-    order, recombined by the idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2,
-    e0 = 1-v^2.
-    """
-
-    c1: LinearCodeFq
-    c2: LinearCodeFq
-    c3: LinearCodeFq
-    provenance: str
-
-    def __iter__(self):
-        return iter((self.c1, self.c2, self.c3))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.c1.k, self.c2.k, self.c3.k)
-
-    def size_product(self) -> int:
-        return self.c1.size * self.c2.size * self.c3.size
-
-
-def combine_components(ring: Ring, triple: ComponentTriple, mode: str) -> LinearCodeR:
-    """Rebuild an R-code from field components.
+def combine_components(ring: Ring, components, mode: str) -> LinearCodeR:
+    """Rebuild an R-code from three F_q codes of one length.
 
     'idempotent' uses e1*C1 + e2*C2 + e0*C3 (q odd), the genuine direct-sum
     decomposition.  'paper-literal' spans v*C1, (1-v)*C2, (1-v^2)*C3 as
     printed; those coefficients are not orthogonal idempotents, so this mode
     exists to measure how far the printed identities drift.
     """
-    n = triple.c1.n
-    if triple.c2.n != n or triple.c3.n != n:
-        raise ParamMismatch("components must share the length n")
+    if len(components) != 3 or len({c.n for c in components}) != 1:
+        raise ParamMismatch("combining needs three components that share the length n")
+    return _embed(ring, components[0].n, [c.gen for c in components], mode)
+
+
+def _embed(ring: Ring, n: int, blocks, mode: str) -> LinearCodeR:
+    """The R-span of three F_q row arrays of width n, each times its unit for ``mode``."""
     if mode == "idempotent":
         if ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("idempotent combination needs odd q")
@@ -337,7 +317,7 @@ def combine_components(ring: Ring, triple: ComponentTriple, mode: str) -> Linear
     # a field scalar u is the ring element of index u, with coefficients (u, 0, 0)
     products = ring.times(np.array(units)) @ ring.coeff[: ring.q].T % ring.q  # [unit, coefficient, u]
     multiples = np.array([1, ring.q, ring.q**2]) @ products  # [unit, u]: the index of u * unit
-    gens = np.concatenate([unit_multiples[code.gen] for unit_multiples, code in zip(multiples, triple)])
+    gens = np.concatenate([unit_multiples[rows] for unit_multiples, rows in zip(multiples, blocks)])
     return LinearCodeR(ring, n, gens)
 
 

@@ -24,6 +24,7 @@ fixed seed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -301,7 +302,7 @@ def _claim_cor4(ctx):
 @_claim("lem5-dimension", "Lemma 5 (dimension)", "gray")
 def _claim_lem5_dimension(ctx):
     for code in ctx.each(_random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5))):
-        if code.gray_image().k != sum(code.components_crt().dims):
+        if code.gray_image().k != sum(c.k for c in code.components_crt()):
             raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "dim gray(C) = k1+k2+k3")
     return "confirmed", "dim gray(C) = k1+k2+k3 with evaluation components on every sample", "dimension formula", ""
 
@@ -353,12 +354,12 @@ def _claim_cardinality(ctx):
     literal_bad = 0
     first = None
     for code in ctx.each(_random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5))):
-        if code.components_crt().size_product() != code.size:
+        if math.prod(c.size for c in code.components_crt()) != code.size:
             raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "|C| = |C1||C2||C3|")
-        lit = code.components_paper()
-        if lit.size_product() != code.size:
+        literal_product = math.prod(c.size for c in code.components_paper())
+        if literal_product != code.size:
             literal_bad += 1
-            first = first or {"q": code.ring.q, "gens": _gens(code), "size": code.size, "literal_product": lit.size_product()}
+            first = first or {"q": code.ring.q, "gens": _gens(code), "size": code.size, "literal_product": literal_product}
     return (
         "canonicalized",
         {"evaluation_components_ok": ctx.tested, "literal_projection_mismatches": literal_bad, "first_literal_mismatch": first},

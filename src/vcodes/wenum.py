@@ -38,7 +38,7 @@ from math import comb
 
 import numpy as np
 
-from . import fieldcode  # a module binding: fieldcode imports this module too
+from . import fieldcode
 from .errors import DEFAULT_BUDGET, TransformInconsistent
 from .ring import ring_over
 
@@ -66,7 +66,7 @@ class WeightEnumerator:
     cwe key by a tuple tally.  An swe tally (alpha0, alpha1, alpha2, alpha3)
     counts the coordinates in each class, where a symbol's class is its
     Gray/Hamming weight, so the alphas sum to n.  A cwe tally holds w_a for
-    every a in R.  ``fieldcode.hamming_enumerator_fq`` uses the hamming
+    every a in R.  ``hamming_enumerator_fq`` uses the hamming
     kind for codes over GF(q).
 
     Keys (ints, or tuples of ints) and counts must be Python ints, not numpy
@@ -281,6 +281,10 @@ def _macwilliams(enum: WeightEnumerator, length: int, code_size: int, literal: b
 def macwilliams_lee(enum: WeightEnumerator, code_size: int, literal: bool = False) -> WeightEnumerator:
     """Lee distribution of the dual code from the code's own distribution."""
     return _macwilliams(enum, 3 * enum.n, code_size, literal)
+
+
+def hamming_enumerator_fq(code: fieldcode.LinearCodeFq, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
+    return WeightEnumerator("hamming", code.n, code.field.q, code.weight_counts(budget))
 
 
 def macwilliams_hamming_fq(enum: WeightEnumerator, code_size: int) -> WeightEnumerator:

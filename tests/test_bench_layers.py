@@ -11,11 +11,12 @@ import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 from vcodes import cyclic, fsd, wenum  # noqa: E402
-from vcodes.fieldcode import LinearCodeFq, hamming_enumerator_fq  # noqa: E402
+from vcodes.fieldcode import LinearCodeFq  # noqa: E402
 from vcodes.gf import GF  # noqa: E402
 from vcodes.ring import ring_over  # noqa: E402
 from vcodes.ringcode import LinearCodeR  # noqa: E402
 from vcodes.submodules import AmbientSpace  # noqa: E402
+from vcodes.wenum import hamming_enumerator_fq  # noqa: E402
 
 
 @pytest.fixture

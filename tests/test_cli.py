@@ -42,6 +42,11 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "cyclic", "--q", "3", "--n", "2")[0] == 2
 
 
+def test_options_a_command_does_not_read_are_usage_errors(capsys):
+    assert run(capsys, "gray", "--q", "3", "--element", "1", "--seed", "1")[0] == 2
+    assert run(capsys, "cyclic", "--q", "3", "--n", "2", "--search-self-dual", "--budget", "9")[0] == 2
+
+
 def test_parse_error_exit_code(capsys):
     rc, _, err = run(capsys, "gray", "--q", "3", "--element", "[1,2,5]")
     assert rc == 1 and "error" in err

@@ -13,9 +13,10 @@ from vcodes.cyclic import (
     self_dual_cyclic_search,
 )
 from vcodes.errors import CharacteristicTwoUnsupported, NotADivisor
+from vcodes.fieldcode import cyclic_code_fq
 from vcodes.gf import Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.ring import ring_over
-from vcodes.ringcode import LinearCodeR, random_code_r
+from vcodes.ringcode import LinearCodeR, combine_components, random_code_r
 
 from oracles import closure_codewords, zero_code_r
 
@@ -107,6 +108,29 @@ def test_cyclic_dual_needs_odd_q():
     spec = CyclicSpecR(2, Poly.one(f2), Poly.one(f2), Poly.one(f2))
     with pytest.raises(CharacteristicTwoUnsupported):
         cyclic_dual_r(R2, spec)
+
+
+@pytest.mark.parametrize(
+    "q, ns, modes",
+    [
+        (3, (1, 2, 3, 4), ("idempotent", "paper-literal")),
+        (5, (1, 2, 3), ("idempotent", "paper-literal")),
+        (2, (1, 2, 3, 4), ("paper-literal",)),
+    ],
+)
+def test_triple_code_equals_its_combined_field_cyclic_codes(q, ns, modes):
+    ring = ring_over(q)
+    for n in ns:
+        for spec in all_divisor_triples(ring, n):
+            components = tuple(cyclic_code_fq(f, spec.n) for f in (spec.f1, spec.f2, spec.f3))
+            for mode in modes:
+                assert cyclic_code_r(ring, spec, mode) == combine_components(ring, components, mode)
+
+
+def test_idempotent_triple_code_needs_odd_q():
+    one = Poly.one(R2.field)
+    with pytest.raises(CharacteristicTwoUnsupported):
+        cyclic_code_r(R2, CyclicSpecR(2, one, one, one), "idempotent")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge
+from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
 from vcodes.gf import GF, Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes import fieldcode
 from vcodes.fieldcode import (
@@ -15,7 +15,6 @@ from vcodes.fieldcode import (
     _messages,
     cyclic_code_fq,
     cyclic_dual_generator,
-    hamming_enumerator_fq,
     rref,
     rref_stack,
     self_dual_cyclic_audit,
@@ -25,7 +24,7 @@ from vcodes.fieldcode import (
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, _unflatten
 from vcodes.verify import _ex17_code
-from vcodes.wenum import macwilliams_hamming_fq
+from vcodes.wenum import hamming_enumerator_fq, macwilliams_hamming_fq
 
 from oracles import random_code, zero_code_fq
 
@@ -118,6 +117,19 @@ def test_length_zero_codes():
     assert zero == full and (zero.k, zero.size) == (0, 1)
     assert zero.dual() == full
     assert zero.codewords().shape == (1, 0)
+
+
+def test_generator_of_the_wrong_width_is_a_shape_error():
+    mat = [[1, 2, 0], [0, 1, 1]]
+    for n in (2, 4):  # six entries would read as three rows of length 2
+        with pytest.raises(ShapeError):
+            LinearCodeFq(F3, n, mat)
+    with pytest.raises(ShapeError):
+        LinearCodeFq(F3, 3, [1, 2, 0])
+    with pytest.raises(ShapeError):
+        LinearCodeFq.from_rows(F3, 3, [[1, 2, 0], [0, 1]])
+    assert LinearCodeFq(F3, 3, []).k == LinearCodeFq.from_rows(F3, 3, []).k == 0
+    assert LinearCodeFq(F3, 3, mat).k == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -53,6 +53,21 @@ def test_bordered_rows():
     assert spec.rows() == [(7, 8, 8), (8, 1, 2), (8, 2, 1)]
 
 
+def _right_block_rows(code):
+    n = code.n // 2
+    return [row[n:] for row in code.gens]
+
+
+def test_spec_rows_are_reduced_like_the_code_built_from_them():
+    circulant = CirculantSpecR(R3, (1, 2, 30))
+    assert circulant.first_row == (1, 2, 3)
+    assert circulant.rows() == _right_block_rows(construction_b(R3, circulant)[0])
+    assert construction_b(R3, [1, 2, 30])[0] == construction_b(R3, circulant)[0]
+    bordered = BorderedSpecR(R3, 40, -1, CirculantSpecR(R3, (-1, 29)))
+    assert bordered.rows()[0] == (13, 26, 26)
+    assert bordered.rows() == _right_block_rows(construction_c(R3, bordered)[0])
+
+
 def test_construction_a_trivial():
     code, witness = construction_a(R3, [[0]])
     assert code.size == 27

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, ParamMismatch
 from vcodes.fieldcode import LinearCodeFq
 from vcodes.ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
 from vcodes.ringcode import (
-    ComponentTriple,
     LinearCodeR,
     _flatten,
     _unflatten,
@@ -111,13 +111,13 @@ def test_iter_codewords_streams_each_exactly_once():
 def test_components_crt_examples():
     full = LinearCodeR.full_space(R3, 2)
     t = full.components_crt()
-    assert t.dims == (2, 2, 2)
+    assert [c.k for c in t] == [2, 2, 2]
     z = zero_code_r(R3, 2).components_crt()
-    assert z.dims == (0, 0, 0)
+    assert [c.k for c in z] == [0, 0, 0]
     cv = LinearCodeR(R3, 1, [[R3.q]])
     tv = cv.components_crt()
-    assert (tv.c1.size, tv.c2.size, tv.c3.size) == (3, 3, 1)
-    assert tv.size_product() == cv.size == 9
+    assert [c.size for c in tv] == [3, 3, 1]
+    assert math.prod(c.size for c in tv) == cv.size == 9
 
 
 def test_components_crt_needs_odd_q():
@@ -128,30 +128,26 @@ def test_components_crt_needs_odd_q():
 def test_components_paper_examples():
     cv = LinearCodeR(R3, 1, [[R3.q]])
     t = cv.components_paper()
-    assert t.provenance == "paper-literal"
-    assert (t.c1.k, t.c2.k, t.c3.k) == (0, 1, 1)
+    assert [c.k for c in t] == [0, 1, 1]
     z = zero_code_r(R3, 2).components_paper()
-    assert z.dims == (0, 0, 0)
+    assert [c.k for c in z] == [0, 0, 0]
     f = LinearCodeR.full_space(R3, 2).components_paper()
-    assert f.dims == (2, 2, 2)
+    assert [c.k for c in f] == [2, 2, 2]
 
 
 def test_combine_components_examples():
     field = R3.field
-    zero = ComponentTriple(
-        zero_code_fq(field, 2), zero_code_fq(field, 2), zero_code_fq(field, 2), "crt"
-    )
+    zero = (zero_code_fq(field, 2), zero_code_fq(field, 2), zero_code_fq(field, 2))
     assert combine_components(R3, zero, "idempotent").size == 1
     assert combine_components(R3, zero, "paper-literal").size == 1
-    full = ComponentTriple(
-        LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2), "crt"
-    )
+    full = (LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2))
     assert combine_components(R3, full, "idempotent") == LinearCodeR.full_space(R3, 2)
     assert combine_components(R3, full, "paper-literal") == LinearCodeR.full_space(R3, 2)
-    tri = ComponentTriple(
-        LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), zero_code_fq(field, 1), "crt"
-    )
+    tri = (LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), zero_code_fq(field, 1))
     assert combine_components(R3, tri, "idempotent") == LinearCodeR(R3, 1, [[R3.q]])
+    for bad in ((), tri[:2], tri[:2] + (zero_code_fq(field, 2),)):  # too few components; two lengths
+        with pytest.raises(ParamMismatch):
+            combine_components(R3, bad, "idempotent")
 
 
 def _combine_per_entry(ring, triple, mode):
@@ -186,15 +182,12 @@ def test_combine_components_matches_per_entry_embedding(q, mode):
             zero_code_fq(field, n) if trial == 0 or rng.randrange(3) == 0 else random_code(field, n, rng)
             for _ in range(3)
         ]
-        triple = ComponentTriple(*comps, "crt")
-        assert combine_components(ring, triple, mode).gens == _combine_per_entry(ring, triple, mode)
+        assert combine_components(ring, comps, mode).gens == _combine_per_entry(ring, comps, mode)
 
 
 def test_combine_idempotent_needs_odd_q():
     field = R2.field
-    tri = ComponentTriple(
-        LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), zero_code_fq(field, 1), "crt"
-    )
+    tri = (LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), zero_code_fq(field, 1))
     with pytest.raises(CharacteristicTwoUnsupported):
         combine_components(R2, tri, "idempotent")
 
@@ -266,8 +259,7 @@ def test_kernel_dual_matches_oracles(code):
     if ring.size**n <= _BRUTE_AMBIENT:
         assert dual == code.brute_force_dual()
     if ring.q % 2:
-        comps = code.components_crt()
-        crt = ComponentTriple(comps.c1.dual(), comps.c2.dual(), comps.c3.dual(), "crt")
+        crt = tuple(c.dual() for c in code.components_crt())
         assert dual == combine_components(ring, crt, "idempotent")
 
 
@@ -447,11 +439,11 @@ def test_cardinality_identity_crt_vs_literal():
     literal_breaks = 0
     for _ in range(40):
         code = random_code_r(R3, rng.randrange(1, 4), rng)
-        assert code.components_crt().size_product() == code.size
-        if code.components_paper().size_product() != code.size:
+        assert math.prod(c.size for c in code.components_crt()) == code.size
+        if math.prod(c.size for c in code.components_paper()) != code.size:
             literal_breaks += 1
     # the idempotent-slot code over e1 is a concrete literal-projection failure
     e1code = LinearCodeR(R3, 1, [[R3.e1]])
     assert e1code.size == 3
-    assert e1code.components_paper().size_product() == 9
+    assert math.prod(c.size for c in e1code.components_paper()) == 9
     assert literal_breaks > 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from vcodes import fieldcode
 from vcodes.errors import TransformInconsistent
-from vcodes.fieldcode import LinearCodeFq, hamming_enumerator_fq
+from vcodes.fieldcode import LinearCodeFq
 from vcodes.gf import GF
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
@@ -321,7 +321,7 @@ def test_macwilliams_total_mismatch_rejected():
     lee = wenum.WeightEnumerator("lee", 1, 3, {0: 1})
     with pytest.raises(TransformInconsistent):
         wenum.macwilliams_lee(lee, 3)
-    ham = hamming_enumerator_fq(LinearCodeFq.full_space(GF(3), 2))  # 9 words
+    ham = wenum.hamming_enumerator_fq(LinearCodeFq.full_space(GF(3), 2))  # 9 words
     for code_size in (1, 3):
         with pytest.raises(TransformInconsistent):
             wenum.macwilliams_hamming_fq(ham, code_size)
