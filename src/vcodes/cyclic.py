@@ -5,8 +5,9 @@ A cyclic code over R (odd q) is determined by three monic divisors
 evaluation slots at v = 1, -1, 0 and recombine through the idempotents.
 That idempotent reading carries the size formula |C| = q^(3n - sum deg fi);
 the literal combination printed with coefficients v, 1-v, 1-v^2 is kept as
-a measurable alternative.  For q = 2 there is no splitting and searches run
-by exhaustive ideal enumeration instead.
+a measurable alternative; triples of one length are built in ``rref_stack``
+batches.  For q = 2 there is no splitting and searches run by exhaustive
+ideal enumeration instead.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from itertools import product
 import numpy as np
 
 from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
-from .fieldcode import _shift_rows, cyclic_dual_generator
+from .fieldcode import LinearCodeFq, _pad, _shift_rows, _step, cyclic_dual_generator, rref_stack
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import LinearCodeR, _embed
+from .ringcode import LinearCodeR, _embed, fq_span_rows
 from .submodules import AmbientSpace
 
 
@@ -62,8 +63,22 @@ def _check_divisors(n: int, polys) -> None:
 def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> LinearCodeR:
     """The R-span of the shift rows of f1, f2, f3, each times its unit for ``mode``:
     the three field cyclic codes combined, with one row reduction."""
-    # a spec's divisors are checked when it is made
-    return _embed(ring, spec.n, [_shift_rows(f, spec.n) for f in (spec.f1, spec.f2, spec.f3)], mode)
+    return cyclic_codes_r(ring, [spec], mode)[0]
+
+
+def cyclic_codes_r(ring: Ring, specs, mode: str = "idempotent") -> list[LinearCodeR]:
+    """``cyclic_code_r`` of a list of specs of one length, in ``rref_stack`` batches within ``_MAX_ENTRIES``."""
+    n = specs[0].n if specs else 0  # a spec's divisors are checked when it is made
+    gens = [_embed(ring, [_shift_rows(f, n) for f in (s.f1, s.f2, s.f3)], mode) for s in specs]
+    step = _step(9 * n * max(map(len, gens), default=0))  # 3 flattened rows of 3n entries a generator
+    codes = []
+    for start in range(0, len(gens), step):
+        batch = gens[start : start + step]
+        reduced, ranks, _ = rref_stack(fq_span_rows(ring, _pad(batch, n)), ring.q)
+        for rows, basis, rank in zip(batch, reduced, ranks):
+            flat = LinearCodeFq.from_rref(ring.field, basis[:rank].copy())  # a copy frees the batch
+            codes.append(LinearCodeR._from_flat(ring, n, flat, rows))
+    return codes
 
 
 def is_cyclic_r(code: LinearCodeR) -> bool:
@@ -101,8 +116,8 @@ def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
     Odd q: every cyclic code is a divisor triple in idempotent mode, so the
     triple lattice is scanned.  q = 2: the full ideal lattice of R^n is
     walked (tiny n only) as RREF F_q bases, and the basis of each half-size
-    ideal is compared with the basis of its dual, the F_q kernel that
-    ``LinearCodeR.dual`` computes for every q.  A witness is generated by
+    ideal is compared with the basis of its dual, which ``flat_dual``
+    computes for every q.  A witness is generated by
     all its members, in encoded order.  ``build(ring, spec, mode)`` makes
     each odd-q code, ``cyclic_code_r`` when None; a caller that builds the
     same triples again passes its own memo.

@@ -182,10 +182,9 @@ def isodual_witness_check(code: LinearCodeR, witness: SignedPermutation) -> bool
         raise ShapeError(f"a witness of length {len(witness.src)} cannot act on length {code.n}")
     b = _right_block(code)
     companion = np.hstack([code.ring.neg_table[b.T], np.eye(len(b), dtype=np.int64)])
-    dual = code.dual()
-    if LinearCodeR(code.ring, code.n, companion) != dual:
+    if LinearCodeR(code.ring, code.n, companion) != code.dual():
         return False
-    return witness.apply_code(code) == dual
+    return witness.apply_code(code) == code.dual()  # computed once, by the line above
 
 
 def direct_product(c1: LinearCodeR, c2: LinearCodeR) -> LinearCodeR:
@@ -200,8 +199,7 @@ def direct_product(c1: LinearCodeR, c2: LinearCodeR) -> LinearCodeR:
 def is_formally_self_dual(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:
     if 2 * code.dim_fq != 3 * code.n:
         return False  # |C| * |C^dual| = |R|^n, so the sizes differ
-    dual = code.dual()
-    return wenum.lee_enumerator(code, budget) == wenum.lee_enumerator(dual, budget)
+    return wenum.lee_enumerator(code, budget) == wenum.lee_enumerator(code.dual(), budget)
 
 
 def has_odd_lee_word(code: LinearCodeR, budget: int = DEFAULT_BUDGET) -> bool:

@@ -29,6 +29,7 @@ R ~ F_2 x F_2[u]/(u^2).  ``Ring.idempotents`` lists them for every q.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -53,6 +54,17 @@ PROJECTIONS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])  # a, a+b, a+b+c as pr
 DUAL_FORM = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # x^T F y = v^2 coefficient of x*y
 V = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]])  # v*x = (0, a0+a2, a1), as v^3 = v
 _POWERS_OF_V = np.stack([np.eye(3, dtype=np.int64), V, V @ V]).reshape(3, 9)  # row k: V^k, flattened
+
+
+@functools.cache
+def _inverse_mod(entries: bytes, q: int) -> np.ndarray:
+    """The inverse mod q of the 3x3 int64 matrix with these entries (ValueError if
+    singular): the adjugate, whose columns are cross products of row pairs, over the determinant."""
+    r = np.frombuffer(entries, dtype=np.int64).reshape(3, 3)
+    adjugate = np.stack([np.cross(r[1], r[2]), np.cross(r[2], r[0]), np.cross(r[0], r[1])], axis=1)
+    inverse = adjugate * pow(int(r[0] @ adjugate[:, 0]), -1, q) % q
+    inverse.flags.writeable = False  # one cached array serves every caller
+    return inverse
 
 
 class Ring:

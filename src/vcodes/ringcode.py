@@ -4,10 +4,11 @@ A code is the R-span of a generator list.  Since R is a 3-dimensional
 F_q-algebra, the span is also the F_q-span of {g, v*g, v^2*g}, so every code
 wraps the length-3n F_q code of its flattened coordinates
 (a0-block | a1-block | a2-block).  That code gives size, membership,
-equality and chunked codeword enumeration.  For every q the dual is the F_q
-kernel of ``DUAL_FORM`` applied to that basis: lambda(x) = a2 vanishes on
-no nonzero ideal (the form has determinant -1), so y is orthogonal to C iff
-lambda(c*y) = 0 for every basis word c (Wood, Amer. J. Math. 121, 1999).
+equality and chunked codeword enumeration.  lambda(x) = a2 vanishes on no
+nonzero ideal (its Gram matrix ``DUAL_FORM`` has determinant -1), so y is
+orthogonal to C iff lambda(c*y) = 0 for every basis word c (Wood, Amer. J.
+Math. 121, 1999): iff ``DUAL_FORM`` y lies in the F_q dual of that code,
+symbol by symbol.  So each dual, for every q, takes one reduction.
 The evaluation/CRT components (q odd) serve the component claims and, with
 ``brute_force_dual``, are the oracles the dual is tested against.
 
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .fieldcode import LinearCodeFq, rref_stack
 from . import wenum
-from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
+from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem, _inverse_mod
 
 
 def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
@@ -68,11 +69,12 @@ def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return matrix @ flat.reshape(*flat.shape[:-1], 3, flat.shape[-1] // 3) % q
 
 
-def flat_dual(ring: Ring, basis: np.ndarray) -> LinearCodeFq:
-    """The flattened dual of the R-module whose flattened F_q span has this
-    basis: the kernel of ``DUAL_FORM`` applied to every symbol of it."""
-    constraints = _map_symbols(ring.q, DUAL_FORM, basis).reshape(basis.shape)
-    return LinearCodeFq(ring.field, basis.shape[-1], constraints).dual()
+def flat_dual(ring: Ring, flat: LinearCodeFq) -> LinearCodeFq:
+    """The flattened dual of the R-module with flattened code ``flat``: its kernel
+    rows mapped symbol by symbol through ``DUAL_FORM``^-1 (read now), reduced once."""
+    kernel = flat.kernel_rows()
+    inverse = _inverse_mod(np.asarray(DUAL_FORM, dtype=np.int64).tobytes(), ring.q)
+    return LinearCodeFq(ring.field, flat.n, _map_symbols(ring.q, inverse, kernel).reshape(kernel.shape))
 
 
 def _entry_index(ring: Ring, x) -> int:
@@ -118,13 +120,14 @@ class LinearCodeR:
         self.flat = LinearCodeFq(ring.field, 3 * n, fq_span_rows(ring, gens))
 
     @classmethod
-    def _from_flat(cls, ring: Ring, n: int, flat: LinearCodeFq) -> "LinearCodeR":
-        """The code whose flattened F_q code is ``flat``, generated by its
-        unflattened rows without reducing again.  ``flat`` must be closed
-        under multiplication by v, or it is not the R-span of those rows."""
+    def _from_flat(cls, ring: Ring, n: int, flat: LinearCodeFq, gens=None) -> "LinearCodeR":
+        """The code whose flattened F_q code is ``flat``, generated by the
+        index rows ``gens`` or else by its unflattened rows, without reducing
+        again.  ``flat`` must be the F_q span of the R-span of those rows."""
         code = cls.__new__(cls)
         code.ring, code.n, code.flat = ring, n, flat
-        code.gens = tuple(map(tuple, _unflatten(ring.q, flat.gen).tolist()))
+        gens = _unflatten(ring.q, flat.gen) if gens is None else gens
+        code.gens = tuple(map(tuple, gens.tolist()))
         return code
 
     @classmethod
@@ -259,9 +262,10 @@ class LinearCodeR:
         return LinearCodeR(ring, self.n, _unflatten(ring.q, basis).tolist())
 
     def dual(self) -> "LinearCodeR":
-        """C^dual as the F_q kernel of ``DUAL_FORM`` on the flattened basis, for every q."""
-        kernel = flat_dual(self.ring, self.flat.gen)
-        return LinearCodeR._from_flat(self.ring, self.n, kernel)  # the dual is an R-module
+        """C^dual by ``flat_dual``, computed on the first call and kept; it holds no link back to C."""
+        if "_dual" not in vars(self):  # the kernel is an R-module
+            self._dual = LinearCodeR._from_flat(self.ring, self.n, flat_dual(self.ring, self.flat))
+        return self._dual
 
     # ---- metrics ----
 
@@ -301,11 +305,11 @@ def combine_components(ring: Ring, components, mode: str) -> LinearCodeR:
     """
     if len(components) != 3 or len({c.n for c in components}) != 1:
         raise ParamMismatch("combining needs three components that share the length n")
-    return _embed(ring, components[0].n, [c.gen for c in components], mode)
+    return LinearCodeR(ring, components[0].n, _embed(ring, [c.gen for c in components], mode))
 
 
-def _embed(ring: Ring, n: int, blocks, mode: str) -> LinearCodeR:
-    """The R-span of three F_q row arrays of width n, each times its unit for ``mode``."""
+def _embed(ring: Ring, blocks, mode: str) -> np.ndarray:
+    """Index rows over R: each row of three F_q row arrays times its array's unit for ``mode``."""
     if mode == "idempotent":
         if ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("idempotent combination needs odd q")
@@ -317,8 +321,7 @@ def _embed(ring: Ring, n: int, blocks, mode: str) -> LinearCodeR:
     # a field scalar u is the ring element of index u, with coefficients (u, 0, 0)
     products = ring.times(np.array(units)) @ ring.coeff[: ring.q].T % ring.q  # [unit, coefficient, u]
     multiples = np.array([1, ring.q, ring.q**2]) @ products  # [unit, u]: the index of u * unit
-    gens = np.concatenate([unit_multiples[rows] for unit_multiples, rows in zip(multiples, blocks)])
-    return LinearCodeR(ring, n, gens)
+    return np.concatenate([unit_multiples[rows] for unit_multiples, rows in zip(multiples, blocks)])
 
 
 def random_code_r(ring: Ring, n: int, rng) -> LinearCodeR:

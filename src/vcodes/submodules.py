@@ -14,8 +14,8 @@ the closure of the zero node under joins with its atoms, walked
 breadth-first: the deduplicated cyclic spans of the vectors of e*R^n, or
 for ideals their principal ideals, one per shift orbit.  The product joins
 every node of one factor with every node of the next, and each pair is a
-new node.  Joins run in batches: a zero-padded stack of at most
-``_MAX_ENTRIES`` matrix entries reduced by one ``rref_stack`` call, so
+new node.  Joins run in batches: a zero-padded stack within
+``fieldcode._MAX_ENTRIES`` entries reduced by one ``rref_stack`` call, so
 memory stays flat however large the level.  Members, encoded as integers
 base |R|, are listed only to order the walk and to spell out a witness.
 """
@@ -25,25 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .fieldcode import LinearCodeFq, rref_stack
+from .fieldcode import LinearCodeFq, _pad, _step, rref_stack
 from .ring import Ring
 from .ringcode import LinearCodeR, _flatten, _map_symbols, _unflatten, flat_dual, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
-_MAX_ENTRIES = 1 << 16  # matrix entries in one batched reduction
-
-
-def _step(entries: int) -> int:
-    """How many matrices of ``entries`` entries one batch may hold."""
-    return max(1, _MAX_ENTRIES // max(1, entries))  # n = 0 has empty matrices
-
-
-def _pad(bases: list[np.ndarray], width: int) -> np.ndarray:
-    """Bases of any ranks as one zero-padded (len, max rank, width) stack."""
-    stack = np.zeros((len(bases), max(map(len, bases), default=0), width), dtype=np.int64)
-    for i, basis in enumerate(bases):
-        stack[i, : len(basis)] = basis
-    return stack
 
 
 def _collect(stack: np.ndarray, seen: dict[bytes, np.ndarray]) -> list[np.ndarray]:
@@ -79,7 +65,7 @@ class AmbientSpace:
 
     def code(self, basis: np.ndarray) -> LinearCodeR:
         """The R-code whose flattened F_q span has this basis."""
-        return LinearCodeR(self.ring, self.n, _unflatten(self.ring.q, basis))
+        return LinearCodeR._from_flat(self.ring, self.n, LinearCodeFq.from_rref(self.ring.field, basis))
 
     def members(self, basis: np.ndarray) -> np.ndarray:
         """Every vector of the span of ``basis``, encoded and sorted."""
@@ -113,8 +99,8 @@ class AmbientSpace:
         return rref_stack(pairs, self.ring.q)[0]
 
     def dual_set(self, basis: np.ndarray) -> np.ndarray:
-        """The basis of the ring-dot dual of the submodule."""
-        return flat_dual(self.ring, basis).gen
+        """The basis of the ring-dot dual of the submodule, in one reduction."""
+        return flat_dual(self.ring, LinearCodeFq.from_rref(self.ring.field, basis)).gen
 
     def _atoms(self, span, indices: np.ndarray, rows: int) -> np.ndarray:
         """The distinct bases ``span`` gives for the indices, as a padded stack."""

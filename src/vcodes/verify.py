@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from . import wenum
-from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_code_r, cyclic_dual_spec, is_cyclic_r, self_dual_cyclic_search
+from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, cyclic_dual_spec, is_cyclic_r, self_dual_cyclic_search
 from .errors import DEFAULT_BUDGET, TransformInconsistent, VCodesError
 from .fsd import (
     BorderedSpecR,
@@ -171,10 +171,11 @@ class _Ctx:
             self.tested += 1
 
     def cyclic_code(self, ring, spec: CyclicSpecR, mode: str = "idempotent"):
-        """``cyclic_code_r``, built once per (q, spec, mode) in this run."""
+        """A divisor-triple code, built once per (q, spec, mode) in this run with every triple of its length."""
         key = (ring.q, spec, mode)
         if key not in self._cyclic_codes:
-            self._cyclic_codes[key] = cyclic_code_r(ring, spec, mode)
+            specs = list(all_divisor_triples(ring, spec.n))
+            self._cyclic_codes.update(zip([(ring.q, s, mode) for s in specs], cyclic_codes_r(ring, specs, mode)))
         return self._cyclic_codes[key]
 
 

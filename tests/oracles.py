@@ -6,7 +6,8 @@ import numpy as np
 
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq
-from vcodes.ringcode import LinearCodeR
+from vcodes.ring import DUAL_FORM
+from vcodes.ringcode import LinearCodeR, _map_symbols
 
 
 @cache
@@ -38,6 +39,15 @@ def closure_codewords(code) -> set[tuple[int, ...]]:
             for s in scaled
         }
     return words
+
+
+def two_reduction_dual(code) -> LinearCodeR:
+    """The R-dual as the F_q kernel of ``DUAL_FORM`` applied to every symbol of
+    the flattened basis: the constraint rows reduced, then their kernel."""
+    basis = code.flat.gen
+    constraints = _map_symbols(code.ring.q, DUAL_FORM, basis).reshape(basis.shape)
+    kernel = LinearCodeFq(code.ring.field, basis.shape[1], constraints).dual()
+    return LinearCodeR(code.ring, code.n, code.ring.q ** np.arange(3) @ kernel.gen.reshape(-1, 3, code.n))
 
 
 def iter_codewords(code, budget: int = DEFAULT_BUDGET):

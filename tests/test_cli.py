@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,22 @@ def test_gray_command_json(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["gray"] == [1, 1, 2] and obj["lee_weight"] == 3
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    root = Path(__file__).resolve().parents[1]
+    argv = ["gray", "--q", "3", "--element", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "vcodes", *argv],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    rc, out, _ = run(capsys, *argv)
+    assert done.returncode == 0 == rc
+    assert done.stdout == out
 
 
 def test_weight_command(capsys):

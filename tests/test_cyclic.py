@@ -1,12 +1,15 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from vcodes import cyclic, fieldcode
 from vcodes.cyclic import (
     CyclicSpecR,
     all_divisor_triples,
     cyclic_code_r,
+    cyclic_codes_r,
     cyclic_dual_r,
     cyclic_dual_spec,
     is_cyclic_r,
@@ -125,6 +128,37 @@ def test_triple_code_equals_its_combined_field_cyclic_codes(q, ns, modes):
             components = tuple(cyclic_code_fq(f, spec.n) for f in (spec.f1, spec.f2, spec.f3))
             for mode in modes:
                 assert cyclic_code_r(ring, spec, mode) == combine_components(ring, components, mode)
+
+
+@pytest.mark.parametrize("cap", [None, 2000])
+@pytest.mark.parametrize(
+    "q, ns, modes",
+    [
+        (3, (1, 2, 3, 4), ("idempotent", "paper-literal")),
+        (5, (1, 2, 3), ("idempotent", "paper-literal")),
+        (2, (1, 2, 3, 4), ("paper-literal",)),
+    ],
+)
+def test_batched_triple_codes_match_one_spec_builds(monkeypatch, cap, q, ns, modes):
+    shapes = []
+    stack = cyclic.rref_stack
+    monkeypatch.setattr(cyclic, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    if cap:
+        monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", cap)
+    ring = ring_over(q)
+    for n in ns:
+        specs = list(all_divisor_triples(ring, n))
+        for mode in modes:
+            shapes.clear()
+            batched = cyclic_codes_r(ring, specs, mode)
+            assert all(b * r * c <= fieldcode._MAX_ENTRIES for b, r, c in shapes)
+            assert sum(b for b, _, _ in shapes) == len(specs)
+            assert cap is None or n == 1 or len(shapes) > 1  # the cap splits the batch
+            for spec, code in zip(specs, batched, strict=True):
+                single = cyclic_code_r(ring, spec, mode)
+                assert code.gens == single.gens
+                assert np.array_equal(code.flat.gen, single.flat.gen)
+                assert code.flat.pivots == single.flat.pivots
 
 
 def test_idempotent_triple_code_needs_odd_q():

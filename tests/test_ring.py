@@ -10,7 +10,18 @@ from vcodes.errors import (
     ParseError,
 )
 from vcodes.gf import GF
-from vcodes.ring import V, Ring, audit_published_lee_table, crt_combine, format_elem, format_row, parse_elem, ring_over
+from vcodes.ring import (
+    DUAL_FORM,
+    V,
+    Ring,
+    audit_published_lee_table,
+    crt_combine,
+    format_elem,
+    format_row,
+    _inverse_mod,
+    parse_elem,
+    ring_over,
+)
 
 from oracles import ring_tables
 
@@ -258,3 +269,18 @@ def test_published_table_audit(ring):
     assert audit["conflicting_row_pairs"] == [[3, 10], [4, 6], [5, 7]]
     # the flagged duplicated pattern: a0 != 0, a1 != 0, a2 = 0 under weights 1 and 3
     assert [3, 10] in audit["conflicting_row_pairs"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_dual_form_times_its_inverse_is_the_identity(q):
+    inverse = _inverse_mod(DUAL_FORM.astype(np.int64).tobytes(), q)
+    assert (DUAL_FORM @ inverse % q == np.eye(3, dtype=np.int64)).all()
+    assert (inverse @ DUAL_FORM % q == np.eye(3, dtype=np.int64)).all()
+    assert _inverse_mod(np.eye(3, dtype=np.int64).tobytes(), q).tolist() == np.eye(3).tolist()
+
+
+def test_inverse_mod_refuses_a_singular_matrix():
+    with pytest.raises(ValueError):
+        _inverse_mod(V.astype(np.int64).tobytes(), 3)  # v is a zero divisor
+    with pytest.raises(ValueError):
+        _inverse_mod((2 * np.eye(3, dtype=np.int64)).tobytes(), 2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vcodes import fieldcode
 from vcodes.cyclic import is_cyclic_r
 from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq
@@ -18,7 +19,15 @@ from vcodes.ringcode import (
 )
 from vcodes.wenum import lee_enumerator
 
-from oracles import closure_codewords, iter_codewords, random_code, ring_tables, zero_code_fq, zero_code_r
+from oracles import (
+    closure_codewords,
+    iter_codewords,
+    random_code,
+    ring_tables,
+    two_reduction_dual,
+    zero_code_fq,
+    zero_code_r,
+)
 
 
 R2 = ring_over(2)
@@ -261,6 +270,33 @@ def test_kernel_dual_matches_oracles(code):
     if ring.q % 2:
         crt = tuple(c.dual() for c in code.components_crt())
         assert dual == combine_components(ring, crt, "idempotent")
+
+
+@st.composite
+def dual_codes(draw):
+    ring = ring_over(draw(st.sampled_from([2, 3, 5, 7])))
+    n = draw(st.integers(1, 3 if ring.q < 5 else 2))
+    row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+    return LinearCodeR(ring, n, draw(st.lists(row, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dual_codes())
+def test_one_reduction_dual_matches_two_reductions_and_brute_force(code):
+    assert code.dual() == two_reduction_dual(code) == code.brute_force_dual()
+
+
+def test_dual_is_computed_once_in_one_reduction(monkeypatch):
+    calls = []
+    rref = fieldcode.rref
+    monkeypatch.setattr(fieldcode, "rref", lambda mat, q: calls.append(q) or rref(mat, q))
+    code = LinearCodeR(R3, 3, [[1, 4, 9], [0, 2, 13]])
+    calls.clear()
+    dual = code.dual()
+    assert len(calls) == 1
+    assert code.dual() is dual and len(calls) == 1
+    assert "_dual" not in vars(dual)  # the dual holds no link back to the code
+    assert dual.dual() == code and dual.dual() is not code
 
 
 def test_gray_image_examples():

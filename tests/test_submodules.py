@@ -16,7 +16,7 @@ import pytest
 
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR
-from vcodes import submodules
+from vcodes import fieldcode, submodules
 from vcodes.fieldcode import rref_stack
 from vcodes.submodules import AmbientSpace
 
@@ -142,7 +142,7 @@ def test_entry_cap_bounds_every_batch(monkeypatch, cap):
         return rref_stack(stack, q)
 
     expected = {flag: _walk(2, 2, flag)[1] for flag in (False, True)}  # at the default cap
-    monkeypatch.setattr(submodules, "_MAX_ENTRIES", cap)
+    monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", cap)
     monkeypatch.setattr(submodules, "rref_stack", spy)
     for ideals_only, bases in expected.items():
         space = AmbientSpace(ring_over(2), 2)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcodes import cyclic, ringcode, verify, wenum
+from vcodes import cyclic, fieldcode, ringcode, submodules, verify, wenum
 from vcodes.cyclic import CyclicSpecR
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq
@@ -113,14 +113,15 @@ def test_example_distances_are_exact():
 
 def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
     builds = collections.Counter()
-    build = verify.cyclic_code_r
+    build = verify.cyclic_codes_r
 
-    def counting(ring, spec, mode="idempotent"):
-        builds[ring.q, spec, mode] += 1
-        return build(ring, spec, mode)
+    def counting(ring, specs, mode="idempotent"):
+        specs = list(specs)
+        builds.update((ring.q, spec, mode) for spec in specs)
+        return build(ring, specs, mode)
 
-    monkeypatch.setattr(verify, "cyclic_code_r", counting)
-    monkeypatch.setattr(cyclic, "cyclic_code_r", counting)  # the self-dual search's own builder
+    monkeypatch.setattr(verify, "cyclic_codes_r", counting)
+    monkeypatch.setattr(cyclic, "cyclic_codes_r", counting)  # under the self-dual search's own builder
     first = run_verification_suite(scope="cyclic", seed=42)
     once = dict(builds)
     assert once and max(once.values()) == 1
@@ -131,6 +132,24 @@ def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
     recorded = json.loads((Path(__file__).parent / "data" / "report_seed42.json").read_text())
     tested = {e["claim_id"]: e["tested"] for e in recorded["entries"]}
     assert all(e.tested == tested[e.claim_id] for e in first.entries)
+
+
+def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
+    """Deterministic work: a change that adds or saves a reduction moves these counts."""
+    calls = collections.Counter()
+    for name in ("rref", "rref_stack"):
+        kernel = getattr(fieldcode, name)
+
+        def counting(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        for module in (fieldcode, ringcode, submodules, cyclic):
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counting)
+    for scope in ("cyclic", "fsd"):
+        run_verification_suite(scope=scope, seed=42)
+    assert dict(calls) == {"rref": 4597, "rref_stack": 90}
 
 
 def _identity_dual_form(monkeypatch):
