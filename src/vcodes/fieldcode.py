@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
-from .gf import GF, Poly, monic_divisors_of_xn_minus_1
+from .gf import GF, Poly
 
 _CHUNK_ROWS = 1 << 14
 _MAX_ENTRIES = 1 << 14  # entries in one batched reduction; 1 << 16 was no faster on the claims and peaked 2 MB higher
@@ -444,27 +444,3 @@ def cyclic_dual_generator(g: Poly, n: int) -> Poly:
     Generates the dual of the cyclic code generated by g.
     """
     return _cofactor(g, n).reciprocal().monic()
-
-
-def self_dual_cyclic_exists(field: GF, n: int) -> bool:
-    """Closed-form criterion: q even and n even."""
-    return field.q % 2 == 0 and n % 2 == 0
-
-
-def self_dual_cyclic_audit(field: GF, n: int) -> dict:
-    """Exhaustive check of the criterion over all monic divisors of x^n - 1."""
-    witness = None
-    tested = 0
-    for g in monic_divisors_of_xn_minus_1(field, n):
-        tested += 1
-        code = cyclic_code_fq(g, n)
-        if code == code.dual():
-            witness = g
-            break
-    return {
-        "exists": witness is not None,
-        "witness": witness,
-        "tested": tested,
-        "exhausted": witness is None,
-        "criterion": self_dual_cyclic_exists(field, n),
-    }

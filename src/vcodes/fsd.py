@@ -218,7 +218,7 @@ def odd_fsd_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     for basis in space.all_submodules():
         tested += 1
         code = space.code(basis)
-        if has_odd_lee_word(code, budget) and is_formally_self_dual(code, budget):
+        if is_formally_self_dual(code, budget) and has_odd_lee_word(code, budget):  # sizes first, then Lee
             return {"witness": space.witness(basis), "exhausted": True, "tested": tested}
     return {"witness": None, "exhausted": True, "tested": tested}
 

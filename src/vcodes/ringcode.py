@@ -31,7 +31,6 @@ from .errors import (
     ShapeError,
 )
 from .fieldcode import LinearCodeFq, rref_stack
-from . import wenum
 from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem, _inverse_mod
 
 
@@ -59,8 +58,11 @@ def _flatten(ring: Ring, rows: np.ndarray) -> np.ndarray:
 def _unflatten(q: int, flat: np.ndarray) -> np.ndarray:
     """F_q rows (..., 3n) as element-index rows (..., n); inverse of ``_flatten``."""
     n = flat.shape[-1] // 3
-    flat = flat.astype(np.int64, copy=False)  # indices outgrow a narrow word dtype
-    return flat[..., :n] + q * flat[..., n : 2 * n] + q * q * flat[..., 2 * n :]
+    rows = flat[..., 2 * n :].astype(np.int64)  # indices outgrow a narrow word dtype
+    for block in (flat[..., n : 2 * n], flat[..., :n]):  # Horner's rule, in place
+        rows *= q
+        rows += block
+    return rows
 
 
 def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -274,16 +276,22 @@ class LinearCodeR:
     ) -> tuple[int, str]:
         """Minimum nonzero Lee weight with the provenance of the number.
 
-        'exhaustive' (the element-space tally ``wenum.lee_enumerator_by_table``)
-        and 'gray-image' are exact and must agree; the 'component-lemma' value
-        min{d(C_i)} is a published formula under test and is returned tagged,
-        never silently substituted.
+        'exhaustive' (``lee_table`` summed over each chunk of codewords, which
+        stops at the first chunk holding a word of weight 1) and 'gray-image'
+        are exact and must agree; the 'component-lemma' value min{d(C_i)} is a
+        published formula under test and is returned tagged, never silently
+        substituted.
         """
         if strategy == "exhaustive":
             if self.dim_fq == 0:
                 raise EmptyCode("zero code has no nonzero Lee weight")
-            counts = wenum.lee_enumerator_by_table(self, budget).counts
-            return min(w for w in counts if w), "exhaustive"
+            best = 3 * self.n
+            for rows in self.codeword_chunks(budget):
+                weights = self.ring.lee_table[rows].sum(axis=1)
+                best = int(weights[weights > 0].min(initial=best))
+                if best == 1:
+                    break
+            return best, "exhaustive"
         if strategy == "gray-image":
             return self.gray_image().min_distance(budget), "gray-image"
         if strategy == "component-lemma":

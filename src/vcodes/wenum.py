@@ -10,13 +10,15 @@ exact, so every count is an integer.  The element-space tally
 ``lee_enumerator_by_table`` sums ``lee_table`` over every codeword instead:
 it is the independent side of that theorem's check and the oracle the Gray
 count is tested against.  Hamming is one bincount of per-row weights.  swe
-and cwe find the distinct sorted slot rows of the codewords by a 1-D unique
-and hold those rows with their multiplicities; the dict of tuple-keyed
-``counts`` is built from them only on first read.  ``total`` sums the
-multiplicities and ``specialize`` collapses swe or cwe to Lee or Hamming by
-summing the Lee weight of each row's slots.  The MacWilliams
-step checks the enumerator's total against |C|, divides by |C| with an
-exact integrality check and raises instead of rounding.
+and cwe sort each codeword's slots by a merge network over whole columns,
+pack each sorted row into one exact int64 key (folding long rows a block at
+a time), group equal keys by one unstable argsort and hold one row per group
+with its multiplicity; the dict of tuple-keyed ``counts`` is built from them
+only on first read.  ``total`` sums the multiplicities and ``specialize``
+collapses swe or cwe to Lee or Hamming by summing the Lee weight of each
+row's slots.  The MacWilliams step checks the enumerator's total against
+|C|, divides by |C| with an exact integrality check and raises instead of
+rounding.
 
 The q-ary transform substitutes (X + (q-1)Y, X - Y).  The published
 statement over R prints (X + Y, X - Y), which is the binary special case;
@@ -34,6 +36,7 @@ that identity hold symbol by symbol.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -159,24 +162,82 @@ def _count_by_weight(kind: str, code, row_weights, budget: int) -> WeightEnumera
     return WeightEnumerator(kind, code.n, code.ring.q, dict(enumerate(counts.tolist())))
 
 
+@cache
+def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
+    """The compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge
+    sort on n inputs (Knuth, TAOCP vol. 3, 5.3.4), in the order they apply."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with each row sorted in place, by running the merge network over
+    whole columns: O(n log^2 n) elementwise min/max pairs for rows of length n,
+    each over every row at once, where ``np.sort(axis=1)`` pays per row."""
+    cols = list(rows.T)
+    for i, j in _merge_network(rows.shape[1]):
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    for j, col in enumerate(cols):  # a column no pair touched is still a view of its own
+        rows[:, j] = col
+    return rows
+
+
+def _row_keys(rows: np.ndarray, slots: int) -> np.ndarray:
+    """One int64 per row of digits below ``slots``, equal exactly when the rows
+    are: the digits packed base ``slots`` by Horner's rule, a block of columns
+    at a time.  Between blocks the partial key is replaced by its dense rank,
+    below m = len(rows), and a block is as wide as m * slots^width <= 2^63
+    allows, so no key overflows at any n."""
+    m, n = rows.shape
+    width = 1
+    while width < n and m * slots ** (width + 1) <= 2**63:
+        width += 1
+    key = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, width):
+        if start:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64, copy=False)
+        for digits in rows[:, start : start + width].T:
+            key *= slots
+            key += digits
+    return key
+
+
+def _groups(shapes: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of ``shapes`` (digits below ``slots``) by
+    key, and the positions in that order where each run of equal rows starts."""
+    key = _row_keys(shapes, slots)
+    order = np.argsort(key)  # unstable: rows that share a key are equal, so any one stands for them
+    key = key[order]
+    return order, np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+
+
 def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> WeightEnumerator:
     """Count codewords by how many of their symbols a fall in slot symbol_slot[a]:
     a tally is the multiset of a word's slots, so only the distinct sorted int16
-    slot rows (a slot is below |R| < 2^15) are kept, found by a 1-D unique of their bytes."""
-    if not code.n:  # a 0-byte key view has no rows; the one empty word has the empty row
-        shapes, mult = np.zeros((1, 0), dtype=np.int16), np.array([code.size], dtype=np.int64)
-        return WeightEnumerator._of_slot_rows(kind, 0, code.ring.q, shapes, mult)
-    key = np.dtype((np.void, 2 * code.n))  # the bytes of one sorted row
+    slot rows (a slot is below |R| < 2^15) are kept.  Rows are grouped by exact
+    int64 keys base ``len(symbol_slot)``, which bounds every slot, first within
+    each chunk and then across chunks, where the multiplicities are summed."""
+    slots = len(symbol_slot)
     symbol_slot = symbol_slot.astype(np.int16)
     parts = []
     for rows in code.codeword_chunks(budget):
-        rows = np.sort(symbol_slot[rows], axis=1)
-        _, first, mult = np.unique(rows.view(key).ravel(), return_index=True, return_counts=True)
-        parts.append((rows[first], mult))
+        rows = _sort_rows(symbol_slot[rows])  # drop the int64 chunk before the next one
+        order, starts = _groups(rows, slots)
+        parts.append((np.take(rows, order[starts], axis=0), np.diff(starts, append=len(rows))))
     shapes, mults = map(np.concatenate, zip(*parts))
-    _, first, inverse = np.unique(shapes.view(key).ravel(), return_index=True, return_inverse=True)
-    shapes, mult = shapes[first], np.zeros(len(first), dtype=np.int64)
-    np.add.at(mult, inverse, mults)  # exact int64 sums, unlike bincount weights
+    order, starts = _groups(shapes, slots)
+    shapes = np.take(shapes, order[starts], axis=0)
+    mult = np.add.reduceat(mults[order], starts)  # exact int64 sums
     return WeightEnumerator._of_slot_rows(kind, code.n, code.ring.q, shapes, mult)
 
 

@@ -5,7 +5,8 @@ from functools import cache
 import numpy as np
 
 from vcodes.errors import DEFAULT_BUDGET
-from vcodes.fieldcode import LinearCodeFq
+from vcodes.fieldcode import LinearCodeFq, cyclic_code_fq
+from vcodes.gf import monic_divisors_of_xn_minus_1
 from vcodes.ring import DUAL_FORM
 from vcodes.ringcode import LinearCodeR, _map_symbols
 
@@ -70,6 +71,30 @@ def random_code(field, n: int, rng) -> LinearCodeFq:
     rows = rng.randrange(1, n + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
     return LinearCodeFq.from_rows(field, n, mat)
+
+
+def self_dual_cyclic_exists(field, n: int) -> bool:
+    """Closed-form criterion for a self-dual cyclic code over GF(q): q even and n even."""
+    return field.q % 2 == 0 and n % 2 == 0
+
+
+def self_dual_cyclic_audit(field, n: int) -> dict:
+    """Exhaustive check of the criterion over all monic divisors of x^n - 1."""
+    witness = None
+    tested = 0
+    for g in monic_divisors_of_xn_minus_1(field, n):
+        tested += 1
+        code = cyclic_code_fq(g, n)
+        if code == code.dual():
+            witness = g
+            break
+    return {
+        "exists": witness is not None,
+        "witness": witness,
+        "tested": tested,
+        "exhausted": witness is None,
+        "criterion": self_dual_cyclic_exists(field, n),
+    }
 
 
 # ---- the tuple-by-tuple FSD builders, references for the array builders in ``fsd`` ----

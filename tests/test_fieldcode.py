@@ -17,8 +17,6 @@ from vcodes.fieldcode import (
     cyclic_dual_generator,
     rref,
     rref_stack,
-    self_dual_cyclic_audit,
-    self_dual_cyclic_exists,
     span_weight_counts,
 )
 from vcodes.ring import ring_over
@@ -26,7 +24,7 @@ from vcodes.ringcode import LinearCodeR, _unflatten
 from vcodes.verify import _ex17_code
 from vcodes.wenum import hamming_enumerator_fq, macwilliams_hamming_fq
 
-from oracles import random_code, zero_code_fq
+from oracles import random_code, self_dual_cyclic_audit, self_dual_cyclic_exists, zero_code_fq
 
 
 F2, F3, F5 = GF(2), GF(3), GF(5)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vcodes import fieldcode
 from vcodes.cyclic import is_cyclic_r
-from vcodes.errors import CharacteristicTwoUnsupported, EmptyCode, ParamMismatch, SearchSpaceTooLarge, ShapeError
+from vcodes.errors import DEFAULT_BUDGET, CharacteristicTwoUnsupported, EmptyCode, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq
 from vcodes.ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, ring_over
 from vcodes.ringcode import (
@@ -340,6 +340,37 @@ def test_min_lee_strategies_agree():
         via_gray = code.min_lee_distance("gray-image")
         assert exact[0] == via_gray[0]
         assert exact[1] == "exhaustive" and via_gray[1] == "gray-image"
+
+
+def _chunks_read(monkeypatch, code, strategy):
+    """The distance by ``strategy``, how many R-codeword chunks it read and how
+    many the code has, at most 8 words a chunk."""
+    monkeypatch.setattr(fieldcode, "_CHUNK_ROWS", 8)
+    chunks = LinearCodeR.codeword_chunks
+    total = len(list(chunks(code)))
+    read = []
+
+    def counted(self, budget=DEFAULT_BUDGET):
+        for rows in chunks(self, budget):
+            read.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(LinearCodeR, "codeword_chunks", counted)
+    return code.min_lee_distance(strategy), len(read), total
+
+
+def test_exhaustive_distance_stops_at_the_first_chunk_with_weight_1(monkeypatch):
+    code = LinearCodeR.full_space(R3, 2)
+    (d, _), read, total = _chunks_read(monkeypatch, code, "exhaustive")
+    assert d == 1 and read == 1 < total
+    assert code.min_lee_distance("gray-image") == (1, "gray-image")
+
+
+def test_exhaustive_distance_reads_every_chunk_above_weight_1(monkeypatch):
+    code = LinearCodeR(R3, 2, [[1, 1]])  # Lee distance 2
+    (d, _), read, total = _chunks_read(monkeypatch, code, "exhaustive")
+    assert d == 2 and read == total > 1
+    assert code.min_lee_distance("gray-image") == (2, "gray-image")
 
 
 @st.composite

@@ -21,6 +21,7 @@ from oracles import iter_codewords, zero_code_r
 R2 = ring_over(2)
 R3 = ring_over(3)
 R5 = ring_over(5)
+R7 = ring_over(7)
 
 
 def test_lee_enumerator_examples():
@@ -121,6 +122,39 @@ def test_tallies_match_the_unique_rows_oracle_across_chunks(code):
             got = enum(code).counts
             assert got == _tally_by_unique_rows(code, symbol_slot, slots)
             assert all(type(c) is int and all(type(x) is int for x in t) for t, c in got.items())
+
+
+def test_merge_network_sorts_every_row_length():
+    rng = np.random.default_rng(3)
+    for n in range(41):
+        rows = rng.integers(0, 5, size=(60, n)).astype(np.int16)
+        assert (wenum._sort_rows(rows.copy()) == np.sort(rows, axis=1)).all()
+
+
+@pytest.mark.parametrize("slots,n", [(8, 45), (343, 8)])  # 8^45 and 343^8 exceed 2^63
+def test_row_keys_are_equal_exactly_when_rows_are(slots, n):
+    row = np.random.default_rng(5).integers(0, slots, size=n)
+    rows = np.tile(row, (n + 2, 1)).astype(np.int16)  # the last two rows are equal
+    rows[np.arange(n), np.arange(n)] = (row + 1) % slots  # row j differs from them in column j only
+    keys = wenum._row_keys(rows, slots)
+    assert ((keys[:, None] == keys[None, :]) == (rows[:, None] == rows[None, :]).all(axis=2)).all()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        LinearCodeR(R7, 8, [np.random.default_rng(7).integers(1, 343, size=8)]),  # 343^8 > 2^63: keys fold
+        LinearCodeR(R2, 30, [np.random.default_rng(2).integers(0, 8, size=30)]),  # 8^30 > 2^63: keys fold
+        LinearCodeR.full_space(R3, 3),  # 3^9 words in two chunks, merged
+    ],
+    ids=["q7-n8", "q2-n30", "q3-full-n3"],
+)
+def test_tallies_match_the_unique_rows_oracle_on_long_rows_and_many_chunks(code):
+    for enum, symbol_slot, slots in (
+        (wenum.complete_enumerator, np.arange(code.ring.size), code.ring.size),
+        (wenum.symmetrized_enumerator, code.ring.lee_table, 4),
+    ):
+        assert enum(code).counts == _tally_by_unique_rows(code, symbol_slot, slots)
 
 
 def _traced_peak(work):
