@@ -5,9 +5,14 @@ A cyclic code over R (odd q) is determined by three monic divisors
 evaluation slots at v = 1, -1, 0 and recombine through the idempotents.
 That idempotent reading carries the size formula |C| = q^(3n - sum deg fi);
 the literal combination printed with coefficients v, 1-v, 1-v^2 is kept as
-a measurable alternative; triples of one length are built in ``rref_stack``
-batches.  For q = 2 there is no splitting and searches run by exhaustive
-ideal enumeration instead.
+a measurable alternative.  Triples of one length are built together: each
+divisor's shift rows are tabulated once and the codes reduced in
+``rref_stack`` batches.  ``fill_stack`` then computes the duals, evaluation
+components and cyclicity of such a stack in batches as well, and leaves them
+in the memos that ``dual()``, ``components_crt()``, ``is_cyclic()`` and
+``is_cyclic_r`` read; the per-code calls give the same results and are the
+reference the stack is tested against.  For q = 2 there is no splitting and
+searches run by exhaustive ideal enumeration instead.
 """
 
 from __future__ import annotations
@@ -17,11 +22,22 @@ from itertools import product
 
 import numpy as np
 
+from . import ringcode
 from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
-from .fieldcode import LinearCodeFq, _pad, _shift_rows, _step, cyclic_dual_generator, rref_stack
+from .fieldcode import (
+    _kernel_stack,
+    _pad,
+    _reduced_codes,
+    _shift_closed,
+    _shift_rows,
+    _stack_pivots,
+    _step,
+    cyclic_dual_generator,
+    rref_stack,
+)
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import LinearCodeR, _embed, fq_span_rows
+from .ringcode import LinearCodeR, _dual_rows, _map_symbols, _unflatten, _unit_multiples, fq_span_rows
 from .submodules import AmbientSpace
 
 
@@ -67,25 +83,68 @@ def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> Li
 
 
 def cyclic_codes_r(ring: Ring, specs, mode: str = "idempotent") -> list[LinearCodeR]:
-    """``cyclic_code_r`` of a list of specs of one length, in ``rref_stack`` batches within ``_MAX_ENTRIES``."""
+    """``cyclic_code_r`` of a list of specs of one length, in ``rref_stack`` batches within
+    ``_MAX_ENTRIES``; each distinct divisor's shift rows times each unit are tabulated once."""
     n = specs[0].n if specs else 0  # a spec's divisors are checked when it is made
-    gens = [_embed(ring, [_shift_rows(f, n) for f in (s.f1, s.f2, s.f3)], mode) for s in specs]
+    multiples = _unit_multiples(ring, mode)
+    slot_rows: dict[tuple[int, Poly], np.ndarray] = {}
+    for spec in specs:
+        for slot, f in enumerate((spec.f1, spec.f2, spec.f3)):
+            if (slot, f) not in slot_rows:
+                slot_rows[slot, f] = multiples[slot][_shift_rows(f, n)]
+    gens = [np.concatenate([slot_rows[0, s.f1], slot_rows[1, s.f2], slot_rows[2, s.f3]]) for s in specs]
     step = _step(9 * n * max(map(len, gens), default=0))  # 3 flattened rows of 3n entries a generator
     codes = []
     for start in range(0, len(gens), step):
         batch = gens[start : start + step]
-        reduced, ranks, _ = rref_stack(fq_span_rows(ring, _pad(batch, n)), ring.q)
-        for rows, basis, rank in zip(batch, reduced, ranks):
-            flat = LinearCodeFq.from_rref(ring.field, basis[:rank].copy())  # a copy frees the batch
-            codes.append(LinearCodeR._from_flat(ring, n, flat, rows))
+        flats = _reduced_codes(ring.field, *rref_stack(fq_span_rows(ring, _pad(batch, n)), ring.q))
+        codes += [LinearCodeR._from_flat(ring, n, flat, rows) for flat, rows in zip(flats, batch)]
     return codes
 
 
+def fill_stack(ring: Ring, codes: list[LinearCodeR]) -> None:
+    """Fill the ``dual()``, ``components_crt()``, ``is_cyclic()`` and
+    ``is_cyclic_r`` memos of R-codes of one length (q odd) in bulk.
+
+    The codes go in batches whose zero-padded bases give every dual's kernel
+    rows through ``DUAL_FORM``^-1 and the ``EVALUATION`` images of every
+    component, each stack reduced by one ``rref_stack`` within
+    ``_MAX_ENTRIES`` entries; one shift residue over each stack decides the
+    cyclicity of the codes and of their components.  Each result equals the
+    per-code call's.
+    """
+    if ring.q % 2 == 0:
+        raise CharacteristicTwoUnsupported("evaluation components need odd q")
+    n = codes[0].n if codes else 0
+    q, width = ring.q, 3 * n
+    step = _step(width * width)  # a kernel stack is 3n x 3n; three components hold rank * n entries each
+    for start in range(0, len(codes), step):
+        batch = codes[start : start + step]
+        gen = _pad([code.flat.gen for code in batch], width)
+        pivots = _stack_pivots(gen)
+        dual_stack = rref_stack(_dual_rows(q, _kernel_stack(gen, pivots, q)), q)
+        duals, dual_gens = _reduced_codes(ring.field, *dual_stack), _unflatten(q, dual_stack[0])
+        images = _map_symbols(q, ringcode.EVALUATION, gen).transpose(0, 2, 1, 3)  # (code, component, rank, n)
+        comp_stack, comp_ranks, comp_pivots = rref_stack(images.reshape(3 * len(batch), gen.shape[1], n), q)
+        comps = _reduced_codes(ring.field, comp_stack, comp_ranks, comp_pivots)
+        cyclic = _shift_closed(gen, pivots, q, 3).tolist()
+        comp_cyclic = _shift_closed(comp_stack, comp_pivots, q).tolist()
+        for i, code in enumerate(batch):
+            code._dual = LinearCodeR._from_flat(ring, n, duals[i], dual_gens[i, : duals[i].k])
+            code._crt = tuple(comps[3 * i : 3 * i + 3])
+            code._cyclic = cyclic[i]
+            for comp, closed in zip(code._crt, comp_cyclic[3 * i : 3 * i + 3]):
+                comp._cyclic = closed
+
+
 def is_cyclic_r(code: LinearCodeR) -> bool:
-    """True iff the F_q basis stays in the span when each of its n-blocks shifts right."""
-    gen = code.flat.gen
-    shifted = np.roll(gen.reshape(len(gen), 3, code.n), 1, axis=2)
-    return code.flat.contains(shifted.reshape(gen.shape))
+    """True iff the F_q basis stays in the span when each of its n-blocks
+    shifts right; kept on the code, where ``fill_stack`` may fill it in bulk."""
+    if "_cyclic" not in vars(code):
+        gen = code.flat.gen
+        shifted = np.roll(gen.reshape(len(gen), 3, code.n), 1, axis=2)
+        code._cyclic = code.flat.contains(shifted.reshape(gen.shape))
+    return code._cyclic
 
 
 def cyclic_dual_spec(spec: CyclicSpecR) -> CyclicSpecR:

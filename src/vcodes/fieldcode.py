@@ -113,6 +113,44 @@ def _step(entries: int) -> int:
     return max(1, _MAX_ENTRIES // max(1, entries))  # n = 0 has empty matrices
 
 
+def _reduced_codes(field: GF, reduced: np.ndarray, ranks: np.ndarray, pivots: np.ndarray) -> list["LinearCodeFq"]:
+    """The code of each matrix of an ``rref_stack`` result; each copies its
+    rows, so the stack is freed with the batch."""
+    return [
+        LinearCodeFq.from_rref(field, basis[:rank].copy(), cols[:rank].tolist())
+        for basis, rank, cols in zip(reduced, ranks.tolist(), pivots)
+    ]
+
+
+def _stack_pivots(stack: np.ndarray) -> np.ndarray:
+    """The (B, r) pivot columns of a zero-padded stack of RREF bases, -1 on padding rows."""
+    return np.where(stack.any(axis=2), (stack != 0).argmax(axis=2), -1)
+
+
+def _pivot_rows(pivots: np.ndarray, ncols: int) -> np.ndarray:
+    """(B, r, ncols): row i of matrix b is the unit vector at column pivots[b, i], zero for -1."""
+    return (pivots[..., None] == np.arange(ncols)).astype(np.int64)
+
+
+def _kernel_stack(stack: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
+    """``kernel_rows`` of every RREF basis of a padded (B, r, c) stack, as a
+    (B, c, c) stack whose row j is e_j minus column j of the basis placed at
+    the pivot columns: row j is 0 for a pivot column j and a kernel row
+    otherwise."""
+    c = stack.shape[2]
+    return (np.eye(c, dtype=np.int64) - np.swapaxes(stack, 1, 2) @ _pivot_rows(pivots, c)) % q
+
+
+def _shift_closed(stack: np.ndarray, pivots: np.ndarray, q: int, blocks: int = 1) -> np.ndarray:
+    """Whether each RREF basis of a padded (B, r, c) stack spans a code closed
+    under the cyclic right shift of each of its ``blocks`` column blocks: the
+    residue of the shifted rows (``reduce_vector`` over the stack) is zero."""
+    batch, r, c = stack.shape
+    shifted = np.roll(stack.reshape(batch, r, blocks, c // blocks), 1, axis=3).reshape(stack.shape)
+    coords = shifted @ np.swapaxes(_pivot_rows(pivots, c), 1, 2)  # shifted[..., pivots]
+    return ~((shifted - coords @ stack) % q).any(axis=(1, 2))
+
+
 def _pad(bases: list[np.ndarray], width: int) -> np.ndarray:
     """Bases of any ranks as one zero-padded (len, max rank, width) stack."""
     stack = np.zeros((len(bases), max(map(len, bases), default=0), width), dtype=np.int64)
@@ -267,11 +305,14 @@ class LinearCodeFq:
         self.pivots = pivots
 
     @classmethod
-    def from_rref(cls, field: GF, gen: np.ndarray) -> "LinearCodeFq":
-        """The code of independent rows already in RREF, not reduced again."""
+    def from_rref(cls, field: GF, gen: np.ndarray, pivots: list[int] | None = None) -> "LinearCodeFq":
+        """The code of independent rows already in RREF, not reduced again;
+        ``pivots`` are read off the rows unless given."""
         code = cls.__new__(cls)
         code.field, code.n, code.gen, code.k = field, gen.shape[1], gen, len(gen)
-        code.pivots = (gen != 0).argmax(axis=1).tolist() if gen.size else []
+        if pivots is None:
+            pivots = (gen != 0).argmax(axis=1).tolist() if gen.size else []
+        code.pivots = pivots
         return code
 
     @classmethod
@@ -410,8 +451,11 @@ class LinearCodeFq:
         return {w: c for w, c in enumerate(counts.tolist()) if c}
 
     def is_cyclic(self) -> bool:
-        """True iff the row space is closed under one cyclic right shift."""
-        return self.contains(np.roll(self.gen, 1, axis=1))
+        """True iff the row space is closed under one cyclic right shift;
+        kept on the code, where a stack of codes may fill it in bulk."""
+        if "_cyclic" not in vars(self):
+            self._cyclic = self.contains(np.roll(self.gen, 1, axis=1))
+        return self._cyclic
 
 
 def cyclic_code_fq(g: Poly, n: int) -> LinearCodeFq:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, NotSymmetric, ParamMismatch, ShapeError
 from .ring import Ring
-from .ringcode import LinearCodeR, _index_rows
+from .ringcode import LinearCodeR, _index_rows, fq_span_rows
 from .submodules import AmbientSpace
 from . import wenum
 
@@ -177,14 +177,20 @@ def _right_block(code: LinearCodeR) -> np.ndarray:
 
 def isodual_witness_check(code: LinearCodeR, witness: SignedPermutation) -> bool:
     """Certify C isodual: companion [-B^T | I] spans the dual, and the
-    signed permutation carries C exactly onto it."""
+    signed permutation carries C exactly onto it.
+
+    Both codes are free of rank n (a signed permutation is a bijection), so
+    each equals C^dual exactly when C^dual has F_q-dimension 3n and holds the
+    flattened span of its generators: one membership test, no reduction.
+    """
     if len(witness.src) != code.n:
         raise ShapeError(f"a witness of length {len(witness.src)} cannot act on length {code.n}")
+    ring = code.ring
     b = _right_block(code)
-    companion = np.hstack([code.ring.neg_table[b.T], np.eye(len(b), dtype=np.int64)])
-    if LinearCodeR(code.ring, code.n, companion) != code.dual():
-        return False
-    return witness.apply_code(code) == code.dual()  # computed once, by the line above
+    companion = np.hstack([ring.neg_table[b.T], np.eye(len(b), dtype=np.int64)])
+    image = witness.apply(ring, np.reshape(code.gens, (len(b), code.n)))
+    dual = code.dual().flat
+    return dual.k == 3 * len(b) and dual.contains(fq_span_rows(ring, np.concatenate([companion, image])))
 
 
 def direct_product(c1: LinearCodeR, c2: LinearCodeR) -> LinearCodeR:

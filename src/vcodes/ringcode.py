@@ -71,12 +71,16 @@ def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return matrix @ flat.reshape(*flat.shape[:-1], 3, flat.shape[-1] // 3) % q
 
 
+def _dual_rows(q: int, kernel: np.ndarray) -> np.ndarray:
+    """F_q kernel rows (..., 3n) mapped symbol by symbol through ``DUAL_FORM``^-1, read now."""
+    inverse = _inverse_mod(np.asarray(DUAL_FORM, dtype=np.int64).tobytes(), q)
+    return _map_symbols(q, inverse, kernel).reshape(kernel.shape)
+
+
 def flat_dual(ring: Ring, flat: LinearCodeFq) -> LinearCodeFq:
     """The flattened dual of the R-module with flattened code ``flat``: its kernel
-    rows mapped symbol by symbol through ``DUAL_FORM``^-1 (read now), reduced once."""
-    kernel = flat.kernel_rows()
-    inverse = _inverse_mod(np.asarray(DUAL_FORM, dtype=np.int64).tobytes(), ring.q)
-    return LinearCodeFq(ring.field, flat.n, _map_symbols(ring.q, inverse, kernel).reshape(kernel.shape))
+    rows through ``_dual_rows``, reduced once."""
+    return LinearCodeFq(ring.field, flat.n, _dual_rows(ring.q, flat.kernel_rows()))
 
 
 def _entry_index(ring: Ring, x) -> int:
@@ -189,11 +193,14 @@ class LinearCodeR:
         """Evaluation components at v = 1, -1, 0, in that order; q odd only.
 
         They recombine through the idempotents e1 = (v+v^2)/2, e2 = (v^2-v)/2
-        and e0 = 1-v^2 (``combine_components`` in 'idempotent' mode).
+        and e0 = 1-v^2 (``combine_components`` in 'idempotent' mode).  Kept
+        on the code once computed, like ``dual()``.
         """
         if self.ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("evaluation components need odd q")
-        return self._components(EVALUATION)
+        if "_crt" not in vars(self):
+            self._crt = self._components(EVALUATION)
+        return self._crt
 
     def components_paper(self) -> tuple[LinearCodeFq, LinearCodeFq, LinearCodeFq]:
         """Literal projections a, a+b, a+b+c of the printed definition."""
@@ -313,11 +320,14 @@ def combine_components(ring: Ring, components, mode: str) -> LinearCodeR:
     """
     if len(components) != 3 or len({c.n for c in components}) != 1:
         raise ParamMismatch("combining needs three components that share the length n")
-    return LinearCodeR(ring, components[0].n, _embed(ring, [c.gen for c in components], mode))
+    multiples = _unit_multiples(ring, mode)
+    gens = np.concatenate([unit_multiples[c.gen] for unit_multiples, c in zip(multiples, components)])
+    return LinearCodeR(ring, components[0].n, gens)
 
 
-def _embed(ring: Ring, blocks, mode: str) -> np.ndarray:
-    """Index rows over R: each row of three F_q row arrays times its array's unit for ``mode``."""
+def _unit_multiples(ring: Ring, mode: str) -> np.ndarray:
+    """Row i, column u: the index of u times the i-th unit for ``mode``, so the
+    index rows of a field row array times that unit are ``row[i][array]``."""
     if mode == "idempotent":
         if ring.q % 2 == 0:
             raise CharacteristicTwoUnsupported("idempotent combination needs odd q")
@@ -328,8 +338,7 @@ def _embed(ring: Ring, blocks, mode: str) -> np.ndarray:
         raise ValueError(f"unknown mode {mode!r}")
     # a field scalar u is the ring element of index u, with coefficients (u, 0, 0)
     products = ring.times(np.array(units)) @ ring.coeff[: ring.q].T % ring.q  # [unit, coefficient, u]
-    multiples = np.array([1, ring.q, ring.q**2]) @ products  # [unit, u]: the index of u * unit
-    return np.concatenate([unit_multiples[rows] for unit_multiples, rows in zip(multiples, blocks)])
+    return np.array([1, ring.q, ring.q**2]) @ products
 
 
 def random_code_r(ring: Ring, n: int, rng) -> LinearCodeR:

@@ -16,8 +16,11 @@ for ideals their principal ideals, one per shift orbit.  The product joins
 every node of one factor with every node of the next, and each pair is a
 new node.  Joins run in batches: a zero-padded stack within
 ``fieldcode._MAX_ENTRIES`` entries reduced by one ``rref_stack`` call, so
-memory stays flat however large the level.  Members, encoded as integers
-base |R|, are listed only to order the walk and to spell out a witness.
+memory stays flat however large the level.  The walk is ordered by (size,
+sorted members encoded as integers base |R|); the members of all nodes of
+one rank come from one product of that rank's message table with their
+stacked bases, again in batches within ``_MAX_ENTRIES``, and a witness is
+spelled out from the members of its node.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .fieldcode import LinearCodeFq, _pad, _step, rref_stack
+from .fieldcode import LinearCodeFq, _messages, _pad, _step, rref_stack
 from .ring import Ring
 from .ringcode import LinearCodeR, _flatten, _map_symbols, _unflatten, flat_dual, fq_span_rows
 
@@ -150,12 +153,29 @@ class AmbientSpace:
             for joined in self._joins(_pad(nodes, 3 * self.n), _pad(factor, 3 * self.n)):
                 _collect(joined, product)
             nodes = list(product.values())
+        keys = self._order_keys(nodes)
+        return [nodes[i] for i in sorted(range(len(nodes)), key=keys.__getitem__)]
 
-        def order(basis):
-            members = self.members(basis)
-            return len(members), members.tobytes()
-
-        return sorted(nodes, key=order)
+    def _order_keys(self, nodes: list[np.ndarray]) -> list[tuple[int, bytes]]:
+        """The (size, bytes of ``members``) key of every node, for all nodes of
+        one rank at once: the message table of that rank times the stacked
+        bases, in batches within ``_MAX_ENTRIES`` entries, and each word
+        encoded by one product with the share of each flattened coordinate."""
+        q, width = self.ring.q, 3 * self.n
+        shares = (q ** np.arange(3, dtype=np.int64)[:, None] * self.powers).reshape(width)
+        ranks: dict[int, list[int]] = {}
+        for i, basis in enumerate(nodes):
+            ranks.setdefault(len(basis), []).append(i)
+        keys: list = [None] * len(nodes)
+        for rank, members in ranks.items():
+            messages = _messages(q, rank, 0, q**rank)
+            step = _step(len(messages) * width)
+            for start in range(0, len(members), step):
+                batch = members[start : start + step]
+                words = messages @ np.stack([nodes[i] for i in batch]) % q
+                for i, encoded in zip(batch, np.sort(words @ shares, axis=1)):
+                    keys[i] = (len(messages), encoded.tobytes())
+        return keys
 
     def all_submodules(self) -> list[np.ndarray]:
         """Every R-submodule of R^n, as RREF bases ordered by (size, members)."""

@@ -33,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from . import wenum
-from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, cyclic_dual_spec, is_cyclic_r, self_dual_cyclic_search
+from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, cyclic_dual_spec, fill_stack, is_cyclic_r, self_dual_cyclic_search
 from .errors import DEFAULT_BUDGET, TransformInconsistent, VCodesError
 from .fsd import (
     BorderedSpecR,
@@ -155,7 +155,7 @@ class _Ctx:
         self.seed = seed
         self.budget = budget
         self.tested = 0
-        self._cyclic_codes: dict = {}
+        self._stacks: dict = {}
 
     def rng(self, claim_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{claim_id}")
@@ -171,12 +171,17 @@ class _Ctx:
             self.tested += 1
 
     def cyclic_code(self, ring, spec: CyclicSpecR, mode: str = "idempotent"):
-        """A divisor-triple code, built once per (q, spec, mode) in this run with every triple of its length."""
-        key = (ring.q, spec, mode)
-        if key not in self._cyclic_codes:
+        """A divisor-triple code from this run's stack for (q, n, mode): every
+        triple of that length, built at the first request.  An idempotent
+        stack also fills each code's dual, components and cyclicity then."""
+        key = (ring.q, spec.n, mode)
+        if key not in self._stacks:
             specs = list(all_divisor_triples(ring, spec.n))
-            self._cyclic_codes.update(zip([(ring.q, s, mode) for s in specs], cyclic_codes_r(ring, specs, mode)))
-        return self._cyclic_codes[key]
+            codes = cyclic_codes_r(ring, specs, mode)
+            if mode == "idempotent":
+                fill_stack(ring, codes)
+            self._stacks[key] = dict(zip(specs, codes))
+        return self._stacks[key][spec]
 
 
 class _Refuted(Exception):

@@ -226,7 +226,8 @@ def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> We
     a tally is the multiset of a word's slots, so only the distinct sorted int16
     slot rows (a slot is below |R| < 2^15) are kept.  Rows are grouped by exact
     int64 keys base ``len(symbol_slot)``, which bounds every slot, first within
-    each chunk and then across chunks, where the multiplicities are summed."""
+    each chunk and then, when there is more than one, across chunks, where the
+    multiplicities are summed."""
     slots = len(symbol_slot)
     symbol_slot = symbol_slot.astype(np.int16)
     parts = []
@@ -234,10 +235,13 @@ def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> We
         rows = _sort_rows(symbol_slot[rows])  # drop the int64 chunk before the next one
         order, starts = _groups(rows, slots)
         parts.append((np.take(rows, order[starts], axis=0), np.diff(starts, append=len(rows))))
-    shapes, mults = map(np.concatenate, zip(*parts))
-    order, starts = _groups(shapes, slots)
-    shapes = np.take(shapes, order[starts], axis=0)
-    mult = np.add.reduceat(mults[order], starts)  # exact int64 sums
+    if len(parts) == 1:  # one chunk's rows are already distinct and in key order
+        shapes, mult = parts[0]
+    else:
+        shapes, mults = map(np.concatenate, zip(*parts))
+        order, starts = _groups(shapes, slots)
+        shapes = np.take(shapes, order[starts], axis=0)
+        mult = np.add.reduceat(mults[order], starts)  # exact int64 sums
     return WeightEnumerator._of_slot_rows(kind, code.n, code.ring.q, shapes, mult)
 
 

@@ -51,6 +51,17 @@ def two_reduction_dual(code) -> LinearCodeR:
     return LinearCodeR(code.ring, code.n, code.ring.q ** np.arange(3) @ kernel.gen.reshape(-1, 3, code.n))
 
 
+def two_reduction_witness_check(code, witness) -> bool:
+    """The isodual witness check by two code equalities: the companion
+    [-B^T | I] and the witness image of C, each reduced, against C^dual."""
+    n = code.n // 2
+    b = np.array(code.gens, dtype=np.int64).reshape(len(code.gens), code.n)[:, n:]
+    companion = np.hstack([code.ring.neg_table[b.T], np.eye(n, dtype=np.int64)])
+    if LinearCodeR(code.ring, code.n, companion) != code.dual():
+        return False
+    return witness.apply_code(code) == code.dual()
+
+
 def iter_codewords(code, budget: int = DEFAULT_BUDGET):
     """Stream every codeword of an R-code exactly once as a tuple of element indices."""
     for rows in code.codeword_chunks(budget):

@@ -16,7 +16,7 @@ from vcodes.cyclic import (
     self_dual_cyclic_search,
 )
 from vcodes.errors import CharacteristicTwoUnsupported, NotADivisor
-from vcodes.fieldcode import cyclic_code_fq
+from vcodes.fieldcode import LinearCodeFq, cyclic_code_fq
 from vcodes.gf import Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, combine_components, random_code_r
@@ -159,6 +159,51 @@ def test_batched_triple_codes_match_one_spec_builds(monkeypatch, cap, q, ns, mod
                 assert code.gens == single.gens
                 assert np.array_equal(code.flat.gen, single.flat.gen)
                 assert code.flat.pivots == single.flat.pivots
+
+
+def _assert_same_fq(stacked, fresh):
+    assert (stacked.n, stacked.k, stacked.pivots) == (fresh.n, fresh.k, fresh.pivots)
+    assert np.array_equal(stacked.gen, fresh.gen)
+
+
+@pytest.mark.parametrize("q, cap", [(3, None), (5, None), (7, None), (3, 144)])
+def test_stack_fill_matches_per_code_results(monkeypatch, q, cap):
+    shapes = []
+    stack = cyclic.rref_stack
+    monkeypatch.setattr(cyclic, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    if cap:
+        monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", cap)
+    ring = ring_over(q)
+    for n in (1, 2, 3, 4):
+        specs = list(all_divisor_triples(ring, n))
+        for mode in ("idempotent", "paper-literal"):
+            stacked = cyclic_codes_r(ring, specs, mode)
+            shapes.clear()
+            cyclic.fill_stack(ring, stacked)
+            assert all(b * r * c <= fieldcode._MAX_ENTRIES for b, r, c in shapes)
+            assert sum(b for b, _, _ in shapes) == 4 * len(specs)  # each code's dual and 3 components
+            assert cap is None or n == 1 or len(shapes) > 2  # the cap splits the batch
+            for spec, code in zip(specs, stacked, strict=True):
+                assert {"_dual", "_crt", "_cyclic"} <= set(vars(code))  # filled, not computed on call
+                fresh = LinearCodeR._from_flat(ring, n, LinearCodeFq.from_rref(ring.field, code.flat.gen), np.array(code.gens))
+                assert code.dual().gens == fresh.dual().gens
+                _assert_same_fq(code.dual().flat, fresh.dual().flat)
+                assert is_cyclic_r(code) == is_cyclic_r(fresh)
+                for comp, fresh_comp in zip(code.components_crt(), fresh.components_crt(), strict=True):
+                    _assert_same_fq(comp, fresh_comp)
+                    assert "_cyclic" in vars(comp) and comp.is_cyclic() == fresh_comp.is_cyclic()
+
+
+def test_stack_fill_decides_non_cyclic_codes():
+    codes = [LinearCodeR(R3, 2, [[1, 0]]), LinearCodeR(R3, 2, [[1, 1]]), LinearCodeR(R3, 2, [[R3.e1, 0], [0, 1]])]
+    cyclic.fill_stack(R3, codes)
+    for code in codes:
+        fresh = LinearCodeR(R3, 2, code.gens)
+        assert code._cyclic == is_cyclic_r(fresh)
+        assert [c._cyclic for c in code._crt] == [c.is_cyclic() for c in fresh.components_crt()]
+    assert [code._cyclic for code in codes] == [False, True, False]
+    with pytest.raises(CharacteristicTwoUnsupported):
+        cyclic.fill_stack(R2, [LinearCodeR(R2, 1, [[1]])])
 
 
 def test_idempotent_triple_code_needs_odd_q():

@@ -123,6 +123,39 @@ def test_construction_c_random_small():
             assert is_formally_self_dual(code)
 
 
+@pytest.mark.parametrize("builder, maker, min_n", [
+    (construction_a, random_symmetric, 1),
+    (construction_b, random_circulant, 1),
+    (construction_c, random_bordered, 2),
+])
+def test_witness_check_by_containment_matches_two_reductions(builder, maker, min_n):
+    rng = random.Random(f"containment:{builder.__name__}")
+    rejected = 0
+    for _ in range(40):
+        ring = ring_over(rng.choice([3, 5]))
+        code, witness = builder(ring, maker(ring, rng.randrange(min_n, 4), rng))
+        assert isodual_witness_check(code, witness) is oracles.two_reduction_witness_check(code, witness) is True
+        flip = rng.randrange(code.n)
+        negate = tuple(s != (i == flip) for i, s in enumerate(witness.negate))
+        flipped = SignedPermutation(witness.src, negate)
+        verdict = isodual_witness_check(code, flipped)
+        assert verdict == oracles.two_reduction_witness_check(code, flipped)
+        rejected += not verdict
+    assert rejected >= 30  # a sign flip keeps the dual only where a coordinate splits off it
+
+
+def test_witness_with_one_sign_flipped_is_rejected():
+    for q in (3, 5):
+        ring = ring_over(q)
+        code, witness = construction_b(ring, CirculantSpecR(ring, (1, 2, 1)))
+        for flip in range(code.n):
+            negate = tuple(s != (i == flip) for i, s in enumerate(witness.negate))
+            flipped = SignedPermutation(witness.src, negate)
+            assert not isodual_witness_check(code, flipped)
+            assert not oracles.two_reduction_witness_check(code, flipped)
+        assert isodual_witness_check(code, witness)
+
+
 def test_construction_b_q2():
     rng = random.Random(6)
     for _ in range(10):

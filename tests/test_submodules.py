@@ -10,15 +10,17 @@ all of R^n at once.
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR
 from vcodes import fieldcode, submodules
 from vcodes.fieldcode import rref_stack
-from vcodes.submodules import AmbientSpace
+from vcodes.submodules import _MAX_AMBIENT, AmbientSpace
 
 from oracles import closure_codewords, ring_tables
 
@@ -112,6 +114,39 @@ def test_walk_counts_order_and_bases(q, n, ideals_only, count):
         members = space.members(basis)
         keys.append((len(members), members.tobytes()))
     assert keys == sorted(keys)
+
+
+def _assert_members_order(space, walk):
+    """The walk's per-rank keys are the members keys, and it is sorted by them."""
+    keys = [_order(space, basis) for basis in walk]
+    assert space._order_keys(walk) == keys
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "q, n, ideals_only",
+    [(2, 2, True), (2, 3, True), (2, 4, True), (2, 1, False), (3, 1, False), (3, 2, False)],
+)
+def test_rank_keys_order_the_claims_lattices_by_members(q, n, ideals_only):
+    """The lattices that cor10 (ideals, q = 2) and thm20 (submodules) walk."""
+    _assert_members_order(*_walk(q, n, ideals_only))
+
+
+_SMALL_LATTICES = [
+    (q, n, ideals_only)
+    for q in (2, 3, 5, 7)
+    for n in range(5)
+    for ideals_only in (False, True)
+    if q ** (3 * n) <= _MAX_AMBIENT and (ideals_only or q ** (3 * n) < 1 << 12)  # R^4 at q = 2: too many submodules
+]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.sampled_from(_SMALL_LATTICES), st.sampled_from([None, 1, 300]))
+def test_rank_keys_order_every_small_lattice_by_members(lattice, cap):
+    space, walk = _walk(*lattice)
+    with mock.patch.object(fieldcode, "_MAX_ENTRIES", cap or fieldcode._MAX_ENTRIES):
+        _assert_members_order(space, walk)
 
 
 def test_join_is_the_span_of_both():

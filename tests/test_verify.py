@@ -149,7 +149,7 @@ def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     for scope in ("cyclic", "fsd"):
         run_verification_suite(scope=scope, seed=42)
-    assert dict(calls) == {"rref": 4597, "rref_stack": 90}
+    assert dict(calls) == {"rref": 975, "rref_stack": 104}
 
 
 def _identity_dual_form(monkeypatch):
