@@ -22,7 +22,7 @@ from .errors import (
     VCodesError,
 )
 from .gf import GF, Poly, factor_xn_minus_1, format_poly, monic_divisors_of_xn_minus_1, parse_poly
-from .ring import Ring, RingElem, audit_published_lee_table, crt_combine, format_elem, format_row, parse_elem, ring_over
+from .ring import Ring, RingElem, audit_published_lee_table, format_elem, format_row, parse_elem, ring_over
 from .fieldcode import LinearCodeFq, cyclic_code_fq, cyclic_dual_generator, rref
 from .ringcode import LinearCodeR, combine_components
 from .wenum import (

@@ -86,16 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1")
     p.add_argument("--f2")
     p.add_argument("--f3")
-    p.add_argument("--mode", choices=("idempotent", "paper-literal"), default="idempotent")
-    p.add_argument("--search-self-dual", action="store_true")
+    p.add_argument("--mode", choices=("idempotent", "paper-literal"), help="default idempotent")
+    p.add_argument("--search-self-dual", action="store_true", help="takes none of --f1/--f2/--f3/--mode")
 
-    p = sub.add_parser("construct", parents=[enumerating], help="formally self-dual constructions")
-    p.add_argument("kind", choices=("a", "b", "c"))
-    p.add_argument("--q", type=int)
-    p.add_argument("--matrix-file", help="symmetric matrix over R (construction a)")
-    p.add_argument("--first-row", help="circulant first row (constructions b, c)")
-    p.add_argument("--alpha", help="border corner (construction c)")
-    p.add_argument("--omega", help="border edge (construction c)")
+    p = sub.add_parser("construct", help="formally self-dual constructions")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("a", parents=[enumerating], help="[I_n | A] from a symmetric matrix over R")
+    k.add_argument("--matrix-file", required=True, help="symmetric matrix over R")
+    circulant = argparse.ArgumentParser(add_help=False, parents=[enumerating])
+    circulant.add_argument("--q", type=int, required=True)
+    circulant.add_argument("--first-row", required=True, help="circulant first row")
+    kinds.add_parser("b", parents=[circulant], help="double circulant")
+    k = kinds.add_parser("c", parents=[circulant], help="bordered double circulant")
+    k.add_argument("--alpha", required=True, help="border corner")
+    k.add_argument("--omega", required=True, help="border edge")
 
     p = sub.add_parser("verify-paper", parents=[enumerating], help="run the claim verification suite")
     p.add_argument("--seed", type=int, default=42)
@@ -175,6 +179,13 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_cyclic(args) -> int:
+    unread = [f"--{name}" for name in ("f1", "f2", "f3", "mode") if getattr(args, name) is not None]
+    if args.search_self_dual and unread:
+        print(f"cyclic: --search-self-dual reads no {'/'.join(unread)}", file=sys.stderr)
+        return 2
+    if not (args.search_self_dual or (args.f1 and args.f2 and args.f3)):
+        print("cyclic: --f1/--f2/--f3 required unless --search-self-dual", file=sys.stderr)
+        return 2
     ring = ring_over(args.q)
     if args.search_self_dual:
         res = self_dual_cyclic_search(ring, args.n)
@@ -188,16 +199,13 @@ def _cmd_cyclic(args) -> int:
         obj = {"witness": wobj, "exhausted": res["exhausted"], "tested": res["tested"]}
         _emit(args, obj, [json.dumps(obj, sort_keys=True)])
         return 0
-    if not (args.f1 and args.f2 and args.f3):
-        print("cyclic: --f1/--f2/--f3 required unless --search-self-dual", file=sys.stderr)
-        return 2
-    field = ring.field
+    field, mode = ring.field, args.mode or "idempotent"
     spec = CyclicSpecR(args.n, parse_poly(field, args.f1), parse_poly(field, args.f2), parse_poly(field, args.f3))
-    code = cyclic_code_r(ring, spec, args.mode)
+    code = cyclic_code_r(ring, spec, mode)
     obj = {
         "q": args.q,
         "n": args.n,
-        "mode": args.mode,
+        "mode": mode,
         "size": code.size,
         "size_formula": spec.size_formula(args.q),
         "is_cyclic": is_cyclic_r(code),
@@ -209,27 +217,16 @@ def _cmd_cyclic(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.kind == "a":
-        if not args.matrix_file:
-            print("construct a needs --matrix-file", file=sys.stderr)
-            return 2
         ring, rows = parse_ring_matrix_file(Path(args.matrix_file).read_text())
         code, witness = construction_a(ring, SymmetricMatrixR(ring, rows))
     else:
-        if args.q is None or not args.first_row:
-            print(f"construct {args.kind} needs --q and --first-row", file=sys.stderr)
-            return 2
         ring = ring_over(args.q)
-        first = parse_vector(ring, args.first_row)
+        circulant = CirculantSpecR(ring, parse_vector(ring, args.first_row))
         if args.kind == "b":
-            code, witness = construction_b(ring, CirculantSpecR(ring, first))
+            code, witness = construction_b(ring, circulant)
         else:
-            if not (args.alpha and args.omega):
-                print("construct c needs --alpha and --omega", file=sys.stderr)
-                return 2
-            spec = BorderedSpecR(
-                ring, parse_elem(ring, args.alpha).idx, parse_elem(ring, args.omega).idx, CirculantSpecR(ring, first)
-            )
-            code, witness = construction_c(ring, spec)
+            border = (parse_elem(ring, args.alpha).idx, parse_elem(ring, args.omega).idx)
+            code, witness = construction_c(ring, BorderedSpecR(ring, *border, circulant))
 
     ok = isodual_witness_check(code, witness)
     obj = {

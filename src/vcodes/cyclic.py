@@ -11,8 +11,9 @@ divisor's shift rows are tabulated once and the codes reduced in
 components and cyclicity of such a stack in batches as well, and leaves them
 in the memos that ``dual()``, ``components_crt()``, ``is_cyclic()`` and
 ``is_cyclic_r`` read; the per-code calls give the same results and are the
-reference the stack is tested against.  For q = 2 there is no splitting and
-searches run by exhaustive ideal enumeration instead.
+reference the stack is tested against.  For q = 2, R ~ F_2 x F_2[u]/(u^2)
+does not split into three fields, and searches run by exhaustive ideal
+enumeration instead.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from itertools import product
 import numpy as np
 
 from . import ringcode
-from .errors import CharacteristicTwoUnsupported, NotADivisor, ParamMismatch, SearchSpaceTooLarge
+from .errors import CharacteristicTwoUnsupported, ParamMismatch, SearchSpaceTooLarge
 from .fieldcode import (
+    _cofactor,
     _kernel_stack,
     _pad,
     _reduced_codes,
@@ -51,7 +53,8 @@ class CyclicSpecR:
     f3: Poly
 
     def __post_init__(self):
-        _check_divisors(self.n, (self.f1, self.f2, self.f3))
+        for f in (self.f1, self.f2, self.f3):
+            _cofactor(f, self.n)  # raises NotADivisor
 
     @classmethod
     def _checked(cls, n: int, f1: Poly, f2: Poly, f3: Poly) -> "CyclicSpecR":
@@ -66,14 +69,6 @@ class CyclicSpecR:
 
     def size_formula(self, q: int) -> int:
         return q ** (3 * self.n - self.degree_sum)
-
-
-def _check_divisors(n: int, polys) -> None:
-    """Raise NotADivisor unless every one of the (nonempty) ``polys`` divides x^n - 1."""
-    xn1 = Poly.xn_minus_1(polys[0].field, n)
-    for f in polys:
-        if f.is_zero() or not f.divides(xn1):
-            raise NotADivisor(f"{f} does not divide x^{n}-1")
 
 
 def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> LinearCodeR:
@@ -164,7 +159,8 @@ def all_divisor_triples(ring: Ring, n: int):
     divisors = monic_divisors_of_xn_minus_1(ring.field, n)
     if len(divisors) ** 3 > DIVISOR_CAP**2:
         raise SearchSpaceTooLarge(f"{len(divisors)}^3 divisor triples")
-    _check_divisors(n, divisors)
+    for f in divisors:
+        _cofactor(f, n)
     for fs in product(divisors, repeat=3):
         yield CyclicSpecR._checked(n, *fs)  # each divisor was checked once above
 

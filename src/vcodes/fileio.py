@@ -45,14 +45,6 @@ def parse_matrix_file(text: str) -> tuple[GF, int, np.ndarray]:
     return field, n, mat
 
 
-def format_matrix_file(field: GF, mat) -> str:
-    mat = np.asarray(mat)
-    lines = [f"q={field.q} n={mat.shape[1]}"]
-    for row in mat:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def _element_rows(text: str, what: str) -> tuple[Ring, int, list[tuple[int, ...]]]:
     """The ring, the length n and the element-index rows of a file in the code-file syntax."""
     q, n, lines = _split_header(text)
@@ -88,4 +80,6 @@ def parse_vector(ring: Ring, text: str) -> tuple[int, ...]:
 
 
 def format_field_code(code: LinearCodeFq) -> str:
-    return format_matrix_file(code.field, code.gen)
+    """A matrix file holding the code's basis."""
+    rows = [" ".join(map(str, row)) for row in code.gen.tolist()]
+    return "\n".join([f"q={code.field.q} n={code.n}", *rows]) + "\n"

@@ -48,10 +48,6 @@ class SignedPermutation:
         rows = np.asarray(rows, dtype=np.int64)[..., list(self.src)]
         return np.where(self.negate, ring.neg_table[rows], rows)
 
-    def apply_code(self, code: LinearCodeR) -> LinearCodeR:
-        rows = np.reshape(code.gens, (len(code.gens), code.n))  # keeps n when there are no generators
-        return LinearCodeR(code.ring, code.n, self.apply(code.ring, rows))
-
     def to_json_obj(self) -> dict:
         return {"src": list(self.src), "negate": [int(b) for b in self.negate]}
 

@@ -1,11 +1,12 @@
 """Prime field arithmetic GF(q) and univariate polynomials over it.
 
 Field elements are plain ints reduced into [0, q); a ``GF`` instance carries
-the modulus and the arithmetic.  Polynomials store coefficients lowest degree
-first with no trailing zeros, so equality is plain tuple equality.  The
-factorization routine is trial division by monic polynomials of increasing
-degree, which is exact and entirely adequate at the lengths this library
-targets (n up to a few dozen).
+the modulus and the inverse; sums and products are inline ``% q``.
+Polynomials store coefficients lowest degree first with no trailing zeros, so
+equality is plain tuple equality.  x^n - 1 is factored by trial division at
+the degrees its irreducible factors must have, read off the q-cyclotomic
+cosets, and the last factor is what remains; a degree d with more than
+``DIVISOR_CAP``^2 monic candidates raises instead of being tried.
 """
 
 from __future__ import annotations
@@ -52,26 +53,11 @@ class GF:
         if self.q != other.q:
             raise ParamMismatch(f"mixed moduli {self.q} and {other.q}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         a %= self.q
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.q - 2, self.q)
-
-    def elements(self):
-        return range(self.q)
 
 
 _TERM_RE = re.compile(r"^(\d+)?\*?(x(\^(\d+))?)?$")
@@ -183,12 +169,6 @@ class Poly:
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero()
 
-    def evaluate(self, t: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * t + c) % self.field.q
-        return acc
-
     def reciprocal(self) -> "Poly":
         """x^deg * p(1/x); the coefficient sequence reversed."""
         return Poly(self.field, tuple(reversed(self.coeffs)))
@@ -258,27 +238,47 @@ def _monic_polys(field: GF, degree: int):
         yield Poly(field, cs + [1])
 
 
+def _factor_degrees(q: int, n: int) -> list[int]:
+    """The degrees of the irreducible factors of x^n - 1 over GF(q), ascending, with
+    multiplicity: for n = q^s * m with q not dividing m, x^n - 1 = (x^m - 1)^(q^s), and
+    each q-cyclotomic coset {i, iq, iq^2, ...} mod m gives one factor of its size."""
+    m, repeats = n, 1
+    while m % q == 0:
+        m, repeats = m // q, repeats * q
+    degrees, seen = [], set()
+    for i in range(m):
+        if i not in seen:
+            size, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                size, j = size + 1, j * q % m
+            degrees += [size] * repeats
+    return sorted(degrees)
+
+
 def factor_xn_minus_1(field: GF, n: int) -> list[Poly]:
     """Monic irreducible factors of x^n - 1 with multiplicity, sorted.
 
-    Trial division by monic polynomials of increasing degree; any divisor
-    found after the smaller degrees are exhausted is necessarily irreducible.
-    Repeated factors appear when gcd(n, q) != 1.
+    Trial division by the monic polynomials of each degree a factor has, in
+    ascending degree, so a divisor found is irreducible: every smaller factor
+    is already split off.  The last factor is the quotient left.  Repeated
+    factors appear when q divides n.
     """
     rem = Poly.xn_minus_1(field, n)
+    degrees = _factor_degrees(field.q, n)
     factors: list[Poly] = []
-    d = 1
-    while rem.degree > 0:
-        if 2 * d > rem.degree:
-            factors.append(rem.monic())
-            break
-        for p in _monic_polys(field, d):
-            while p.degree <= rem.degree and p.divides(rem):
+    todo = len(degrees) - 1  # factors found by trial; the last is the quotient
+    while len(factors) < todo:
+        d = degrees[len(factors)]
+        if field.q**d > DIVISOR_CAP**2:
+            raise SearchSpaceTooLarge(f"x^{n}-1 has a factor of degree {d}: {field.q}^{d} candidates to try")
+        candidates = _monic_polys(field, d)
+        while len(factors) < todo and degrees[len(factors)] == d:
+            p = next(candidates)
+            while len(factors) < todo and p.divides(rem):
                 factors.append(p)
                 rem = rem // p
-            if rem.degree < d:
-                break
-        d += 1
+    factors.append(rem)
     factors.sort(key=Poly.sort_key)
     prod = reduce(lambda a, b: a * b, factors, Poly.one(field))
     assert prod == Poly.xn_minus_1(field, n)

@@ -34,13 +34,7 @@ import re
 
 import numpy as np
 
-from .errors import (
-    CharacteristicTwoUnsupported,
-    InvalidEvaluationPoint,
-    ParamMismatch,
-    ParseError,
-    SearchSpaceTooLarge,
-)
+from .errors import InvalidEvaluationPoint, ParamMismatch, ParseError, SearchSpaceTooLarge
 from .gf import GF
 
 _RING_CACHE: dict[int, "Ring"] = {}
@@ -121,13 +115,6 @@ class Ring:
         if t not in self.eval_table:
             raise InvalidEvaluationPoint(f"v cannot evaluate at {t} (roots of v^3-v only)")
         return int(self.eval_table[t][idx])
-
-    def crt_combine_index(self, u0: int, u1: int, u2: int) -> int:
-        """The x with (x(0), x(1), x(-1)) = (u0, u1, u2), u1*e1 + u2*e2 + u0*e0; needs q odd."""
-        if self.q % 2 == 0:
-            raise CharacteristicTwoUnsupported("CRT combination needs odd q")
-        half = (self.q + 1) // 2
-        return self.index(u0, half * (u1 - u2), half * (u1 + u2) - u0)
 
     # ---- element-level API ----
 
@@ -258,11 +245,6 @@ class RingElem:
         return format_elem(self)
 
 
-def crt_combine(ring: Ring, u0: int, u1: int, u2: int) -> RingElem:
-    """Element with evaluations x(0)=u0, x(1)=u1, x(-1)=u2 (q odd)."""
-    return RingElem(ring, ring.crt_combine_index(u0, u1, u2))
-
-
 _TRIPLE_RE = re.compile(r"^\[(\d+),(\d+),(\d+)\]$")
 _VTERM_RE = re.compile(r"^(\d+)?\*?(v(\^([12]))?)?$")
 
@@ -304,43 +286,32 @@ def format_row(ring: Ring, row) -> list[str]:
     return [format_elem(ring.from_index(int(x))) for x in row]
 
 
-# The published Lee-weight case table, row by row, exactly as printed.
-# Each row: (claimed weight, test on a0, test on a1, third condition).
-# "mod?" marks rows whose printed condition ends in an unstated modulus;
-# the audit reads them as congruence mod q.  Rows 3/10, 5/7 and 4/6 put
-# two different weights on identical support patterns.
+# The published Lee-weight case table, row by row, exactly as printed.  Every
+# printed condition tests a linear form in (a0, a1, a2) for zero or nonzero
+# mod q, so a row is (claimed weight, forms that vanish, forms that do not,
+# modulus unstated); the audit reads a row whose printed condition ends in an
+# unstated modulus as congruence mod q.  Rows 3/10, 5/7 and 4/6 put two
+# different weights on identical support patterns.
+_A0, _A1, _A2, _A0_A2, _A0_A1 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0)
 PUBLISHED_LEE_TABLE = (
-    (0, "zero", "zero", "a2_zero", False),
-    (1, "zero", "nonzero", "a2_zero", False),
-    (1, "nonzero", "nonzero", "a2_zero", False),
-    (1, "nonzero", "zero", "a0_plus_a2_zero", True),
-    (1, "zero", "nonzero", "a2_nonzero", False),
-    (2, "nonzero", "zero", "a0_plus_a2_zero", True),
-    (2, "zero", "nonzero", "a2_nonzero", False),
-    (2, "nonzero", "nonzero", "a0_plus_a1_zero", True),
-    (3, "nonzero", "nonzero", "a0_plus_a2_zero", True),
-    (3, "nonzero", "nonzero", "a2_zero", False),
+    (0, (_A0, _A1, _A2), (), False),
+    (1, (_A0, _A2), (_A1,), False),
+    (1, (_A2,), (_A0, _A1), False),
+    (1, (_A1, _A0_A2), (_A0,), True),
+    (1, (_A0,), (_A1, _A2), False),
+    (2, (_A1, _A0_A2), (_A0,), True),
+    (2, (_A0,), (_A1, _A2), False),
+    (2, (_A0_A1,), (_A0, _A1), True),
+    (3, (_A0_A2,), (_A0, _A1), True),
+    (3, (_A2,), (_A0, _A1), False),
 )
 
 
 def _row_predicate(ring: Ring, row) -> np.ndarray:
-    _, a0_test, a1_test, third, _ = row
-    a0 = ring.coeff[:, 0]
-    a1 = ring.coeff[:, 1]
-    a2 = ring.coeff[:, 2]
-    mask = (a0 != 0) if a0_test == "nonzero" else (a0 == 0)
-    mask &= (a1 != 0) if a1_test == "nonzero" else (a1 == 0)
-    if third == "a2_zero":
-        mask &= a2 == 0
-    elif third == "a2_nonzero":
-        mask &= a2 != 0
-    elif third == "a0_plus_a2_zero":
-        mask &= (a0 + a2) % ring.q == 0
-    elif third == "a0_plus_a1_zero":
-        mask &= (a0 + a1) % ring.q == 0
-    else:
-        raise ValueError(third)
-    return mask
+    """The symbols whose forms vanish and do not vanish as the row says."""
+    _, vanish, nonvanish, _ = row
+    values = ring.coeff @ np.reshape(vanish + nonvanish, (-1, 3)).T % ring.q
+    return (values[:, : len(vanish)] == 0).all(axis=1) & (values[:, len(vanish) :] != 0).all(axis=1)
 
 
 def audit_published_lee_table(ring: Ring) -> dict:
@@ -363,7 +334,7 @@ def audit_published_lee_table(ring: Ring) -> dict:
             "claimed_weight": claimed,
             "matching_symbols": int(mask.sum()),
             "disagreements": int(bad.size),
-            "modulus_unstated": row[4],
+            "modulus_unstated": row[3],
         }
         if bad.size:
             sym = int(np.nonzero(mask)[0][bad[0]])

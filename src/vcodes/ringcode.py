@@ -143,10 +143,6 @@ class LinearCodeR:
             raise ShapeError("cannot infer length from an empty generator list")
         return cls(ring, len(rows[0]), rows)
 
-    @classmethod
-    def full_space(cls, ring: Ring, n: int) -> "LinearCodeR":
-        return cls(ring, n, np.eye(n, dtype=np.int64))
-
     @property
     def dim_fq(self) -> int:
         return self.flat.k

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .fieldcode import LinearCodeFq, _messages, _pad, _step, rref_stack
 from .ring import Ring
-from .ringcode import LinearCodeR, _flatten, _map_symbols, _unflatten, flat_dual, fq_span_rows
+from .ringcode import LinearCodeR, _flatten, _map_symbols, flat_dual, fq_span_rows
 
 _MAX_AMBIENT = 1 << 13
 
@@ -70,14 +70,10 @@ class AmbientSpace:
         """The R-code whose flattened F_q span has this basis."""
         return LinearCodeR._from_flat(self.ring, self.n, LinearCodeFq.from_rref(self.ring.field, basis))
 
-    def members(self, basis: np.ndarray) -> np.ndarray:
-        """Every vector of the span of ``basis``, encoded and sorted."""
-        words = LinearCodeFq(self.ring.field, 3 * self.n, basis).codewords()
-        return np.sort(_unflatten(self.ring.q, words) @ self.powers)
-
     def witness(self, basis: np.ndarray) -> LinearCodeR:
-        """The code generated by all its members in encoded order."""
-        return LinearCodeR(self.ring, self.n, self.decode[self.members(basis)])
+        """The code generated by all its members in encoded order, read off its order key."""
+        members = np.frombuffer(self._order_keys([basis])[0][1], dtype=np.int64)
+        return LinearCodeR(self.ring, self.n, self.decode[members])
 
     def cyclic_span(self, indices: np.ndarray) -> np.ndarray:
         """The reduced (len, 3, 3n) stack of the submodules R*a, a in indices."""
@@ -157,10 +153,11 @@ class AmbientSpace:
         return [nodes[i] for i in sorted(range(len(nodes)), key=keys.__getitem__)]
 
     def _order_keys(self, nodes: list[np.ndarray]) -> list[tuple[int, bytes]]:
-        """The (size, bytes of ``members``) key of every node, for all nodes of
-        one rank at once: the message table of that rank times the stacked
-        bases, in batches within ``_MAX_ENTRIES`` entries, and each word
-        encoded by one product with the share of each flattened coordinate."""
+        """The (size, bytes of its sorted encoded members) key of every node,
+        for all nodes of one rank at once: the message table of that rank
+        times the stacked bases, in batches within ``_MAX_ENTRIES`` entries,
+        and each word encoded by one product with the share of each
+        flattened coordinate."""
         q, width = self.ring.q, 3 * self.n
         shares = (q ** np.arange(3, dtype=np.int64)[:, None] * self.powers).reshape(width)
         ranks: dict[int, list[int]] = {}

@@ -33,8 +33,9 @@ from itertools import islice
 import numpy as np
 
 from . import wenum
-from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, cyclic_dual_spec, fill_stack, is_cyclic_r, self_dual_cyclic_search
+from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, fill_stack, is_cyclic_r, self_dual_cyclic_search
 from .errors import DEFAULT_BUDGET, TransformInconsistent, VCodesError
+from .fieldcode import cyclic_dual_generator
 from .fsd import (
     BorderedSpecR,
     CirculantSpecR,
@@ -141,12 +142,6 @@ class VerificationReport:
         lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         return "\n".join(lines) + "\n"
 
-    def by_id(self, claim_id: str) -> VerificationEntry:
-        for e in self.entries:
-            if e.claim_id == claim_id:
-                return e
-        raise KeyError(claim_id)
-
 
 class _Ctx:
     """State of one ``run_verification_suite`` call; none of it outlives the run."""
@@ -156,6 +151,7 @@ class _Ctx:
         self.budget = budget
         self.tested = 0
         self._stacks: dict = {}
+        self._dual_generators: dict = {}
 
     def rng(self, claim_id: str) -> random.Random:
         return random.Random(f"{self.seed}:{claim_id}")
@@ -182,6 +178,16 @@ class _Ctx:
                 fill_stack(ring, codes)
             self._stacks[key] = dict(zip(specs, codes))
         return self._stacks[key][spec]
+
+    def cyclic_dual_spec(self, ring, spec: CyclicSpecR) -> CyclicSpecR:
+        """``cyclic.cyclic_dual_spec(spec)`` from this run's table for (q, n),
+        where each divisor's dual generator is computed at its first request."""
+        table = self._dual_generators.setdefault((ring.q, spec.n), {})
+        fs = (spec.f1, spec.f2, spec.f3)
+        for f in fs:
+            if f not in table:
+                table[f] = cyclic_dual_generator(f, spec.n)
+        return CyclicSpecR._checked(spec.n, *(table[f] for f in fs))  # h* divides x^n - 1 when g does
 
 
 class _Refuted(Exception):
@@ -479,7 +485,7 @@ def _claim_thm8(ctx):
 def _claim_cor9(ctx):
     ring = ring_over(3)
     for spec in ctx.each(_triples(ring, (2, 3, 4))):
-        dual = ctx.cyclic_code(ring, cyclic_dual_spec(spec))
+        dual = ctx.cyclic_code(ring, ctx.cyclic_dual_spec(ring, spec))
         if dual != ctx.cyclic_code(ring, spec).dual() or not is_cyclic_r(dual):
             raise _Refuted({"n": spec.n, "spec": _spec_obj(spec)}, "componentwise dual is the dual and cyclic")
     return "confirmed", "componentwise cyclic dual equals the computed dual and is cyclic on every divisor triple (q=3, n in {2,3,4})", "dual of cyclic is cyclic, componentwise", ""

@@ -25,13 +25,8 @@ statement over R prints (X + Y, X - Y), which is the binary special case;
 ``literal=True`` applies that printed form so the harness can document
 where it breaks for q > 2.
 
-The published symbol-class bookkeeping (eta classes and their alpha sums)
-is kept in ``PUBLISHED_SYMBOL_CLASSES`` for comparison only; no report
-cites it, and only ``tests/test_wenum.py`` reads it.  Its class memberships
-contradict the weight identity w_L = alpha1 + 2*alpha2 + 3*alpha3 that the
-same page relies on.  The working definition used
-throughout is class(symbol) = Hamming weight of the Gray image, which makes
-that identity hold symbol by symbol.
+A symbol's swe class is the Hamming weight of its Gray image, which makes
+the weight identity w_L = alpha1 + 2*alpha2 + 3*alpha3 hold symbol by symbol.
 """
 
 from __future__ import annotations
@@ -44,18 +39,6 @@ import numpy as np
 from . import fieldcode
 from .errors import DEFAULT_BUDGET, TransformInconsistent
 from .ring import ring_over
-
-# As printed: class indices 0..7 stand for the symbol shapes
-#   0, a0, a1*v, a2*v^2, a0+a1*v, a0+a2*v^2, a1*v+a2*v^2, a0+a1*v+a2*v^2
-# and each alpha_i sums the tallies of the listed classes.  Classes 4..7
-# appear under several alphas at once, which is why this table cannot
-# reproduce the Lee weight.  No report cites it; only the tests read it.
-PUBLISHED_SYMBOL_CLASSES = {
-    "alpha0": (0,),
-    "alpha1": (3, 4, 6, 7),
-    "alpha2": (1, 4, 5, 6),
-    "alpha3": (4, 5, 7),
-}
 
 _WEIGHT_KINDS = ("lee", "hamming")  # int keys; swe and cwe have tuple keys
 _TALLY_BLOCK = 4096  # distinct tallies turned into tuple keys at once

@@ -8,7 +8,7 @@ from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq, cyclic_code_fq
 from vcodes.gf import monic_divisors_of_xn_minus_1
 from vcodes.ring import DUAL_FORM
-from vcodes.ringcode import LinearCodeR, _map_symbols
+from vcodes.ringcode import LinearCodeR, _map_symbols, _unflatten
 
 
 @cache
@@ -59,7 +59,7 @@ def two_reduction_witness_check(code, witness) -> bool:
     companion = np.hstack([code.ring.neg_table[b.T], np.eye(n, dtype=np.int64)])
     if LinearCodeR(code.ring, code.n, companion) != code.dual():
         return False
-    return witness.apply_code(code) == code.dual()
+    return apply_code(witness, code) == code.dual()
 
 
 def iter_codewords(code, budget: int = DEFAULT_BUDGET):
@@ -75,6 +75,23 @@ def zero_code_fq(field, n: int) -> LinearCodeFq:
 
 def zero_code_r(ring, n: int) -> LinearCodeR:
     return LinearCodeR(ring, n, [])
+
+
+def full_space_r(ring, n: int) -> LinearCodeR:
+    return LinearCodeR(ring, n, np.eye(n, dtype=np.int64))
+
+
+def apply_code(witness, code) -> LinearCodeR:
+    """The image of an R-code under a ``SignedPermutation``."""
+    rows = np.reshape(code.gens, (len(code.gens), code.n))  # keeps n when there are no generators
+    return LinearCodeR(code.ring, code.n, witness.apply(code.ring, rows))
+
+
+def members(space, basis) -> np.ndarray:
+    """Every vector of the span of ``basis`` in an ``AmbientSpace``, encoded
+    base |R| and sorted: one full enumeration of the flattened code."""
+    words = LinearCodeFq(space.ring.field, 3 * space.n, basis).codewords()
+    return np.sort(_unflatten(space.ring.q, words) @ space.powers)
 
 
 def random_code(field, n: int, rng) -> LinearCodeFq:

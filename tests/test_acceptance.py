@@ -44,6 +44,12 @@ def _report_line(num, title, ok, detail):
     print(f"ACCEPTANCE {num:>2} ({title}): {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def by_id(report, claim_id):
+    """The report's entry for one claim."""
+    (entry,) = [e for e in report.entries if e.claim_id == claim_id]
+    return entry
+
+
 @pytest.fixture(scope="module")
 def full_report():
     return run_verification_suite(scope="all", seed=42)
@@ -117,7 +123,7 @@ def test_criterion_3_macwilliams(full_report):
                 literal_refuted = wenum.macwilliams_lee(lee, code.size, literal=True) != dual_lee
             except wenum.TransformInconsistent:
                 literal_refuted = True
-    entry = full_report.by_id("thm7-4-macwilliams")
+    entry = by_id(full_report, "thm7-4-macwilliams")
     recorded = entry.observed.get("literal_form_counterexample") is not None
     ok &= literal_refuted and recorded and entry.status == "canonicalized"
     _report_line(
@@ -136,7 +142,7 @@ def test_criterion_4_theorem11_sizes(full_report):
         for spec in all_divisor_triples(ring, n):
             ok &= cyclic_code_r(ring, spec, "idempotent").size == spec.size_formula(3)
             tested += 1
-    entry = full_report.by_id("thm11-cardinality")
+    entry = by_id(full_report, "thm11-cardinality")
     literal_logged = entry.observed.get("literal_mismatches", 0) > 0
     ok &= tested == 64 + 512 and entry.status == "confirmed" and literal_logged
     _report_line(
@@ -158,7 +164,7 @@ def test_criterion_5_corollary10_desk_scale(full_report):
     ok &= res2["witness"] is not None and res2["exhausted"]
     ok &= res2["witness"] == res2["witness"].brute_force_dual()
     details.append(f"q=2 n=2: witness/{res2['tested']}")
-    entry = full_report.by_id("cor10-self-dual-cyclic")
+    entry = by_id(full_report, "cor10-self-dual-cyclic")
     obs4 = entry.observed.get("q=2,n=4", {})
     ok &= obs4.get("found") is True and obs4.get("exhausted") is True
     details.append(f"q=2 n=4: witness/{obs4.get('tested')}")
@@ -168,7 +174,7 @@ def test_criterion_5_corollary10_desk_scale(full_report):
 
 
 def test_criterion_6_example17(full_report):
-    entry = full_report.by_id("ex17-bordered")
+    entry = by_id(full_report, "ex17-bordered")
     params = entry.observed["gray_parameters"]
     ok = (
         params[:2] == [24, 12]
@@ -186,7 +192,7 @@ def test_criterion_6_example17(full_report):
 
 
 def test_criterion_7_example13(full_report):
-    entry = full_report.by_id("ex13-symmetric")
+    entry = by_id(full_report, "ex13-symmetric")
     params = entry.observed["gray_parameters"]
     ok = (
         params[:2] == [30, 15]
@@ -205,7 +211,7 @@ def test_criterion_7_example13(full_report):
 
 
 def test_criterion_8_example15_and_lemma5(full_report):
-    entry = full_report.by_id("ex15-double-circulant")
+    entry = by_id(full_report, "ex15-double-circulant")
     comp = entry.observed["component_codes"]
     ok = (
         entry.observed["gray_parameters"] == [30, 15]
@@ -213,7 +219,7 @@ def test_criterion_8_example15_and_lemma5(full_report):
         and "minimum_distance_lemma5_based" in entry.observed
         and entry.expected == [30, 15, 12]
     )
-    lem5 = full_report.by_id("lem5-distance")
+    lem5 = by_id(full_report, "lem5-distance")
     ok &= lem5.tested >= 100 and lem5.status in ("confirmed", "refuted")
     _report_line(
         8, "Example 15 + Lemma 5 audit", ok,

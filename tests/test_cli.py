@@ -61,9 +61,28 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "cyclic", "--q", "3", "--n", "2")[0] == 2
 
 
-def test_options_a_command_does_not_read_are_usage_errors(capsys):
-    assert run(capsys, "gray", "--q", "3", "--element", "1", "--seed", "1")[0] == 2
-    assert run(capsys, "cyclic", "--q", "3", "--n", "2", "--search-self-dual", "--budget", "9")[0] == 2
+def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys):
+    matrix = tmp_path / "sym.txt"
+    matrix.write_text("q=3 n=2\n1 2\n2 1\n")
+    assert run(capsys, "construct", "a", "--matrix-file", str(matrix))[0] == 0  # the same file alone is fine
+    for argv in (
+        ("gray", "--q", "3", "--element", "1", "--seed", "1"),
+        ("cyclic", "--q", "3", "--n", "2", "--search-self-dual", "--budget", "9"),
+        ("construct", "a", "--matrix-file", str(matrix), "--first-row", "1 2", "--alpha", "1", "--q", "5"),
+        ("construct", "b", "--q", "3", "--first-row", "1 2", "--matrix-file", "/nonexistent"),
+        ("construct", "c", "--q", "3", "--first-row", "1 2", "--alpha", "1"),  # c reads --omega too
+        ("cyclic", "--q", "3", "--n", "2", "--search-self-dual", "--f1", "x+1", "--mode", "paper-literal"),
+        ("cyclic", "--q", "3", "--n", "2", "--search-self-dual", "--mode", "idempotent"),
+    ):
+        rc, out, _ = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+
+
+def test_cyclic_search_refuses_a_factor_too_large_to_find(capsys):
+    # x^47 - 1 over GF(3) has two irreducible factors of degree 23
+    rc, out, err = run(capsys, "cyclic", "--q", "3", "--n", "47", "--search-self-dual")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "degree 23" in err
 
 
 def test_parse_error_exit_code(capsys):

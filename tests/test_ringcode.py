@@ -21,6 +21,7 @@ from vcodes.wenum import lee_enumerator
 
 from oracles import (
     closure_codewords,
+    full_space_r,
     iter_codewords,
     random_code,
     ring_tables,
@@ -97,7 +98,7 @@ def test_enumeration_matches_closure_oracle():
 
 def test_enumeration_budget():
     with pytest.raises(SearchSpaceTooLarge):
-        LinearCodeR.full_space(R3, 4).codewords(budget=100)
+        full_space_r(R3, 4).codewords(budget=100)
 
 
 def test_zero_code_enumerates_single_word():
@@ -105,7 +106,7 @@ def test_zero_code_enumerates_single_word():
 
 
 def test_length_zero_code_enumerates_the_empty_word():
-    for code in (zero_code_r(R2, 0), LinearCodeR.full_space(R3, 0)):
+    for code in (zero_code_r(R2, 0), full_space_r(R3, 0)):
         assert code.codewords().shape == (1, 0)
         assert list(iter_codewords(code)) == [()]
 
@@ -118,7 +119,7 @@ def test_iter_codewords_streams_each_exactly_once():
 
 
 def test_components_crt_examples():
-    full = LinearCodeR.full_space(R3, 2)
+    full = full_space_r(R3, 2)
     t = full.components_crt()
     assert [c.k for c in t] == [2, 2, 2]
     z = zero_code_r(R3, 2).components_crt()
@@ -140,7 +141,7 @@ def test_components_paper_examples():
     assert [c.k for c in t] == [0, 1, 1]
     z = zero_code_r(R3, 2).components_paper()
     assert [c.k for c in z] == [0, 0, 0]
-    f = LinearCodeR.full_space(R3, 2).components_paper()
+    f = full_space_r(R3, 2).components_paper()
     assert [c.k for c in f] == [2, 2, 2]
 
 
@@ -150,8 +151,8 @@ def test_combine_components_examples():
     assert combine_components(R3, zero, "idempotent").size == 1
     assert combine_components(R3, zero, "paper-literal").size == 1
     full = (LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2), LinearCodeFq.full_space(field, 2))
-    assert combine_components(R3, full, "idempotent") == LinearCodeR.full_space(R3, 2)
-    assert combine_components(R3, full, "paper-literal") == LinearCodeR.full_space(R3, 2)
+    assert combine_components(R3, full, "idempotent") == full_space_r(R3, 2)
+    assert combine_components(R3, full, "paper-literal") == full_space_r(R3, 2)
     tri = (LinearCodeFq.full_space(field, 1), LinearCodeFq.full_space(field, 1), zero_code_fq(field, 1))
     assert combine_components(R3, tri, "idempotent") == LinearCodeR(R3, 1, [[R3.q]])
     for bad in ((), tri[:2], tri[:2] + (zero_code_fq(field, 2),)):  # too few components; two lengths
@@ -162,11 +163,7 @@ def test_combine_components_examples():
 def _combine_per_entry(ring, triple, mode):
     """Generators of combine_components, embedding each field entry u on its own (the reference)."""
     if mode == "idempotent":
-        embeds = (
-            lambda u: ring.crt_combine_index(0, u, 0),
-            lambda u: ring.crt_combine_index(0, 0, u),
-            lambda u: ring.crt_combine_index(u, 0, 0),
-        )
+        embeds = tuple(lambda u, e=e: (u * ring.from_index(e)).idx for e in (ring.e1, ring.e2, ring.e0))
     else:
         embeds = (
             lambda u: ring.index(0, u, 0),  # u * v
@@ -209,7 +206,7 @@ def test_crt_split_and_combine_roundtrip_random():
 
 
 def test_dual_examples():
-    full = LinearCodeR.full_space(R3, 2)
+    full = full_space_r(R3, 2)
     assert full.dual().size == 1
     cv = LinearCodeR(R2, 1, [[R2.q]])
     assert words_of(cv.dual()) == {(0,), (1 + R2.q**2,)}
@@ -306,7 +303,7 @@ def test_gray_image_examples():
     assert (image.n, image.k) == (3, 2)
     img_words = {tuple(map(int, w)) for w in image.codewords()}
     assert img_words == {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)}
-    full = LinearCodeR.full_space(R2, 2)
+    full = full_space_r(R2, 2)
     assert full.gray_image() == LinearCodeFq.full_space(R2.field, 6)
 
 
@@ -324,7 +321,7 @@ def test_min_lee_distance_examples():
     for n in (1, 2, 3):
         rep = LinearCodeR(R3, n, [[1] * n])
         assert rep.min_lee_distance("exhaustive") == (n, "exhaustive")
-    assert LinearCodeR.full_space(R3, 2).min_lee_distance("exhaustive")[0] == 1
+    assert full_space_r(R3, 2).min_lee_distance("exhaustive")[0] == 1
     with pytest.raises(EmptyCode):
         zero_code_r(R3, 1).min_lee_distance("exhaustive")
 
@@ -360,7 +357,7 @@ def _chunks_read(monkeypatch, code, strategy):
 
 
 def test_exhaustive_distance_stops_at_the_first_chunk_with_weight_1(monkeypatch):
-    code = LinearCodeR.full_space(R3, 2)
+    code = full_space_r(R3, 2)
     (d, _), read, total = _chunks_read(monkeypatch, code, "exhaustive")
     assert d == 1 and read == 1 < total
     assert code.min_lee_distance("gray-image") == (1, "gray-image")

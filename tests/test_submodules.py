@@ -22,7 +22,7 @@ from vcodes import fieldcode, submodules
 from vcodes.fieldcode import rref_stack
 from vcodes.submodules import _MAX_AMBIENT, AmbientSpace
 
-from oracles import closure_codewords, ring_tables
+from oracles import closure_codewords, members, ring_tables
 
 
 def _encode(ring, word) -> int:
@@ -42,8 +42,8 @@ def _oracle(q, n, ideals_only):
 
 
 def _order(space, basis):
-    members = space.members(basis)
-    return len(members), members.tobytes()
+    words = members(space, basis)
+    return len(words), words.tobytes()
 
 
 def _ambient_walk(space, ideals_only):
@@ -87,7 +87,7 @@ def _walk(q, n, ideals_only):
 )
 def test_walk_matches_closure_oracle(q, n, ideals_only, count):
     space, walk = _walk(q, n, ideals_only)
-    found = [frozenset(map(int, space.members(b))) for b in walk]
+    found = [frozenset(map(int, members(space, b))) for b in walk]
     assert len(found) == len(set(found)) == count
     assert set(found) == _oracle(q, n, ideals_only)
 
@@ -111,9 +111,17 @@ def test_walk_counts_order_and_bases(q, n, ideals_only, count):
     for basis in walk:
         # each node is the RREF basis of the code it spans
         assert np.array_equal(space.code(basis).flat.gen, basis)
-        members = space.members(basis)
-        keys.append((len(members), members.tobytes()))
+        words = members(space, basis)
+        keys.append((len(words), words.tobytes()))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("q, n, ideals_only", [(2, 2, True), (2, 1, False), (3, 1, False)])
+def test_witness_lists_its_members_in_encoded_order(q, n, ideals_only):
+    space, walk = _walk(q, n, ideals_only)
+    for basis in walk:
+        expected = space.decode[members(space, basis)]
+        assert space.witness(basis).gens == tuple(map(tuple, expected.tolist()))
 
 
 def _assert_members_order(space, walk):
@@ -207,7 +215,7 @@ def test_factor_walk_matches_the_ambient_walk(q, n, ideals_only):
     factors = []
     for e in space.ring.idempotents:
         scaled = ring_tables(q)[0][e][space.decode] @ space.powers
-        factors.append({frozenset(scaled[space.members(b)].tolist()) for b in walk})
+        factors.append({frozenset(scaled[members(space, b)].tolist()) for b in walk})
     assert len(walk) == np.prod([len(f) for f in factors])
 
 

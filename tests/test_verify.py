@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vcodes import cyclic, fieldcode, ringcode, submodules, verify, wenum
-from vcodes.cyclic import CyclicSpecR
+from vcodes.cyclic import CyclicSpecR, all_divisor_triples, cyclic_dual_spec
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq
 from vcodes.ring import PROJECTIONS, ring_over
@@ -134,6 +134,18 @@ def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
     assert all(e.tested == tested[e.claim_id] for e in first.entries)
 
 
+def test_corollary_9_tabulates_each_dual_generator_once_per_run(monkeypatch):
+    calls = collections.Counter()
+    dual_generator = verify.cyclic_dual_generator
+    monkeypatch.setattr(verify, "cyclic_dual_generator", lambda g, n: calls.update([(n, g)]) or dual_generator(g, n))
+    run_verification_suite(scope="cyclic", seed=42)
+    assert len(calls) == 16 and set(calls.values()) == {1}  # 4 + 4 + 8 divisors at n = 2, 3, 4
+    ring, ctx = ring_over(3), verify._Ctx(42, DEFAULT_BUDGET)
+    for n in (2, 3, 4):
+        for spec in all_divisor_triples(ring, n):
+            assert ctx.cyclic_dual_spec(ring, spec) == cyclic_dual_spec(spec)
+
+
 def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
     """Deterministic work: a change that adds or saves a reduction moves these counts."""
     calls = collections.Counter()
@@ -149,7 +161,7 @@ def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     for scope in ("cyclic", "fsd"):
         run_verification_suite(scope=scope, seed=42)
-    assert dict(calls) == {"rref": 975, "rref_stack": 104}
+    assert dict(calls) == {"rref": 972, "rref_stack": 104}
 
 
 def _identity_dual_form(monkeypatch):
@@ -162,7 +174,7 @@ def _e2_is_v_squared(monkeypatch):
 
 
 def _cyclic_dual_spec_is_identity(monkeypatch):
-    monkeypatch.setattr(verify, "cyclic_dual_spec", lambda spec: spec)
+    monkeypatch.setattr(verify, "cyclic_dual_generator", lambda g, n: g)  # each divisor its own dual generator
 
 
 def _size_formula_off_by_one(monkeypatch):

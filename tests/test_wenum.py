@@ -15,7 +15,7 @@ from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 from vcodes import wenum
 
-from oracles import iter_codewords, zero_code_r
+from oracles import full_space_r, iter_codewords, zero_code_r
 
 
 R2 = ring_over(2)
@@ -29,7 +29,7 @@ def test_lee_enumerator_examples():
     assert wenum.lee_enumerator(zero).counts == {0: 1}
     assert wenum.hamming_enumerator_r(zero).counts == {0: 1}
     assert wenum.lee_enumerator(zero) != wenum.hamming_enumerator_r(zero)  # kind is part of ==
-    full = LinearCodeR.full_space(R2, 1)
+    full = full_space_r(R2, 1)
     assert wenum.lee_enumerator(full).counts == {0: 1, 1: 3, 2: 3, 3: 1}  # (X+Y)^3
     cv = LinearCodeR(R2, 1, [[R2.q]])
     assert wenum.lee_enumerator(cv).counts == {0: 1, 1: 2, 2: 1}
@@ -71,7 +71,7 @@ def _symmetrized_by_word(code):
 def test_complete_enumerator_matches_per_word_tallies():
     rng = random.Random(13)
     codes = [random_code_r(ring_over(q), rng.randrange(1, 4 if q < 5 else 3), rng) for q in (2, 3, 5) * 6]
-    codes.append(LinearCodeR.full_space(R3, 3))  # 3^9 words: more than one chunk
+    codes.append(full_space_r(R3, 3))  # 3^9 words: more than one chunk
     codes.append(zero_code_r(R2, 2))
     codes += [zero_code_r(R2, 0), LinearCodeR(R3, 0, [])]  # n = 0: one empty word
     for code in codes:
@@ -145,7 +145,7 @@ def test_row_keys_are_equal_exactly_when_rows_are(slots, n):
     [
         LinearCodeR(R7, 8, [np.random.default_rng(7).integers(1, 343, size=8)]),  # 343^8 > 2^63: keys fold
         LinearCodeR(R2, 30, [np.random.default_rng(2).integers(0, 8, size=30)]),  # 8^30 > 2^63: keys fold
-        LinearCodeR.full_space(R3, 3),  # 3^9 words in two chunks, merged
+        full_space_r(R3, 3),  # 3^9 words in two chunks, merged
     ],
     ids=["q7-n8", "q2-n30", "q3-full-n3"],
 )
@@ -384,13 +384,3 @@ def test_serialization_roundtrip():
         obj = json.loads(json.dumps(enum.to_json_obj()))
         assert obj["kind"] == enum.kind
         assert obj == enum.to_json_obj()
-
-
-def test_published_symbol_classes_disagree_with_weight_identity():
-    # the printed class bookkeeping leaves class 2 (symbols a1*v) out of every
-    # alpha, so the identity w_L = a1 + 2 a2 + 3 a3 would give v weight 0
-    v_weight = int(R3.lee_table[R3.q])
-    assert v_weight == 1
-    alphas = {k: (1 if 2 in v else 0) for k, v in wenum.PUBLISHED_SYMBOL_CLASSES.items()}
-    published = alphas["alpha1"] + 2 * alphas["alpha2"] + 3 * alphas["alpha3"]
-    assert published == 0 != v_weight
