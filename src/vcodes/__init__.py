@@ -11,7 +11,6 @@ from .errors import (
     CharacteristicTwoUnsupported,
     DivisionByZero,
     EmptyCode,
-    InvalidEvaluationPoint,
     NotADivisor,
     NotSymmetric,
     ParamMismatch,

@@ -7,7 +7,8 @@ That idempotent reading carries the size formula |C| = q^(3n - sum deg fi);
 the literal combination printed with coefficients v, 1-v, 1-v^2 is kept as
 a measurable alternative.  Triples of one length are built together: each
 divisor's shift rows are tabulated once and the codes reduced in
-``rref_stack`` batches.  ``fill_stack`` then computes the duals, evaluation
+``rref_stack`` batches (``ringcode.build_codes``).  ``fill_stack`` then
+computes the duals (``ringcode.fill_duals``), evaluation
 components and cyclicity of such a stack in batches as well, and leaves them
 in the memos that ``dual()``, ``components_crt()``, ``is_cyclic()`` and
 ``is_cyclic_r`` read; the per-code calls give the same results and are the
@@ -27,7 +28,6 @@ from . import ringcode
 from .errors import CharacteristicTwoUnsupported, ParamMismatch, SearchSpaceTooLarge
 from .fieldcode import (
     _cofactor,
-    _kernel_stack,
     _pad,
     _reduced_codes,
     _shift_closed,
@@ -39,7 +39,7 @@ from .fieldcode import (
 )
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import LinearCodeR, _dual_rows, _map_symbols, _unflatten, _unit_multiples, fq_span_rows
+from .ringcode import LinearCodeR, _map_symbols, _unit_multiples, build_codes, fill_duals
 from .submodules import AmbientSpace
 
 
@@ -78,8 +78,8 @@ def cyclic_code_r(ring: Ring, spec: CyclicSpecR, mode: str = "idempotent") -> Li
 
 
 def cyclic_codes_r(ring: Ring, specs, mode: str = "idempotent") -> list[LinearCodeR]:
-    """``cyclic_code_r`` of a list of specs of one length, in ``rref_stack`` batches within
-    ``_MAX_ENTRIES``; each distinct divisor's shift rows times each unit are tabulated once."""
+    """``cyclic_code_r`` of a list of specs of one length, built together by
+    ``build_codes``; each distinct divisor's shift rows times each unit are tabulated once."""
     n = specs[0].n if specs else 0  # a spec's divisors are checked when it is made
     multiples = _unit_multiples(ring, mode)
     slot_rows: dict[tuple[int, Poly], np.ndarray] = {}
@@ -87,45 +87,34 @@ def cyclic_codes_r(ring: Ring, specs, mode: str = "idempotent") -> list[LinearCo
         for slot, f in enumerate((spec.f1, spec.f2, spec.f3)):
             if (slot, f) not in slot_rows:
                 slot_rows[slot, f] = multiples[slot][_shift_rows(f, n)]
-    gens = [np.concatenate([slot_rows[0, s.f1], slot_rows[1, s.f2], slot_rows[2, s.f3]]) for s in specs]
-    step = _step(9 * n * max(map(len, gens), default=0))  # 3 flattened rows of 3n entries a generator
-    codes = []
-    for start in range(0, len(gens), step):
-        batch = gens[start : start + step]
-        flats = _reduced_codes(ring.field, *rref_stack(fq_span_rows(ring, _pad(batch, n)), ring.q))
-        codes += [LinearCodeR._from_flat(ring, n, flat, rows) for flat, rows in zip(flats, batch)]
-    return codes
+    return build_codes(ring, [np.concatenate([slot_rows[0, s.f1], slot_rows[1, s.f2], slot_rows[2, s.f3]]) for s in specs])
 
 
 def fill_stack(ring: Ring, codes: list[LinearCodeR]) -> None:
     """Fill the ``dual()``, ``components_crt()``, ``is_cyclic()`` and
     ``is_cyclic_r`` memos of R-codes of one length (q odd) in bulk.
 
-    The codes go in batches whose zero-padded bases give every dual's kernel
-    rows through ``DUAL_FORM``^-1 and the ``EVALUATION`` images of every
-    component, each stack reduced by one ``rref_stack`` within
-    ``_MAX_ENTRIES`` entries; one shift residue over each stack decides the
-    cyclicity of the codes and of their components.  Each result equals the
-    per-code call's.
+    ``fill_duals`` fills the duals.  The codes then go in batches whose
+    zero-padded bases give the ``EVALUATION`` images of every component,
+    reduced by one ``rref_stack`` within ``_MAX_ENTRIES`` entries; one shift
+    residue over each stack decides the cyclicity of the codes and of their
+    components.  Each result equals the per-code call's.
     """
     if ring.q % 2 == 0:
         raise CharacteristicTwoUnsupported("evaluation components need odd q")
+    fill_duals(ring, codes)
     n = codes[0].n if codes else 0
     q, width = ring.q, 3 * n
-    step = _step(width * width)  # a kernel stack is 3n x 3n; three components hold rank * n entries each
+    step = _step(width * width)  # as fill_duals' batches; three components hold rank * n entries each
     for start in range(0, len(codes), step):
         batch = codes[start : start + step]
         gen = _pad([code.flat.gen for code in batch], width)
-        pivots = _stack_pivots(gen)
-        dual_stack = rref_stack(_dual_rows(q, _kernel_stack(gen, pivots, q)), q)
-        duals, dual_gens = _reduced_codes(ring.field, *dual_stack), _unflatten(q, dual_stack[0])
         images = _map_symbols(q, ringcode.EVALUATION, gen).transpose(0, 2, 1, 3)  # (code, component, rank, n)
         comp_stack, comp_ranks, comp_pivots = rref_stack(images.reshape(3 * len(batch), gen.shape[1], n), q)
         comps = _reduced_codes(ring.field, comp_stack, comp_ranks, comp_pivots)
-        cyclic = _shift_closed(gen, pivots, q, 3).tolist()
+        cyclic = _shift_closed(gen, _stack_pivots(gen), q, 3).tolist()
         comp_cyclic = _shift_closed(comp_stack, comp_pivots, q).tolist()
         for i, code in enumerate(batch):
-            code._dual = LinearCodeR._from_flat(ring, n, duals[i], dual_gens[i, : duals[i].k])
             code._crt = tuple(comps[3 * i : 3 * i + 3])
             code._cyclic = cyclic[i]
             for comp, closed in zip(code._crt, comp_cyclic[3 * i : 3 * i + 3]):

@@ -25,10 +25,6 @@ class ShapeError(VCodesError, ValueError):
     """Ragged or dimensionally inconsistent input."""
 
 
-class InvalidEvaluationPoint(VCodesError, ValueError):
-    """Evaluation of v requested outside the root set of v^3 - v."""
-
-
 class CharacteristicTwoUnsupported(VCodesError):
     """The evaluation/CRT splitting needs 2 to be invertible (q odd)."""
 

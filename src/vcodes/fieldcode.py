@@ -19,11 +19,14 @@ sums are reduced by subtracting q instead of ``% q``.  Weight distributions
 (``span_weight_counts``) split the same way but never form a word: the
 zero coordinates of high - low are the coordinates where high = low, so
 one float32 product of one-hot encoded halves counts them for a whole block.
-All three stop with SearchSpaceTooLarge past a codeword budget.
+They count one word per F_q-line, since scaling by a nonzero scalar keeps
+the weight, and take a (B, k, N) stack of equal-shape bases as readily as
+one basis.  All three stop with SearchSpaceTooLarge past a codeword budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -111,6 +114,15 @@ def rref_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def _step(entries: int) -> int:
     """How many matrices of ``entries`` entries one ``rref_stack`` batch may hold."""
     return max(1, _MAX_ENTRIES // max(1, entries))  # n = 0 has empty matrices
+
+
+def _positions(keys) -> dict:
+    """The positions of each key in ``keys``, keys in first-seen order: the
+    members of a mixed list that may share one stack."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _reduced_codes(field: GF, reduced: np.ndarray, ranks: np.ndarray, pivots: np.ndarray) -> list["LinearCodeFq"]:
@@ -204,14 +216,18 @@ def _table_rows(q: int, k: int, limit: int) -> int:
     return max((rows for rows in range(1, k + 1) if q**rows <= limit), default=0)
 
 
+def _check_budget(q: int, k: int, budget: int) -> None:
+    size = q**k
+    if size > budget:
+        raise SearchSpaceTooLarge(f"{size} codewords exceeds budget {budget}")
+
+
 def _span_halves(basis: np.ndarray, q: int, k2: int, dtype: np.dtype, budget: int):
     """The q^k2 words of the last k2 of k independent ``basis`` rows, as
     ``dtype`` in message order, and an iterator over blocks of at most
     ``_CHUNK_ROWS // q^k2`` words of the first k - k2 rows: message
     i*q^k2 + j is high word i plus low word j."""
-    size = q ** len(basis)
-    if size > budget:
-        raise SearchSpaceTooLarge(f"{size} codewords exceeds budget {budget}")
+    _check_budget(q, len(basis), budget)
     k1 = len(basis) - k2
     low = _span_table(basis[k1:], q, dtype)
     step = _CHUNK_ROWS // len(low)
@@ -222,29 +238,74 @@ def _span_halves(basis: np.ndarray, q: int, k2: int, dtype: np.dtype, budget: in
     return low, highs
 
 
+@functools.cache
+def _pair_tables(q: int, k: int, limit: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``span_weight_counts`` pairs for k rows over GF(q): the number
+    k2 of low rows (q^k2 <= limit / 16), every low message and one high
+    message per F_q-line (the one whose leading digit is 1: as base-q
+    numbers, those in [q^j, 2q^j) for j < k - k2), both as float32, and a
+    table whose row x is the one-hot of x mod q, for every digit sum x up
+    to k (q-1)^2 when that takes at most ``limit`` entries and for x < q
+    otherwise.  Cached read-only."""
+    k2 = _table_rows(q, (k + 1) // 2, limit // 16)
+    lines = np.concatenate([np.zeros(0, np.int64)] + [np.arange(q**j, 2 * q**j) for j in range(k - k2)])
+    highs = (lines[:, None] // q ** np.arange(k - k2 - 1, -1, -1)) % q
+    sums = max(1, k) * (q - 1) ** 2 + 1
+    one_hot = np.eye(q, dtype=np.float32)[np.arange(sums if sums * q <= limit else q) % q]
+    tables = (_messages(q, k2, 0, q**k2).astype(np.float32), highs.astype(np.float32), one_hot)
+    for table in tables:
+        table.flags.writeable = False
+    return (k2, *tables)
+
+
+def _one_hot_words(messages: np.ndarray, rows: np.ndarray, one_hot: np.ndarray) -> np.ndarray:
+    """The words messages @ rows mod q for a float32 (m, k) message block
+    and a (B, k, N) stack, one-hot encoded as a (B, m, N*q) float32 array by
+    the ``_pair_tables`` table; the float32 product is exact while
+    k (q-1)^2 < 2^24."""
+    sums = (messages @ rows.astype(np.float32)).astype(np.intp)
+    q = one_hot.shape[1]
+    if len(one_hot) == q:  # the table holds reduced digits only
+        sums %= q
+    return np.take(one_hot, sums, axis=0).reshape(*sums.shape[:2], sums.shape[2] * q)
+
+
 def span_weight_counts(basis: np.ndarray, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Entry w counts the words of weight w in the GF(q) span of k
-    independent rows of length N.
+    independent rows of length N; for a (B, k, N) stack of bases, row b of
+    the (B, N + 1) result counts the span of basis b.
 
     No word is formed: high - low has weight N - #{c : high_c = low_c}, so a
     block of one-hot encoded high words, (block, N*q) float32, times the
     one-hot low table counts the zeros of every pair, exactly while
     N < 2^24.  As low runs over a subspace, high - low runs over the words
     high + low.  The table takes at most ceil(k/2) rows and _CHUNK_ROWS / 16
-    words, so a block holds 16 or more high words: one or two would run as
-    a matrix-vector product, several times slower a word.
+    words.  A digit is one-hot encoded straight from its unreduced sum, by
+    a table whose row x is the one-hot of x mod q.  Scaling by c in F_q^*
+    keeps a weight and maps high + low onto c*high + c*low, so only one high
+    message per F_q-line is paired, the one with leading digit 1, and its
+    pairs count q - 1 times; the low words themselves (high message zero)
+    count once.  Each product holds at most ``_CHUNK_ROWS`` pairs, over as many
+    bases of the stack as fit.
     """
-    k, n = basis.shape
-    _, unsigned = _word_dtypes(q)
-    k2 = _table_rows(q, (k + 1) // 2, _CHUNK_ROWS // 16)
-    low, highs = _span_halves(basis, q, k2, unsigned, budget)
-    one_hot = np.eye(q, dtype=np.float32)
-    low_hot = one_hot[low].reshape(len(low), n * q)
-    zeros = np.zeros(n + 1, dtype=np.int64)  # entry z counts the words with z zero coordinates
-    for high in highs:
-        matches = one_hot[high].reshape(len(high), n * q) @ low_hot.T
-        zeros += np.bincount(matches.astype(np.intp).ravel(), minlength=n + 1)
-    return zeros[::-1]
+    stack = basis[None] if basis.ndim == 2 else basis
+    batch, k, n = stack.shape
+    _check_budget(q, k, budget)
+    k2, lows, highs, one_hot = _pair_tables(q, k, _CHUNK_ROWS)
+    bases = max(1, _CHUNK_ROWS // (max(1, len(highs)) * len(lows)))  # bases of one product
+    step = max(1, _CHUNK_ROWS // len(lows))  # high words of one product
+    zeros = np.zeros((batch, n + 1), dtype=np.int64)  # entry z counts the words with z zero coordinates
+    for start in range(0, batch, bases):
+        part = stack[start : start + bases]
+        offsets = (n + 1) * np.arange(len(part))[:, None, None]
+        low = _one_hot_words(lows, part[:, k - k2 :], one_hot)
+        counts = np.bincount((low[..., ::q].sum(axis=2).astype(np.intp) + offsets[:, 0]).ravel(), minlength=offsets.size * (n + 1))
+        for h in range(0, len(highs), step):
+            high = _one_hot_words(highs[h : h + step], part[:, : k - k2], one_hot)
+            matches = low @ np.swapaxes(high, 1, 2)
+            counts += (q - 1) * np.bincount((matches.astype(np.intp) + offsets).ravel(), minlength=counts.size)
+        zeros[start : start + bases] = counts.reshape(len(part), n + 1)
+    return zeros[:, ::-1] if basis.ndim == 3 else zeros[0, ::-1]
 
 
 def _information_sets(gen: np.ndarray, q: int) -> list[tuple[np.ndarray, int]]:

@@ -13,6 +13,12 @@ for C) carries C onto its dual.  The map is a *signed* permutation: the
 negation is unavoidable for odd q, and it preserves Lee weight because the
 Gray map is linear, so isodual here means monomially equivalent with signs.
 
+``constructions`` builds many codes of one construction at once, through
+``ringcode.build_codes``; each single builder is that call on one input.
+The harness then fills the duals (``ringcode.fill_duals``) and Lee
+enumerators (``wenum.fill_lee_enumerators``) of such a stack in bulk, so
+``isodual_witness_check`` and ``is_formally_self_dual`` read memos.
+
 Odd formally self-dual codes are searched by walking the full submodule
 lattice of R^n at tiny n, held as RREF F_q bases (see ``submodules``),
 where the cardinality obstruction |C| = |C^dual| (impossible when q^(3n)
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, NotSymmetric, ParamMismatch, ShapeError
 from .ring import Ring
-from .ringcode import LinearCodeR, _index_rows, fq_span_rows
+from .ringcode import LinearCodeR, _index_rows, build_codes, fq_span_rows
 from .submodules import AmbientSpace
 from . import wenum
 
@@ -124,40 +130,58 @@ class BorderedSpecR:
         return list(map(tuple, grid.tolist()))
 
 
-def _identity_block_code(ring: Ring, b_rows) -> LinearCodeR:
-    b = _square(ring, b_rows)
-    return LinearCodeR(ring, 2 * len(b), np.hstack([np.eye(len(b), dtype=np.int64), b]))
-
-
 def _witness(block: np.ndarray) -> SignedPermutation:
     """(x, y) -> (-y.J, x.J) with J given as an index array."""
     n = len(block)
     return SignedPermutation(tuple(np.concatenate([n + block, block]).tolist()), (True,) * n + (False,) * n)
 
 
-def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
-    """[I_n | A] with A symmetric; isodual via the signed half swap."""
+def _symmetric_block(ring: Ring, matrix) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(matrix, SymmetricMatrixR):
         matrix = SymmetricMatrixR(ring, matrix)
-    code = _identity_block_code(ring, matrix.rows)
-    return code, _witness(np.arange(matrix.n))
+    return _square(ring, matrix.rows), np.arange(matrix.n)  # J: the identity
+
+
+def _circulant_block(ring: Ring, spec) -> tuple[np.ndarray, np.ndarray]:
+    if not isinstance(spec, CirculantSpecR):
+        spec = CirculantSpecR(ring, spec)
+    return _square(ring, spec.rows()), -np.arange(spec.order) % spec.order  # J: i -> -i mod n
+
+
+def _bordered_block(ring: Ring, spec: BorderedSpecR) -> tuple[np.ndarray, np.ndarray]:
+    if spec.core.order < 1:
+        raise ShapeError("bordered construction needs a core of order >= 1")
+    m = spec.core.order
+    return _square(ring, spec.rows()), np.concatenate([[0], 1 + -np.arange(m) % m])  # J fixes the border
+
+
+_BLOCKS = {"a": _symmetric_block, "b": _circulant_block, "c": _bordered_block}
+
+
+def constructions(ring: Ring, kind: str, inputs) -> list[tuple[LinearCodeR, SignedPermutation]]:
+    """Construction ``kind`` ("a", "b" or "c") of every input, each code
+    [I_n | B] with its witness; the codes are built together by
+    ``ringcode.build_codes``."""
+    if kind not in _BLOCKS:
+        raise ValueError(f"unknown construction {kind!r}")
+    parts = [_BLOCKS[kind](ring, x) for x in inputs]
+    codes = build_codes(ring, [np.hstack([np.eye(len(b), dtype=np.int64), b]) for b, _ in parts])
+    return [(code, _witness(block)) for code, (_, block) in zip(codes, parts)]
+
+
+def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
+    """[I_n | A] with A symmetric; isodual via the signed half swap."""
+    return constructions(ring, "a", [matrix])[0]
 
 
 def construction_b(ring: Ring, spec) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | M] with M circulant (double circulant construction)."""
-    if not isinstance(spec, CirculantSpecR):
-        spec = CirculantSpecR(ring, spec)
-    code = _identity_block_code(ring, spec.rows())
-    return code, _witness(-np.arange(spec.order) % spec.order)  # J: i -> -i mod n
+    return constructions(ring, "b", [spec])[0]
 
 
 def construction_c(ring: Ring, spec: BorderedSpecR) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | bordered circulant]; the witness fixes the border and reverses the core."""
-    if spec.core.order < 1:
-        raise ShapeError("bordered construction needs a core of order >= 1")
-    code = _identity_block_code(ring, spec.rows())
-    m = spec.core.order
-    return code, _witness(np.concatenate([[0], 1 + -np.arange(m) % m]))
+    return constructions(ring, "c", [spec])[0]
 
 
 def _right_block(code: LinearCodeR) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 An element a0 + a1*v + a2*v^2 is stored as the index a0 + q*a1 + q^2*a2.
 A ``Ring`` instance precomputes one row per element (coefficients,
-negation, Gray image, Lee weight, evaluations), which the code-enumeration
-layers index with numpy.
+negation, Gray image, Lee weight), which the code-enumeration layers index
+with numpy; evaluations go through the ``EVALUATION`` matrix instead.
 
 Each F_q-linear symbol map is written once, as a 3x3 matrix whose row i
 gives output coordinate i from (a0, a1, a2), read mod q, and so is the
@@ -34,7 +34,7 @@ import re
 
 import numpy as np
 
-from .errors import InvalidEvaluationPoint, ParamMismatch, ParseError, SearchSpaceTooLarge
+from .errors import ParamMismatch, ParseError, SearchSpaceTooLarge
 from .gf import GF
 
 _RING_CACHE: dict[int, "Ring"] = {}
@@ -81,8 +81,6 @@ class Ring:
         self.gray_table = self.coeff @ GRAY.T % q
         self.lee_table = np.count_nonzero(self.gray_table, axis=1).astype(np.int64)
 
-        e1, em1, e0 = (self.coeff @ EVALUATION.T % q).T
-        self.eval_table = {0: e0, 1: e1, q - 1: em1}
         if q % 2 == 1:
             half = (q + 1) // 2  # the inverse of 2 mod q
             self.e1 = self.index(0, half, half)  # (v + v^2)/2
@@ -109,12 +107,6 @@ class Ring:
 
     def neg(self, i: int) -> int:
         return int(self.neg_table[i])
-
-    def evaluate_index(self, idx: int, t: int) -> int:
-        t %= self.q
-        if t not in self.eval_table:
-            raise InvalidEvaluationPoint(f"v cannot evaluate at {t} (roots of v^3-v only)")
-        return int(self.eval_table[t][idx])
 
     # ---- element-level API ----
 
@@ -225,10 +217,6 @@ class RingElem:
 
     def is_zero(self) -> bool:
         return self.idx == 0
-
-    def evaluate(self, t: int) -> int:
-        """Image of the element under the ring map v -> t, t in {0, 1, -1}."""
-        return self.ring.evaluate_index(self.idx, t)
 
     def gray(self) -> tuple[int, int, int]:
         """(a0, a0+a2, a1) over F_q."""

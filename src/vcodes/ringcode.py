@@ -30,7 +30,16 @@ from .errors import (
     SearchSpaceTooLarge,
     ShapeError,
 )
-from .fieldcode import LinearCodeFq, rref_stack
+from .fieldcode import (
+    LinearCodeFq,
+    _kernel_stack,
+    _pad,
+    _positions,
+    _reduced_codes,
+    _stack_pivots,
+    _step,
+    rref_stack,
+)
 from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem, _inverse_mod
 
 
@@ -81,6 +90,39 @@ def flat_dual(ring: Ring, flat: LinearCodeFq) -> LinearCodeFq:
     """The flattened dual of the R-module with flattened code ``flat``: its kernel
     rows through ``_dual_rows``, reduced once."""
     return LinearCodeFq(ring.field, flat.n, _dual_rows(ring.q, flat.kernel_rows()))
+
+
+def build_codes(ring: Ring, gens: list[np.ndarray]) -> list["LinearCodeR"]:
+    """The R-code of each (m, n) array of element-index generator rows, like
+    ``LinearCodeR(ring, n, rows)``: the arrays of each length go zero-padded
+    through ``rref_stack`` in batches within ``_MAX_ENTRIES`` entries."""
+    codes: list = [None] * len(gens)
+    for n, where in _positions(g.shape[1] for g in gens).items():
+        step = _step(9 * n * max(len(gens[i]) for i in where))  # 3 flattened rows of 3n entries a generator
+        for start in range(0, len(where), step):
+            batch = where[start : start + step]
+            rows = [gens[i] for i in batch]
+            flats = _reduced_codes(ring.field, *rref_stack(fq_span_rows(ring, _pad(rows, n)), ring.q))
+            for i, flat in zip(batch, flats):
+                codes[i] = LinearCodeR._from_flat(ring, n, flat, gens[i])
+    return codes
+
+
+def fill_duals(ring: Ring, codes: list["LinearCodeR"]) -> None:
+    """Fill the ``dual()`` memo of each R-code: the codes of each length go in
+    batches whose zero-padded bases give every dual's kernel rows through
+    ``_dual_rows``, reduced by one ``rref_stack`` within ``_MAX_ENTRIES``
+    entries.  Each result equals the per-code ``flat_dual``."""
+    q = ring.q
+    for n, where in _positions(code.n for code in codes).items():
+        step = _step(9 * n * n)  # a kernel stack is 3n x 3n
+        for start in range(0, len(where), step):
+            batch = [codes[i] for i in where[start : start + step]]
+            gen = _pad([code.flat.gen for code in batch], 3 * n)
+            reduced = rref_stack(_dual_rows(q, _kernel_stack(gen, _stack_pivots(gen), q)), q)
+            dual_gens = _unflatten(q, reduced[0])
+            for code, dual, rows in zip(batch, _reduced_codes(ring.field, *reduced), dual_gens):
+                code._dual = LinearCodeR._from_flat(ring, n, dual, rows[: dual.k])
 
 
 def _entry_index(ring: Ring, x) -> int:

@@ -43,6 +43,7 @@ from .fsd import (
     construction_a,
     construction_b,
     construction_c,
+    constructions,
     direct_product,
     gray_fsd_transfer,
     is_formally_self_dual,
@@ -54,7 +55,7 @@ from .fsd import (
 )
 from .gf import format_poly
 from .ring import audit_published_lee_table, format_row, ring_over
-from .ringcode import LinearCodeR, random_code_r
+from .ringcode import LinearCodeR, fill_duals, random_code_r
 
 SCOPES = ("all", "gray", "enumerators", "cyclic", "fsd", "examples")
 
@@ -219,6 +220,13 @@ def _gens(code) -> list[list[int]]:
     return list(map(list, code.gens))
 
 
+def _first(failed: np.ndarray) -> int | None:
+    """The position of the first true entry, which is also the number of
+    samples that passed before it, or None when every sample passed."""
+    hits = np.flatnonzero(failed)
+    return int(hits[0]) if hits.size else None
+
+
 def _random_codes(rng, count, qs=(2, 3), max_n=3):
     """Stream ``count`` seeded random R-codes, drawing q, then n, then the code."""
     for _ in range(count):
@@ -259,17 +267,20 @@ def _claim_thm2(ctx):
     rng = ctx.rng("thm2")
     for q in (2, 3, 5):
         ring = ring_over(q)
-        for idx in ctx.each(range(ring.size)):
-            a0, a1, a2 = ring.triple(idx)
-            image = (a0 % q, (a0 + a2) % q, a1 % q)
-            if int(ring.lee_table[idx]) != sum(1 for u in image if u):
-                raise _Refuted({"q": q, "symbol": [a0, a1, a2]}, "w_L = w_H(gray)")
-        for i in range(ring.size):
-            sums = ring.index(*(ring.coeff[i] + ring.coeff).T)  # the index of i + j for every j
-            for j in ctx.each(range(ring.size)):
-                gi, gj, gs = ring.gray_table[i], ring.gray_table[j], ring.gray_table[sums[j]]
-                if ((gi + gj) % q != gs).any():
-                    raise _Refuted({"q": q, "pair": [i, j]}, "gray additive")
+        a0, a1, a2 = ring.coeff.T
+        image = np.stack([a0, a0 + a2, a1], axis=1) % q
+        bad = _first(ring.lee_table != np.count_nonzero(image, axis=1))
+        if bad is not None:
+            ctx.tested += bad
+            raise _Refuted({"q": q, "symbol": list(ring.triple(bad))}, "w_L = w_H(gray)")
+        ctx.tested += ring.size
+        sums = ring.index(*(ring.coeff[:, None] + ring.coeff[None, :]).transpose(2, 0, 1))  # [i, j]: the index of i + j
+        gray = ring.gray_table
+        bad = _first(((gray[:, None] + gray[None, :]) % q != gray[sums]).any(axis=2).ravel())
+        if bad is not None:
+            ctx.tested += bad
+            raise _Refuted({"q": q, "pair": list(divmod(bad, ring.size))}, "gray additive")
+        ctx.tested += ring.size**2
     # weight preservation on whole vectors
     for _ in ctx.each(range(50)):
         q = rng.choice([2, 3, 5])
@@ -543,16 +554,24 @@ def _claim_thm11(ctx):
 # fsd scope
 
 
-def _claim_construction(claim_id, anchor, builder, make_input, label):
+def _claim_construction(claim_id, anchor, kind, make_input, label):
     @_claim(claim_id, anchor, "fsd")
     def run(ctx):
         rng = ctx.rng(claim_id)
         # 100 inputs at q=3, then odd-q spot checks at q=5 (witness only; enumerators get large)
         for q, count, max_n in ((3, 100, 3), (5, 10, 2)):
             ring = ring_over(q)
-            for _ in ctx.each(range(count)):
+            drawn = []
+            for _ in range(count):
                 n = rng.randrange(1, max_n + 1)
-                code, witness = builder(ring, make_input(ring, n, rng))
+                drawn.append((n, make_input(ring, n, rng)))
+            # build, dualize and Lee-count the whole stack; the checks below read the memos
+            built = constructions(ring, kind, [x for _, x in drawn])
+            codes = [code for code, _ in built]
+            fill_duals(ring, codes)
+            if q == 3:
+                wenum.fill_lee_enumerators(codes + [code._dual for code in codes], ctx.budget)
+            for (n, _), (code, witness) in ctx.each(zip(drawn, built)):
                 if not isodual_witness_check(code, witness):
                     raise _Refuted({"failure": "witness", "q": q, "n": n, "gens": _gens(code)}, label)
                 if q == 3 and not is_formally_self_dual(code, ctx.budget):
@@ -570,17 +589,17 @@ def _random_bordered_input(ring, n, rng):
     return random_bordered(ring, max(n, 2), rng)
 
 
-_claim_construction("thm12-construction-a", "Theorem 12 (construction A)", construction_a, random_symmetric, "symmetric [I|A] codes are isodual, hence FSD")
-_claim_construction("thm14-construction-b", "Theorem 14 (construction B)", construction_b, random_circulant, "double circulant codes are isodual, hence FSD")
-_claim_construction("thm16-construction-c", "Theorem 16 (construction C)", construction_c, _random_bordered_input, "bordered circulant codes are FSD")
+_claim_construction("thm12-construction-a", "Theorem 12 (construction A)", "a", random_symmetric, "symmetric [I|A] codes are isodual, hence FSD")
+_claim_construction("thm14-construction-b", "Theorem 14 (construction B)", "b", random_circulant, "double circulant codes are isodual, hence FSD")
+_claim_construction("thm16-construction-c", "Theorem 16 (construction C)", "c", _random_bordered_input, "bordered circulant codes are FSD")
 
 
 @_claim("thm18-gray-fsd", "Theorem 18", "fsd")
 def _claim_thm18(ctx):
     rng = ctx.rng("thm18")
     ring = ring_over(3)
-    for _ in ctx.each(range(40)):
-        code, _ = construction_a(ring, random_symmetric(ring, rng.randrange(1, 3), rng))
+    matrices = [random_symmetric(ring, rng.randrange(1, 3), rng) for _ in range(40)]
+    for code, _ in ctx.each(constructions(ring, "a", matrices)):
         if not gray_fsd_transfer(code, ctx.budget):
             raise _Refuted({"gens": _gens(code)}, "gray image of FSD is FSD")
     # negative control: a code that is not FSD must be allowed to fail
@@ -594,10 +613,16 @@ def _claim_thm18(ctx):
 def _claim_lem19(ctx):
     rng = ctx.rng("lem19")
     ring = ring_over(3)
-    for _ in ctx.each(range(25)):
-        c1, _ = construction_a(ring, random_symmetric(ring, 1, rng))
-        c2, _ = construction_b(ring, random_circulant(ring, rng.randrange(1, 3), rng))
-        prod = direct_product(c1, c2)
+    drawn = []
+    for _ in range(25):
+        matrix = random_symmetric(ring, 1, rng)
+        drawn.append((matrix, random_circulant(ring, rng.randrange(1, 3), rng)))
+    c1s = constructions(ring, "a", [a for a, _ in drawn])
+    c2s = constructions(ring, "b", [b for _, b in drawn])
+    triples = [(c1, c2, direct_product(c1, c2)) for (c1, _), (c2, _) in zip(c1s, c2s)]
+    fill_duals(ring, [c for triple in triples for c in triple])
+    wenum.fill_lee_enumerators([c for c1, c2, prod in triples for c in (c1, c2, prod, prod._dual)], ctx.budget)
+    for c1, c2, prod in ctx.each(triples):
         l1 = wenum.lee_enumerator(c1, ctx.budget)
         l2 = wenum.lee_enumerator(c2, ctx.budget)
         if wenum.lee_enumerator(prod, ctx.budget).counts != wenum.product_counts(l1.counts, l2.counts):
@@ -756,8 +781,6 @@ def _claim_ex17(ctx):
 
 # ---------------------------------------------------------------------------
 # runner
-
-CLAIM_IDS = tuple(c[0] for c in CLAIMS)
 
 
 def _run_claim(ctx: _Ctx, fn) -> tuple:

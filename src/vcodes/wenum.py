@@ -6,7 +6,10 @@ enumerators, the symmetrized enumerator (swe) and the complete enumerator
 The Lee enumerator is the Hamming enumerator of the Gray image (Theorem 7
 item 3), counted by ``fieldcode.span_weight_counts`` from the Gray images of
 the flattened basis without forming a word; its float32 products are
-exact, so every count is an integer.  The element-space tally
+exact, so every count is an integer.  ``fill_lee_enumerators`` counts a
+list of codes in stacks of equal-shape Gray bases and leaves each result on
+its code, which ``lee_enumerator`` returns while the code is within the
+caller's budget.  The element-space tally
 ``lee_enumerator_by_table`` sums ``lee_table`` over every codeword instead:
 it is the independent side of that theorem's check and the oracle the Gray
 count is tested against.  Hamming is one bincount of per-row weights.  swe
@@ -230,9 +233,25 @@ def _count_by_tally(kind: str, code, symbol_slot: np.ndarray, budget: int) -> We
 
 def lee_enumerator(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Exact Lee distribution, as the Hamming weight counts of the Gray image
-    spanned by ``code.gray_basis()``."""
+    spanned by ``code.gray_basis()``, or the one ``fill_lee_enumerators``
+    left on the code when the code is within ``budget``."""
+    if "_lee" in vars(code) and code.size <= budget:
+        return code._lee
     counts = fieldcode.span_weight_counts(code.gray_basis(), code.ring.q, budget)
     return WeightEnumerator("lee", code.n, code.ring.q, dict(enumerate(counts.tolist())))
+
+
+def fill_lee_enumerators(codes, budget: int = DEFAULT_BUDGET) -> None:
+    """Leave on each R-code within ``budget`` the ``lee_enumerator`` it would
+    compute: the Gray bases of each (q, n, dim) go through one stacked
+    ``span_weight_counts``.  A code over budget gets none, so its own call
+    still raises."""
+    codes = [code for code in codes if code.size <= budget]
+    for (q, n, _), where in fieldcode._positions((c.ring.q, c.n, c.dim_fq) for c in codes).items():
+        group = [codes[i] for i in where]
+        counts = fieldcode.span_weight_counts(np.stack([code.gray_basis() for code in group]), q, budget)
+        for code, row in zip(group, counts.tolist()):
+            code._lee = WeightEnumerator("lee", n, q, dict(enumerate(row)))
 
 
 def lee_enumerator_by_table(code, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:

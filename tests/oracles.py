@@ -1,5 +1,6 @@
 """Slow, independent oracles and test-only helpers that several test modules share."""
 
+import itertools
 from functools import cache
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy as np
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq, cyclic_code_fq
 from vcodes.gf import monic_divisors_of_xn_minus_1
-from vcodes.ring import DUAL_FORM
+from vcodes.ring import DUAL_FORM, EVALUATION
 from vcodes.ringcode import LinearCodeR, _map_symbols, _unflatten
 
 
@@ -26,6 +27,23 @@ def ring_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     c2 = (x0 * b2 + x1 * b1 + x2 * b0 + x2 * b2) % q
     s0, s1, s2 = (x0 + b0) % q, (x1 + b1) % q, (x2 + b2) % q
     return c0 + q * c1 + q * q * c2, s0 + q * s1 + q * q * s2
+
+
+@cache
+def eval_table(q: int) -> dict[int, np.ndarray]:
+    """Key t in {0, 1, q - 1}: the image of every element index under the
+    ring map v -> t, from the rows of ``EVALUATION``."""
+    idx = np.arange(q**3)
+    e1, em1, e0 = EVALUATION @ np.stack([idx % q, idx // q % q, idx // (q * q)]) % q
+    return {0: e0, 1: e1, q - 1: em1}
+
+
+def evaluate(x, t: int) -> int:
+    """The image of a ``RingElem`` under v -> t, for t a root 0, 1 or -1 of v^3 - v."""
+    table = eval_table(x.ring.q)
+    if t % x.ring.q not in table:
+        raise ValueError(f"v cannot evaluate at {t} (roots of v^3-v only)")
+    return int(table[t % x.ring.q][x.idx])
 
 
 def closure_codewords(code) -> set[tuple[int, ...]]:
@@ -60,6 +78,14 @@ def two_reduction_witness_check(code, witness) -> bool:
     if LinearCodeR(code.ring, code.n, companion) != code.dual():
         return False
     return apply_code(witness, code) == code.dual()
+
+
+def span_weight_counts_by_words(basis: np.ndarray, q: int) -> np.ndarray:
+    """Entry w counts the words of weight w in the GF(q) span of independent
+    rows, every one of the q^k message combinations formed and weighed."""
+    k, n = basis.shape
+    messages = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
+    return np.bincount(np.count_nonzero(messages @ basis % q, axis=1), minlength=n + 1)
 
 
 def iter_codewords(code, budget: int = DEFAULT_BUDGET):

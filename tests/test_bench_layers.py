@@ -1,5 +1,6 @@
 """The benchmark tracer still reaches every lattice entry point it wraps."""
 
+import collections
 import sys
 from pathlib import Path
 
@@ -10,7 +11,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from vcodes import cyclic, fsd, wenum  # noqa: E402
+from vcodes import cyclic, fsd, verify, wenum  # noqa: E402
+from vcodes.errors import DEFAULT_BUDGET  # noqa: E402
 from vcodes.fieldcode import LinearCodeFq  # noqa: E402
 from vcodes.gf import GF  # noqa: E402
 from vcodes.ring import ring_over  # noqa: E402
@@ -66,3 +68,17 @@ def test_tracer_covers_the_submodule_entry_points(tracer):
     assert metrics["submodules.joins"] < metrics["submodules.join_pairs"]
     spaces = (AmbientSpace(ring_over(2), 2), AmbientSpace(ring_over(2), 1))
     assert metrics["submodules.table_bytes"] == sum(s.decode.nbytes + s.vec_shift.nbytes for s in spaces)
+
+
+def test_tracer_covers_the_fsd_entry_points(tracer):
+    t, modules = tracer
+    assert t.unpatched_bindings(modules) == []
+    claim = next(fn for cid, _, _, fn in verify.CLAIMS if cid == "thm12-construction-a")
+    assert verify._run_claim(verify._Ctx(42, DEFAULT_BUDGET), claim)[0] == "confirmed"
+    spans = collections.Counter(t.names)
+    # 100 samples at q = 3, each with its witness and its FSD check, and 10 witness-only samples at q = 5
+    assert spans["fsd.isodual_witness_check"] == 100 + 10
+    assert spans["fsd.is_formally_self_dual"] == 100
+    assert spans["wenum.lee_enumerator"] == 2 * 100  # each read from the memo the stack filled
+    metrics = layers.span_metrics(t, [t.run_id])
+    assert metrics["fsd.fsd_checks"] == 100 and metrics["fsd.witness_checks"] == 110

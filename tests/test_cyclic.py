@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vcodes import cyclic, fieldcode
+from vcodes import cyclic, fieldcode, ringcode
 from vcodes.cyclic import (
     CyclicSpecR,
     all_divisor_triples,
@@ -128,6 +128,15 @@ def test_triple_code_equals_its_combined_field_cyclic_codes(q, ns, modes):
                 assert cyclic_code_r(ring, spec, mode) == combine_components(ring, components, mode)
 
 
+def _record_stack_shapes(monkeypatch) -> list:
+    """Every ``rref_stack`` shape the builds and fills reduce, in ``cyclic`` and in ``ringcode``."""
+    shapes = []
+    stack = fieldcode.rref_stack
+    for module in (cyclic, ringcode):
+        monkeypatch.setattr(module, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    return shapes
+
+
 @pytest.mark.parametrize("cap", [None, 2000])
 @pytest.mark.parametrize(
     "q, ns, modes",
@@ -138,9 +147,7 @@ def test_triple_code_equals_its_combined_field_cyclic_codes(q, ns, modes):
     ],
 )
 def test_batched_triple_codes_match_one_spec_builds(monkeypatch, cap, q, ns, modes):
-    shapes = []
-    stack = cyclic.rref_stack
-    monkeypatch.setattr(cyclic, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    shapes = _record_stack_shapes(monkeypatch)
     if cap:
         monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", cap)
     ring = ring_over(q)
@@ -166,9 +173,7 @@ def _assert_same_fq(stacked, fresh):
 
 @pytest.mark.parametrize("q, cap", [(3, None), (5, None), (7, None), (3, 144)])
 def test_stack_fill_matches_per_code_results(monkeypatch, q, cap):
-    shapes = []
-    stack = cyclic.rref_stack
-    monkeypatch.setattr(cyclic, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    shapes = _record_stack_shapes(monkeypatch)
     if cap:
         monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", cap)
     ring = ring_over(q)

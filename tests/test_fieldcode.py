@@ -24,7 +24,7 @@ from vcodes.ringcode import LinearCodeR, _unflatten
 from vcodes.verify import _ex17_code
 from vcodes.wenum import hamming_enumerator_fq, macwilliams_hamming_fq
 
-from oracles import random_code, self_dual_cyclic_audit, self_dual_cyclic_exists, zero_code_fq
+from oracles import random_code, self_dual_cyclic_audit, self_dual_cyclic_exists, span_weight_counts_by_words, zero_code_fq
 
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -408,6 +408,51 @@ def test_span_weight_counts_at_the_edges():
         assert span_weight_counts(np.eye(2, dtype=np.int64), q).tolist() == [1, 2 * (q - 1), (q - 1) ** 2]
     with pytest.raises(SearchSpaceTooLarge, match="27 codewords exceeds budget 26"):
         span_weight_counts(np.eye(3, dtype=np.int64), 3, budget=26)
+
+
+def _independent_stack(q: int, batch: int, k: int, n: int, rng) -> np.ndarray:
+    """A (batch, k, n) stack of bases [I_k | random] with their columns shuffled: independent rows."""
+    stack = np.concatenate([np.broadcast_to(np.eye(k, dtype=np.int64), (batch, k, k)), rng.integers(0, q, (batch, k, n - k))], axis=2)
+    return np.stack([basis[:, rng.permutation(n)] for basis in stack]).reshape(batch, k, n)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, 10), (3, 6), (5, 4)]),  # q and the largest k drawn
+    st.integers(1, 4),
+    st.integers(0, 10),
+    st.integers(0, 4),
+    st.sampled_from([128, 1024, fieldcode._CHUNK_ROWS]),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_span_weight_counts_match_the_word_oracle(field, batch, k, extra, chunk, seed):
+    q, most = field
+    k = min(k, most)
+    stack = _independent_stack(q, batch, k, k + extra, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldcode, "_CHUNK_ROWS", chunk)  # small caps split the stack and the high words
+        got = span_weight_counts(stack, q)
+        one = span_weight_counts(stack[0], q)
+    want = np.stack([span_weight_counts_by_words(basis, q) for basis in stack])
+    assert got.shape == (batch, k + extra + 1) and np.array_equal(got, want)
+    assert np.array_equal(one, want[0])  # a 2-D basis is the stack of one
+
+
+@pytest.mark.parametrize("q, k, n", [(2, 16, 19), (3, 10, 12), (5, 7, 8)])
+def test_stacked_span_weight_counts_over_several_high_chunks(q, k, n):
+    k2, lows, highs, _ = fieldcode._pair_tables(q, k, fieldcode._CHUNK_ROWS)
+    assert len(highs) == (q ** (k - k2) - 1) // (q - 1)  # one high message per F_q-line
+    assert len(highs) * len(lows) > fieldcode._CHUNK_ROWS  # so a basis spans several products
+    stack = _independent_stack(q, 2, k, n, np.random.default_rng(k))
+    want = np.stack([span_weight_counts_by_words(basis, q) for basis in stack])
+    assert np.array_equal(span_weight_counts(stack, q), want)
+
+
+def test_span_weight_counts_one_hot_table_reduces_large_q():
+    rng = np.random.default_rng(0)
+    stack = _independent_stack(131, 3, 2, 4, rng)  # 2 * 130^2 digit sums would overflow the table cap
+    assert len(fieldcode._pair_tables(131, 2, fieldcode._CHUNK_ROWS)[3]) == 131
+    assert np.array_equal(span_weight_counts(stack, 131), np.stack([span_weight_counts_by_words(b, 131) for b in stack]))
 
 
 def test_weight_counts_peak_memory():

@@ -1,11 +1,15 @@
+import collections
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcodes.errors import NotSymmetric, ParamMismatch, ShapeError
+import numpy as np
+
+from vcodes import fieldcode, ringcode
+from vcodes.errors import NotSymmetric, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.ring import ring_over
-from vcodes.ringcode import LinearCodeR
+from vcodes.ringcode import LinearCodeR, fill_duals, random_code_r
 from vcodes.fsd import (
     BorderedSpecR,
     CirculantSpecR,
@@ -14,6 +18,7 @@ from vcodes.fsd import (
     construction_a,
     construction_b,
     construction_c,
+    constructions,
     direct_product,
     gray_fsd_transfer,
     has_odd_lee_word,
@@ -306,3 +311,43 @@ def test_random_symmetric_keeps_its_draws():
         ring = ring_over(q)
         drawn = random_symmetric(ring, n, random.Random(seed)).rows
         assert drawn == tuple(oracles.random_symmetric_rows(ring, n, random.Random(seed)))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_bulk_memos_match_per_code_results(monkeypatch, q):
+    ring = ring_over(q)
+    rng = random.Random(f"memos:{q}")
+    makers = {"a": random_symmetric, "b": random_circulant, "c": random_bordered}
+    codes = []
+    for kind, make in makers.items():
+        inputs = [make(ring, n, rng) for n in (1, 2, 3) if kind != "c" or n > 1 for _ in range(12)]
+        codes += [code for code, _ in constructions(ring, kind, inputs)]
+    codes += [random_code_r(ring, rng.randrange(1, 4), rng) for _ in range(36)]  # ranks of every size
+    reductions = []
+    stack = fieldcode.rref_stack
+    monkeypatch.setattr(ringcode, "rref_stack", lambda s, q: reductions.append(s.shape) or stack(s, q))
+    monkeypatch.setattr(fieldcode, "_MAX_ENTRIES", 100)  # at most 11 duals a batch at n = 1, 2 at n = 2, 1 past that
+    monkeypatch.setattr(fieldcode, "_CHUNK_ROWS", 512)  # and few Lee bases a product
+    fill_duals(ring, codes)
+    assert sum(b for b, _, _ in reductions) == len(codes)
+    batches = collections.Counter(c // 3 for _, _, c in reductions)
+    assert set(batches) == {code.n for code in codes} and min(batches.values()) > 1  # every length's batch split
+    wenum.fill_lee_enumerators(codes + [code._dual for code in codes])
+    for code in codes:
+        assert {"_dual", "_lee"} <= set(vars(code)) and "_lee" in vars(code._dual)
+        fresh = LinearCodeR(ring, code.n, code.gens)
+        assert code.dual().gens == fresh.dual().gens
+        assert np.array_equal(code.dual().flat.gen, fresh.dual().flat.gen)
+        assert code.dual().flat.pivots == fresh.dual().flat.pivots
+        assert wenum.lee_enumerator(code) == wenum.lee_enumerator(fresh)
+        assert wenum.lee_enumerator(code.dual()) == wenum.lee_enumerator(fresh.dual())
+
+
+def test_lee_memo_keeps_the_budget():
+    code, _ = construction_a(R3, [[1, 2], [2, 0]])  # 3^6 words
+    wenum.fill_lee_enumerators([code], budget=3**5)
+    assert "_lee" not in vars(code)  # over budget: nothing filled
+    wenum.fill_lee_enumerators([code])
+    assert wenum.lee_enumerator(code) is code._lee
+    with pytest.raises(SearchSpaceTooLarge, match="729 codewords exceeds budget 243"):
+        wenum.lee_enumerator(code, 3**5)  # a memo never hides the budget

@@ -21,6 +21,7 @@ from vcodes.wenum import lee_enumerator
 
 from oracles import (
     closure_codewords,
+    eval_table,
     full_space_r,
     iter_codewords,
     random_code,
@@ -406,7 +407,7 @@ def test_symbol_matrices_match_their_formulas(q, coeffs, other):
     ring = ring_over(q)
     idx = ring.index(a0, a1, a2)
     assert ring.gray_table[idx].tolist() == gray
-    assert [ring.eval_table[t % q][idx] for t in (1, -1, 0)] == evaluations
+    assert [eval_table(q)[t % q][idx] for t in (1, -1, 0)] == evaluations
     y = np.array([b % q for b in other])
     assert x @ DUAL_FORM @ y % q == ring.coeff[ring_tables(q)[0][idx, ring.index(*y)], 2]
     assert round(np.linalg.det(DUAL_FORM)) % q != 0

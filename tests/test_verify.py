@@ -10,10 +10,19 @@ from vcodes import cyclic, fieldcode, ringcode, submodules, verify, wenum
 from vcodes.cyclic import CyclicSpecR, all_divisor_triples, cyclic_dual_spec
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq
+from vcodes.fsd import (
+    SignedPermutation,
+    direct_product,
+    is_formally_self_dual,
+    random_bordered,
+    random_circulant,
+    random_symmetric,
+)
 from vcodes.ring import PROJECTIONS, ring_over
 from vcodes.ringcode import LinearCodeR
-from vcodes.verify import CLAIM_IDS, CLAIMS, SCOPES, run_verification_suite
+from vcodes.verify import CLAIMS, SCOPES, run_verification_suite
 
+import oracles
 from oracles import zero_code_r
 
 
@@ -47,8 +56,9 @@ EXPECTED_IDS = {
 
 
 def test_registry_is_complete_and_unique():
-    assert set(CLAIM_IDS) == EXPECTED_IDS
-    assert len(CLAIM_IDS) == len(EXPECTED_IDS) == 25
+    claim_ids = [c[0] for c in CLAIMS]
+    assert set(claim_ids) == EXPECTED_IDS
+    assert len(claim_ids) == len(EXPECTED_IDS) == 25
     scopes = {scope for _, _, scope, _ in CLAIMS}
     assert scopes == {"gray", "enumerators", "cyclic", "fsd", "examples"}
     assert set(SCOPES) == scopes | {"all"}
@@ -161,7 +171,98 @@ def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     for scope in ("cyclic", "fsd"):
         run_verification_suite(scope=scope, seed=42)
-    assert dict(calls) == {"rref": 972, "rref_stack": 104}
+    assert dict(calls) == {"rref": 147, "rref_stack": 138}
+
+
+def _reference_construction(claim_id, make_block, make_input, label):
+    """A construction claim as a loop of one-code builds and checks, with the
+    tuple builders of the oracles: the per-code path the stacks must match."""
+
+    def run(ctx):
+        rng = ctx.rng(claim_id)
+        for q, count, max_n in ((3, 100, 3), (5, 10, 2)):
+            ring = ring_over(q)
+            for _ in ctx.each(range(count)):
+                n = rng.randrange(1, max_n + 1)
+                rows, perm = make_block(make_input(ring, n, rng))
+                code = LinearCodeR(ring, 2 * len(rows), oracles.identity_block_rows(rows))
+                witness = SignedPermutation(*oracles.block_witness(len(rows), perm))
+                if not verify.isodual_witness_check(code, witness):
+                    raise verify._Refuted({"failure": "witness", "q": q, "n": n, "gens": verify._gens(code)}, label)
+                if q == 3 and not verify.is_formally_self_dual(code, ctx.budget):
+                    raise verify._Refuted({"failure": "enumerator", "q": q, "n": n, "gens": verify._gens(code)}, label)
+        return "confirmed", None, label, None
+
+    return run
+
+
+def _reference_lem19(ctx):
+    rng = ctx.rng("lem19")
+    ring = ring_over(3)
+    for _ in ctx.each(range(25)):
+        c1 = LinearCodeR(ring, 2, oracles.identity_block_rows(random_symmetric(ring, 1, rng).rows))
+        first_row = random_circulant(ring, rng.randrange(1, 3), rng).first_row
+        c2 = LinearCodeR(ring, 2 * len(first_row), oracles.identity_block_rows(oracles.circulant_rows(first_row)))
+        prod = direct_product(c1, c2)
+        l1 = wenum.lee_enumerator(c1, ctx.budget)
+        l2 = wenum.lee_enumerator(c2, ctx.budget)
+        if wenum.lee_enumerator(prod, ctx.budget).counts != wenum.product_counts(l1.counts, l2.counts):
+            raise verify._Refuted({"gens": verify._gens(prod)}, "enumerator product law")
+        if prod.dual() != direct_product(c1.dual(), c2.dual()):
+            raise verify._Refuted({"gens": verify._gens(prod)}, "(C1 x C2)^dual = C1^dual x C2^dual")
+        if not verify.is_formally_self_dual(prod, ctx.budget):
+            raise verify._Refuted({"gens": verify._gens(prod)}, "product of FSD is FSD")
+    return "confirmed", None, "direct products preserve FSD", None
+
+
+def _bordered_perm(m):
+    return lambda i: 0 if i == 0 else 1 + ((1 - i) % m)
+
+
+_REFERENCES = {
+    "thm12-construction-a": _reference_construction(
+        "thm12-construction-a", lambda a: (a.rows, lambda i: i), random_symmetric, "symmetric [I|A] codes are isodual, hence FSD"
+    ),
+    "thm14-construction-b": _reference_construction(
+        "thm14-construction-b",
+        lambda c: (oracles.circulant_rows(c.first_row), lambda i: -i % c.order),
+        random_circulant,
+        "double circulant codes are isodual, hence FSD",
+    ),
+    "thm16-construction-c": _reference_construction(
+        "thm16-construction-c",
+        lambda b: (oracles.bordered_rows(b.alpha, b.omega, b.core.first_row), _bordered_perm(b.core.order)),
+        lambda ring, n, rng: random_bordered(ring, max(n, 2), rng),
+        "bordered circulant codes are FSD",
+    ),
+    "lem19-direct-product": _reference_lem19,
+}
+
+
+def _fsd_check_fails_from_call(monkeypatch, calls: int):
+    """``is_formally_self_dual`` as the claims and the references read it, false from its ``calls``-th call on."""
+    seen = []
+    monkeypatch.setattr(verify, "is_formally_self_dual", lambda code, budget=DEFAULT_BUDGET: seen.append(1) or len(seen) < calls and is_formally_self_dual(code, budget))
+
+
+@pytest.mark.parametrize("fail_from", [None, 1, 3])  # 1: refuted at the first sample, before any over-budget code
+@pytest.mark.parametrize("budget", [3**5, 3**8, DEFAULT_BUDGET])
+@pytest.mark.parametrize("claim_id", sorted(_REFERENCES))
+def test_stacked_fsd_claims_match_the_per_code_loop(monkeypatch, claim_id, budget, fail_from):
+    claim = next(fn for cid, _, _, fn in CLAIMS if cid == claim_id)
+    entries = []
+    for run in (claim, _REFERENCES[claim_id]):
+        if fail_from:
+            _fsd_check_fails_from_call(monkeypatch, fail_from)
+        ctx = verify._Ctx(42, budget)
+        entries.append((*verify._run_claim(ctx, run), ctx.tested))  # an untestable entry reports 0; the ctx keeps the count
+    (status, observed, expected, tested, note, passed), want = entries
+    if want[0] == "confirmed":  # the reference leaves out the summary texts
+        assert (status, expected, tested) == (want[0], want[2], want[3])
+    else:
+        assert (status, observed, expected, tested, note, passed) == want
+    if budget == DEFAULT_BUDGET or (fail_from == 1 and claim_id != "lem19-direct-product"):  # lem19 enumerates before that check
+        assert status == ("refuted" if fail_from else "confirmed")
 
 
 def _identity_dual_form(monkeypatch):
