@@ -26,7 +26,6 @@ one basis.  All three stop with SearchSpaceTooLarge past a codeword budget.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -238,36 +237,26 @@ def _span_halves(basis: np.ndarray, q: int, k2: int, dtype: np.dtype, budget: in
     return low, highs
 
 
-@functools.cache
-def _pair_tables(q: int, k: int, limit: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """What ``span_weight_counts`` pairs for k rows over GF(q): the number
-    k2 of low rows (q^k2 <= limit / 16), every low message and one high
-    message per F_q-line (the one whose leading digit is 1: as base-q
-    numbers, those in [q^j, 2q^j) for j < k - k2), both as float32, and a
-    table whose row x is the one-hot of x mod q, for every digit sum x up
-    to k (q-1)^2 when that takes at most ``limit`` entries and for x < q
-    otherwise.  Cached read-only."""
-    k2 = _table_rows(q, (k + 1) // 2, limit // 16)
-    lines = np.concatenate([np.zeros(0, np.int64)] + [np.arange(q**j, 2 * q**j) for j in range(k - k2)])
-    highs = (lines[:, None] // q ** np.arange(k - k2 - 1, -1, -1)) % q
-    sums = max(1, k) * (q - 1) ** 2 + 1
-    one_hot = np.eye(q, dtype=np.float32)[np.arange(sums if sums * q <= limit else q) % q]
-    tables = (_messages(q, k2, 0, q**k2).astype(np.float32), highs.astype(np.float32), one_hot)
-    for table in tables:
-        table.flags.writeable = False
-    return (k2, *tables)
+def _line_messages(q: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Messages start..stop-1, in lexicographic order, of the (q^k - 1)/(q - 1)
+    length-k messages whose leading nonzero digit is 1: one per F_q-line.
+    As base-q numbers they fill [q^j, 2q^j) for j = 0..k-1, and message t
+    is q^j + t - firsts[j] for the last j with firsts[j] <= t."""
+    firsts = (q ** np.arange(k + 1, dtype=np.int64) - 1) // (q - 1)  # lines before [q^j, 2q^j)
+    idx = np.arange(start, stop, dtype=np.int64)
+    j = np.searchsorted(firsts, idx, side="right") - 1
+    return ((q**j + idx - firsts[j])[:, None] // q ** np.arange(k - 1, -1, -1, dtype=np.int64)) % q
 
 
-def _one_hot_words(messages: np.ndarray, rows: np.ndarray, one_hot: np.ndarray) -> np.ndarray:
+def _one_hot_words(messages: np.ndarray, rows: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """The words messages @ rows mod q for a float32 (m, k) message block
-    and a (B, k, N) stack, one-hot encoded as a (B, m, N*q) float32 array by
-    the ``_pair_tables`` table; the float32 product is exact while
-    k (q-1)^2 < 2^24."""
+    and a (B, k, N) stack, one-hot encoded by the rows of the (q, q)
+    identity ``eye`` as a (B, m, N*q) float32 array; the float32 product is
+    exact while k (q-1)^2 < 2^24."""
+    q = len(eye)
     sums = (messages @ rows.astype(np.float32)).astype(np.intp)
-    q = one_hot.shape[1]
-    if len(one_hot) == q:  # the table holds reduced digits only
-        sums %= q
-    return np.take(one_hot, sums, axis=0).reshape(*sums.shape[:2], sums.shape[2] * q)
+    sums %= q
+    return np.take(eye, sums, axis=0).reshape(*sums.shape[:2], sums.shape[2] * q)
 
 
 def span_weight_counts(basis: np.ndarray, q: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -280,30 +269,38 @@ def span_weight_counts(basis: np.ndarray, q: int, budget: int = DEFAULT_BUDGET) 
     one-hot low table counts the zeros of every pair, exactly while
     N < 2^24.  As low runs over a subspace, high - low runs over the words
     high + low.  The table takes at most ceil(k/2) rows and _CHUNK_ROWS / 16
-    words.  A digit is one-hot encoded straight from its unreduced sum, by
-    a table whose row x is the one-hot of x mod q.  Scaling by c in F_q^*
-    keeps a weight and maps high + low onto c*high + c*low, so only one high
-    message per F_q-line is paired, the one with leading digit 1, and its
-    pairs count q - 1 times; the low words themselves (high message zero)
-    count once.  Each product holds at most ``_CHUNK_ROWS`` pairs, over as many
-    bases of the stack as fit.
+    words.  Scaling by c in F_q^* keeps a weight and maps high + low onto
+    c*high + c*low, so only one high message per F_q-line is paired, the one
+    with leading digit 1, and its pairs count q - 1 times; the low words
+    themselves (high message zero) count once.  The high messages are made
+    and encoded a block of several products at a time, and each product
+    holds at most ``_CHUNK_ROWS`` pairs, over as many bases of the stack as
+    fit, so memory does not grow with k.
     """
     stack = basis[None] if basis.ndim == 2 else basis
     batch, k, n = stack.shape
     _check_budget(q, k, budget)
-    k2, lows, highs, one_hot = _pair_tables(q, k, _CHUNK_ROWS)
-    bases = max(1, _CHUNK_ROWS // (max(1, len(highs)) * len(lows)))  # bases of one product
+    k2 = _table_rows(q, (k + 1) // 2, _CHUNK_ROWS // 16)
+    k1 = k - k2
+    lows = _messages(q, k2, 0, q**k2).astype(np.float32)
+    lines = (q**k1 - 1) // (q - 1)  # high messages paired, one per F_q-line
+    bases = max(1, _CHUNK_ROWS // (max(1, lines) * len(lows)))  # bases of one product
     step = max(1, _CHUNK_ROWS // len(lows))  # high words of one product
+    block = step * max(1, _CHUNK_ROWS // 64 // step)  # high words encoded at once: at most max(step, _CHUNK_ROWS / 64)
+    first = _line_messages(q, k1, 0, min(block, lines)).astype(np.float32)  # the only block unless a basis takes several
+    eye = np.eye(q, dtype=np.float32)
     zeros = np.zeros((batch, n + 1), dtype=np.int64)  # entry z counts the words with z zero coordinates
     for start in range(0, batch, bases):
         part = stack[start : start + bases]
         offsets = (n + 1) * np.arange(len(part))[:, None, None]
-        low = _one_hot_words(lows, part[:, k - k2 :], one_hot)
+        low = _one_hot_words(lows, part[:, k1:], eye)
         counts = np.bincount((low[..., ::q].sum(axis=2).astype(np.intp) + offsets[:, 0]).ravel(), minlength=offsets.size * (n + 1))
-        for h in range(0, len(highs), step):
-            high = _one_hot_words(highs[h : h + step], part[:, : k - k2], one_hot)
-            matches = low @ np.swapaxes(high, 1, 2)
-            counts += (q - 1) * np.bincount((matches.astype(np.intp) + offsets).ravel(), minlength=counts.size)
+        for h in range(0, lines, block):
+            messages = first if h == 0 else _line_messages(q, k1, h, min(h + block, lines)).astype(np.float32)
+            high = np.swapaxes(_one_hot_words(messages, part[:, :k1], eye), 1, 2)
+            for s in range(0, len(messages), step):
+                matches = low @ high[..., s : s + step]
+                counts += (q - 1) * np.bincount((matches.astype(np.intp) + offsets).ravel(), minlength=counts.size)
         zeros[start : start + bases] = counts.reshape(len(part), n + 1)
     return zeros[:, ::-1] if basis.ndim == 3 else zeros[0, ::-1]
 

@@ -155,33 +155,29 @@ def _bordered_block(ring: Ring, spec: BorderedSpecR) -> tuple[np.ndarray, np.nda
     return _square(ring, spec.rows()), np.concatenate([[0], 1 + -np.arange(m) % m])  # J fixes the border
 
 
-_BLOCKS = {"a": _symmetric_block, "b": _circulant_block, "c": _bordered_block}
-
-
-def constructions(ring: Ring, kind: str, inputs) -> list[tuple[LinearCodeR, SignedPermutation]]:
-    """Construction ``kind`` ("a", "b" or "c") of every input, each code
-    [I_n | B] with its witness; the codes are built together by
+def constructions(ring: Ring, block, inputs) -> list[tuple[LinearCodeR, SignedPermutation]]:
+    """The code [I_n | B] and witness of every input, where ``block`` (one
+    of ``_symmetric_block``, ``_circulant_block``, ``_bordered_block``)
+    maps an input to B and J; the codes are built together by
     ``ringcode.build_codes``."""
-    if kind not in _BLOCKS:
-        raise ValueError(f"unknown construction {kind!r}")
-    parts = [_BLOCKS[kind](ring, x) for x in inputs]
+    parts = [block(ring, x) for x in inputs]
     codes = build_codes(ring, [np.hstack([np.eye(len(b), dtype=np.int64), b]) for b, _ in parts])
-    return [(code, _witness(block)) for code, (_, block) in zip(codes, parts)]
+    return [(code, _witness(j)) for code, (_, j) in zip(codes, parts)]
 
 
 def construction_a(ring: Ring, matrix) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | A] with A symmetric; isodual via the signed half swap."""
-    return constructions(ring, "a", [matrix])[0]
+    return constructions(ring, _symmetric_block, [matrix])[0]
 
 
 def construction_b(ring: Ring, spec) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | M] with M circulant (double circulant construction)."""
-    return constructions(ring, "b", [spec])[0]
+    return constructions(ring, _circulant_block, [spec])[0]
 
 
 def construction_c(ring: Ring, spec: BorderedSpecR) -> tuple[LinearCodeR, SignedPermutation]:
     """[I_n | bordered circulant]; the witness fixes the border and reverses the core."""
-    return constructions(ring, "c", [spec])[0]
+    return constructions(ring, _bordered_block, [spec])[0]
 
 
 def _right_block(code: LinearCodeR) -> np.ndarray:

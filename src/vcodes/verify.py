@@ -40,6 +40,9 @@ from .fsd import (
     BorderedSpecR,
     CirculantSpecR,
     SymmetricMatrixR,
+    _bordered_block,
+    _circulant_block,
+    _symmetric_block,
     construction_a,
     construction_b,
     construction_c,
@@ -554,7 +557,7 @@ def _claim_thm11(ctx):
 # fsd scope
 
 
-def _claim_construction(claim_id, anchor, kind, make_input, label):
+def _claim_construction(claim_id, anchor, block, make_input, label):
     @_claim(claim_id, anchor, "fsd")
     def run(ctx):
         rng = ctx.rng(claim_id)
@@ -566,7 +569,7 @@ def _claim_construction(claim_id, anchor, kind, make_input, label):
                 n = rng.randrange(1, max_n + 1)
                 drawn.append((n, make_input(ring, n, rng)))
             # build, dualize and Lee-count the whole stack; the checks below read the memos
-            built = constructions(ring, kind, [x for _, x in drawn])
+            built = constructions(ring, block, [x for _, x in drawn])
             codes = [code for code, _ in built]
             fill_duals(ring, codes)
             if q == 3:
@@ -589,9 +592,9 @@ def _random_bordered_input(ring, n, rng):
     return random_bordered(ring, max(n, 2), rng)
 
 
-_claim_construction("thm12-construction-a", "Theorem 12 (construction A)", "a", random_symmetric, "symmetric [I|A] codes are isodual, hence FSD")
-_claim_construction("thm14-construction-b", "Theorem 14 (construction B)", "b", random_circulant, "double circulant codes are isodual, hence FSD")
-_claim_construction("thm16-construction-c", "Theorem 16 (construction C)", "c", _random_bordered_input, "bordered circulant codes are FSD")
+_claim_construction("thm12-construction-a", "Theorem 12 (construction A)", _symmetric_block, random_symmetric, "symmetric [I|A] codes are isodual, hence FSD")
+_claim_construction("thm14-construction-b", "Theorem 14 (construction B)", _circulant_block, random_circulant, "double circulant codes are isodual, hence FSD")
+_claim_construction("thm16-construction-c", "Theorem 16 (construction C)", _bordered_block, _random_bordered_input, "bordered circulant codes are FSD")
 
 
 @_claim("thm18-gray-fsd", "Theorem 18", "fsd")
@@ -599,7 +602,7 @@ def _claim_thm18(ctx):
     rng = ctx.rng("thm18")
     ring = ring_over(3)
     matrices = [random_symmetric(ring, rng.randrange(1, 3), rng) for _ in range(40)]
-    for code, _ in ctx.each(constructions(ring, "a", matrices)):
+    for code, _ in ctx.each(constructions(ring, _symmetric_block, matrices)):
         if not gray_fsd_transfer(code, ctx.budget):
             raise _Refuted({"gens": _gens(code)}, "gray image of FSD is FSD")
     # negative control: a code that is not FSD must be allowed to fail
@@ -617,8 +620,8 @@ def _claim_lem19(ctx):
     for _ in range(25):
         matrix = random_symmetric(ring, 1, rng)
         drawn.append((matrix, random_circulant(ring, rng.randrange(1, 3), rng)))
-    c1s = constructions(ring, "a", [a for a, _ in drawn])
-    c2s = constructions(ring, "b", [b for _, b in drawn])
+    c1s = constructions(ring, _symmetric_block, [a for a, _ in drawn])
+    c2s = constructions(ring, _circulant_block, [b for _, b in drawn])
     triples = [(c1, c2, direct_product(c1, c2)) for (c1, _), (c2, _) in zip(c1s, c2s)]
     fill_duals(ring, [c for triple in triples for c in triple])
     wenum.fill_lee_enumerators([c for c1, c2, prod in triples for c in (c1, c2, prod, prod._dual)], ctx.budget)

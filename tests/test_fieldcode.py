@@ -439,20 +439,49 @@ def test_stacked_span_weight_counts_match_the_word_oracle(field, batch, k, extra
 
 
 @pytest.mark.parametrize("q, k, n", [(2, 16, 19), (3, 10, 12), (5, 7, 8)])
-def test_stacked_span_weight_counts_over_several_high_chunks(q, k, n):
-    k2, lows, highs, _ = fieldcode._pair_tables(q, k, fieldcode._CHUNK_ROWS)
-    assert len(highs) == (q ** (k - k2) - 1) // (q - 1)  # one high message per F_q-line
-    assert len(highs) * len(lows) > fieldcode._CHUNK_ROWS  # so a basis spans several products
+@pytest.mark.parametrize("chunk", [fieldcode._CHUNK_ROWS, 64])
+def test_stacked_span_weight_counts_over_several_high_chunks(monkeypatch, q, k, n, chunk):
+    monkeypatch.setattr(fieldcode, "_CHUNK_ROWS", chunk)
+    lows = q ** fieldcode._table_rows(q, (k + 1) // 2, chunk // 16)
+    lines = (q ** k // lows - 1) // (q - 1)  # one high message per F_q-line
+    assert lines * lows > chunk  # so a basis spans several products
+    if chunk == 64:
+        assert lines > max(chunk // lows, chunk // 64)  # and several encoded blocks of high words
     stack = _independent_stack(q, 2, k, n, np.random.default_rng(k))
     want = np.stack([span_weight_counts_by_words(basis, q) for basis in stack])
     assert np.array_equal(span_weight_counts(stack, q), want)
 
 
-def test_span_weight_counts_one_hot_table_reduces_large_q():
+@pytest.mark.parametrize("q, k", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2)])
+def test_line_messages_take_the_leading_one_of_each_line(q, k):
+    every = fieldcode._messages(q, k, 0, q**k)
+    leading = every[[row.any() and row[np.flatnonzero(row)[0]] == 1 for row in every]]
+    assert len(leading) == (q**k - 1) // (q - 1)
+    assert np.array_equal(fieldcode._line_messages(q, k, 0, len(leading)), leading)
+    for start in range(0, len(leading), 5):  # any block of them, as the kernel asks for
+        assert np.array_equal(fieldcode._line_messages(q, k, start, min(start + 5, len(leading))), leading[start : start + 5])
+
+
+def test_span_weight_counts_at_large_q():
     rng = np.random.default_rng(0)
-    stack = _independent_stack(131, 3, 2, 4, rng)  # 2 * 130^2 digit sums would overflow the table cap
-    assert len(fieldcode._pair_tables(131, 2, fieldcode._CHUNK_ROWS)[3]) == 131
+    stack = _independent_stack(131, 3, 2, 4, rng)  # digit sums run to 2 * 130^2
     assert np.array_equal(span_weight_counts(stack, 131), np.stack([span_weight_counts_by_words(b, 131) for b in stack]))
+
+
+def test_span_weight_counts_memory_does_not_grow_with_k():
+    # q = 2, k = 23: 8.4 million words, 8191 high messages of 13 digits
+    rng = np.random.default_rng(3)
+    basis = np.concatenate([np.eye(23, dtype=np.int64), rng.integers(0, 2, (23, 3))], axis=1)
+    tracemalloc.start()
+    try:
+        counts = span_weight_counts(basis, 2, budget=2**23)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2**23
+    # making every high message at once peaked at 1.77 MB here and at 3.80 MB
+    # for k = 24; a block at a time peaks at 0.68 MB for either
+    assert peak < 1.0e6
 
 
 def test_weight_counts_peak_memory():

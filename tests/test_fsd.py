@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
-from vcodes import fieldcode, ringcode
+from vcodes import fieldcode, fsd, ringcode
 from vcodes.errors import NotSymmetric, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, fill_duals, random_code_r
@@ -317,11 +317,11 @@ def test_random_symmetric_keeps_its_draws():
 def test_bulk_memos_match_per_code_results(monkeypatch, q):
     ring = ring_over(q)
     rng = random.Random(f"memos:{q}")
-    makers = {"a": random_symmetric, "b": random_circulant, "c": random_bordered}
+    makers = {fsd._symmetric_block: random_symmetric, fsd._circulant_block: random_circulant, fsd._bordered_block: random_bordered}
     codes = []
-    for kind, make in makers.items():
-        inputs = [make(ring, n, rng) for n in (1, 2, 3) if kind != "c" or n > 1 for _ in range(12)]
-        codes += [code for code, _ in constructions(ring, kind, inputs)]
+    for block, make in makers.items():
+        inputs = [make(ring, n, rng) for n in (1, 2, 3) if block is not fsd._bordered_block or n > 1 for _ in range(12)]
+        codes += [code for code, _ in constructions(ring, block, inputs)]
     codes += [random_code_r(ring, rng.randrange(1, 4), rng) for _ in range(36)]  # ranks of every size
     reductions = []
     stack = fieldcode.rref_stack
