@@ -35,7 +35,7 @@ from .fsd import (
     is_formally_self_dual,
     isodual_witness_check,
 )
-from .gf import format_poly, parse_poly
+from .gf import parse_poly
 from .fieldcode import LinearCodeFq
 from .ring import format_elem, format_row, parse_elem, ring_over
 from .verify import SCOPES, run_verification_suite
@@ -190,12 +190,7 @@ def _cmd_cyclic(args) -> int:
     if args.search_self_dual:
         res = self_dual_cyclic_search(ring, args.n)
         witness = res["witness"]
-        if witness is None:
-            wobj = None
-        elif isinstance(witness, CyclicSpecR):
-            wobj = {"f1": format_poly(witness.f1), "f2": format_poly(witness.f2), "f3": format_poly(witness.f3)}
-        else:
-            wobj = {"generators": [format_row(ring, g) for g in witness.gens]}
+        wobj = None if witness is None else {"generators": [format_row(ring, g) for g in witness.gens]}
         obj = {"witness": wobj, "exhausted": res["exhausted"], "tested": res["tested"]}
         _emit(args, obj, [json.dumps(obj, sort_keys=True)])
         return 0

@@ -11,8 +11,9 @@ divisor's shift rows are tabulated once and the codes reduced in
 computes the duals (``ringcode.fill_duals``), evaluation
 components and cyclicity of such a stack in batches as well, and leaves them
 in the memos that ``dual()``, ``components_crt()``, ``is_cyclic()`` and
-``is_cyclic_r`` read; the per-code calls give the same results and are the
-reference the stack is tested against.  For q = 2, R ~ F_2 x F_2[u]/(u^2)
+``is_cyclic_r`` read.  A per-code call runs the same kernel on a stack of
+one, so the stack is tested against it for its padding and batching, and
+against independent oracles for the formulas.  For q = 2, R ~ F_2 x F_2[u]/(u^2)
 does not split into three fields, and searches run by exhaustive ideal
 enumeration instead.
 """
@@ -125,9 +126,7 @@ def is_cyclic_r(code: LinearCodeR) -> bool:
     """True iff the F_q basis stays in the span when each of its n-blocks
     shifts right; kept on the code, where ``fill_stack`` may fill it in bulk."""
     if "_cyclic" not in vars(code):
-        gen = code.flat.gen
-        shifted = np.roll(gen.reshape(len(gen), 3, code.n), 1, axis=2)
-        code._cyclic = code.flat.contains(shifted.reshape(gen.shape))
+        code._cyclic = bool(_shift_closed(code.flat.gen[None], [code.flat.pivots], code.ring.q, 3)[0])
     return code._cyclic
 
 
@@ -161,11 +160,11 @@ def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
     triple lattice is scanned.  q = 2: the full ideal lattice of R^n is
     walked (tiny n only) as RREF F_q bases, and the basis of each half-size
     ideal is compared with the basis of its dual, which ``flat_dual``
-    computes for every q.  A witness is generated by
-    all its members, in encoded order.  ``build(ring, spec, mode)`` makes
-    each odd-q code, ``cyclic_code_r`` when None; a caller that builds the
+    computes for every q.  The witness is the self-dual code found, at q = 2
+    generated by all its members in encoded order.  ``build(ring, spec, mode)``
+    makes each odd-q code, ``cyclic_code_r`` when None; a caller that builds the
     same triples again passes its own memo.
-    Returns {"witness": ..., "exhausted": bool, "tested": count}.
+    Returns {"witness": LinearCodeR or None, "exhausted": bool, "tested": count}.
     """
     tested = 0
     if ring.q % 2 == 1:
@@ -176,7 +175,7 @@ def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
                 continue  # |C| can only match |C^dual| at the half size
             code = build(ring, spec, "idempotent")
             if code == code.dual():
-                return {"witness": spec, "exhausted": True, "tested": tested}
+                return {"witness": code, "exhausted": True, "tested": tested}
         return {"witness": None, "exhausted": True, "tested": tested}
 
     if n < 1:  # the odd-q branch gets this check from monic_divisors_of_xn_minus_1

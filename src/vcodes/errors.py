@@ -10,7 +10,7 @@ class VCodesError(Exception):
 
 
 class ParamMismatch(VCodesError, ValueError):
-    """Operands belong to different fields or rings."""
+    """Operands belong to different fields or rings, or an option name is unknown."""
 
 
 class DivisionByZero(VCodesError, ZeroDivisionError):

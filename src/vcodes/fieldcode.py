@@ -140,16 +140,24 @@ def _stack_pivots(stack: np.ndarray) -> np.ndarray:
 
 def _pivot_rows(pivots: np.ndarray, ncols: int) -> np.ndarray:
     """(B, r, ncols): row i of matrix b is the unit vector at column pivots[b, i], zero for -1."""
-    return (pivots[..., None] == np.arange(ncols)).astype(np.int64)
+    return (np.asarray(pivots)[..., None] == np.arange(ncols)).astype(np.int64)
 
 
-def _kernel_stack(stack: np.ndarray, pivots: np.ndarray, q: int) -> np.ndarray:
-    """``kernel_rows`` of every RREF basis of a padded (B, r, c) stack, as a
-    (B, c, c) stack whose row j is e_j minus column j of the basis placed at
-    the pivot columns: row j is 0 for a pivot column j and a kernel row
-    otherwise."""
-    c = stack.shape[2]
-    return (np.eye(c, dtype=np.int64) - np.swapaxes(stack, 1, 2) @ _pivot_rows(pivots, c)) % q
+def _kernel_stack(stack: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """The kernel rows [I | -A^T] of every RREF basis of a padded (B, r, c) stack,
+    as a (B, c, c) stack whose row j is e_j minus column j of the basis placed at
+    the pivot columns: 0 at a pivot column j.  Not reduced mod q; rref does that."""
+    batch, _, c = stack.shape
+    placed = np.zeros((batch, c, c + 1), dtype=np.int64)  # column p holds the basis row with pivot p; column c the padding
+    placed[np.arange(batch)[:, None], :, pivots] = stack
+    return np.eye(c, dtype=np.int64) - placed[..., :c]
+
+
+def _kernel_rows(code: "LinearCodeFq") -> np.ndarray:
+    """The n - k rows of a code's ``_kernel_stack`` with a 1 on the diagonal, which
+    span its dual; the zero rows would only slow the reduction."""
+    kernel = _kernel_stack(code.gen[None], np.array([code.pivots], dtype=np.int64))[0]
+    return kernel[kernel.diagonal().astype(bool)]
 
 
 def _shift_closed(stack: np.ndarray, pivots: np.ndarray, q: int, blocks: int = 1) -> np.ndarray:
@@ -350,6 +358,8 @@ class LinearCodeFq:
     """An [n, k] linear code over GF(q), generator matrix in RREF."""
 
     def __init__(self, field: GF, n: int, gen: np.ndarray):
+        if n < 0:
+            raise ShapeError(f"code length must be >= 0, not {n}")
         self.field = field
         self.n = n
         gen = np.asarray(gen, dtype=np.int64)
@@ -409,23 +419,17 @@ class LinearCodeFq:
         by the generator rows: v - v[pivots] G, as G is in RREF."""
         q = self.field.q
         v = np.array(vec, dtype=np.int64) % q
+        if v.shape[-1:] != (self.n,):
+            raise ShapeError(f"vectors of length {self.n} expected, not shape {v.shape}")
         return (v - v[..., self.pivots] @ self.gen) % q
 
     def contains(self, vec) -> bool:
         """True iff the vector, or every row of a stack, lies in the code."""
         return not self.reduce_vector(vec).any()
 
-    def kernel_rows(self) -> np.ndarray:
-        """The n - k unreduced rows [I | -A^T] spanning the dual, I in the free columns."""
-        free = [c for c in range(self.n) if c not in self.pivots]
-        rows = np.zeros((len(free), self.n), dtype=np.int64)
-        rows[np.arange(len(free)), free] = 1
-        rows[:, self.pivots] = -self.gen[:, free].T % self.field.q
-        return rows
-
     def dual(self) -> "LinearCodeFq":
         """Kernel of the generator matrix, dimension n - k."""
-        return LinearCodeFq(self.field, self.n, self.kernel_rows())
+        return LinearCodeFq(self.field, self.n, _kernel_rows(self))
 
     def codeword_chunks(self, budget: int = DEFAULT_BUDGET):
         """Yield codewords in message order, at most ``_CHUNK_ROWS`` per chunk.
@@ -512,7 +516,7 @@ class LinearCodeFq:
         """True iff the row space is closed under one cyclic right shift;
         kept on the code, where a stack of codes may fill it in bulk."""
         if "_cyclic" not in vars(self):
-            self._cyclic = self.contains(np.roll(self.gen, 1, axis=1))
+            self._cyclic = bool(_shift_closed(self.gen[None], [self.pivots], self.field.q)[0])
         return self._cyclic
 
 

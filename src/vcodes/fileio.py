@@ -21,7 +21,9 @@ from .ringcode import LinearCodeR
 _HEADER_RE = re.compile(r"^q=(\d+)\s+n=(\d+)$")
 
 
-def _split_header(text: str) -> tuple[int, int, list[str]]:
+def _read_rows(text: str, over, entry, what: str) -> tuple:
+    """``over(q)``, checked before any row is read, the length n and the rows of
+    a file in either syntax, each of a line's n entries read by ``entry(over(q), text)``."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -29,42 +31,39 @@ def _split_header(text: str) -> tuple[int, int, list[str]]:
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ParseError(f"bad header {lines[0]!r}, expected 'q=<q> n=<n>'")
-    return int(m.group(1)), int(m.group(2)), lines[1:]
-
-
-def parse_matrix_file(text: str) -> tuple[GF, int, np.ndarray]:
-    q, n, lines = _split_header(text)
-    field = GF(q)
+    domain, n = over(int(m.group(1))), int(m.group(2))
     rows = []
-    for ln in lines:
-        entries = ln.split()
-        if len(entries) != n:
-            raise ParseError(f"row has {len(entries)} entries, expected {n}")
-        rows.append([int(e) % q for e in entries])
-    mat = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
-    return field, n, mat
-
-
-def _element_rows(text: str, what: str) -> tuple[Ring, int, list[tuple[int, ...]]]:
-    """The ring, the length n and the element-index rows of a file in the code-file syntax."""
-    q, n, lines = _split_header(text)
-    ring = ring_over(q)
-    rows = []
-    for ln in lines:
+    for ln in lines[1:]:
         entries = ln.split()
         if len(entries) != n:
             raise ParseError(f"{what} has {len(entries)} entries, expected {n}")
-        rows.append(tuple(parse_elem(ring, e).idx for e in entries))
-    return ring, n, rows
+        rows.append(tuple(entry(domain, e) for e in entries))
+    return domain, n, rows
+
+
+def _field_entry(field: GF, text: str) -> int:
+    try:
+        return int(text) % field.q
+    except ValueError:
+        raise ParseError(f"bad matrix entry {text!r}, expected an integer mod q") from None
+
+
+def _ring_entry(ring: Ring, text: str) -> int:
+    return parse_elem(ring, text).idx
+
+
+def parse_matrix_file(text: str) -> tuple[GF, int, np.ndarray]:
+    field, n, rows = _read_rows(text, GF, _field_entry, "row")
+    return field, n, np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
 def parse_code_file(text: str) -> LinearCodeR:
-    return LinearCodeR(*_element_rows(text, "generator"))
+    return LinearCodeR(*_read_rows(text, ring_over, _ring_entry, "generator"))
 
 
 def parse_ring_matrix_file(text: str) -> tuple[Ring, list[tuple[int, ...]]]:
     """A square grid of ring elements in the code-file syntax."""
-    ring, n, rows = _element_rows(text, "matrix row")
+    ring, n, rows = _read_rows(text, ring_over, _ring_entry, "matrix row")
     if len(rows) != n:
         raise ParseError(f"matrix has {len(rows)} rows, expected {n}")
     return ring, rows
@@ -76,7 +75,7 @@ def format_code_file(code: LinearCodeR) -> str:
 
 
 def parse_vector(ring: Ring, text: str) -> tuple[int, ...]:
-    return tuple(parse_elem(ring, e).idx for e in text.split())
+    return tuple(_ring_entry(ring, e) for e in text.split())
 
 
 def format_field_code(code: LinearCodeFq) -> str:

@@ -51,7 +51,10 @@ class SignedPermutation:
 
     def apply(self, ring: Ring, rows) -> np.ndarray:
         """The images of element-index rows (..., n)."""
-        rows = np.asarray(rows, dtype=np.int64)[..., list(self.src)]
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[-1:] != (len(self.src),):
+            raise ShapeError(f"rows of length {len(self.src)} expected, not shape {rows.shape}")
+        rows = rows[..., list(self.src)]
         return np.where(self.negate, ring.neg_table[rows], rows)
 
     def to_json_obj(self) -> dict:

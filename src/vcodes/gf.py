@@ -60,9 +60,6 @@ class GF:
         return pow(a, self.q - 2, self.q)
 
 
-_TERM_RE = re.compile(r"^(\d+)?\*?(x(\^(\d+))?)?$")
-
-
 class Poly:
     """Univariate polynomial over GF(q), coefficients lowest degree first."""
 
@@ -187,25 +184,29 @@ class Poly:
         return parse_poly(field, text)
 
 
-def parse_poly(field: GF, text: str) -> Poly:
-    """Parse sums of terms ``c``, ``x^k``, ``c*x^k`` (``*`` optional)."""
+def parse_terms(text: str, q: int, var: str, exponent: str, noun: str) -> list[int]:
+    """Coefficients, lowest power first, of a sum of terms ``c``, ``var``, ``c*var^k``
+    (``*`` optional, whitespace ignored, k matching the regex ``exponent``): the
+    grammar of polynomials in x and of ring elements in v.  ``noun`` names either in errors."""
     s = re.sub(r"\s+", "", text)
     if not s:
-        raise ParseError("empty polynomial")
+        raise ParseError(f"empty {noun}")
     coeffs: dict[int, int] = {}
     for term in s.split("+"):
-        m = _TERM_RE.match(term)
+        m = re.match(rf"^(\d+)?\*?({var}(\^({exponent}))?)?$", term)
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise ParseError(f"bad polynomial term {term!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(1) is not None and c >= field.q:
-            raise ParseError(f"coefficient {c} out of range for q={field.q}")
-        k = 0
-        if m.group(2) is not None:
-            k = int(m.group(4)) if m.group(4) is not None else 1
-        coeffs[k] = (coeffs.get(k, 0) + c) % field.q
-    deg = max(coeffs)
-    return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
+            raise ParseError(f"bad {noun} term {term!r}")
+        c = int(m.group(1) or 1)
+        if c >= q:
+            raise ParseError(f"coefficient {c} out of range for q={q}")
+        k = int(m.group(4) or 1) if m.group(2) else 0
+        coeffs[k] = (coeffs.get(k, 0) + c) % q
+    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
+
+
+def parse_poly(field: GF, text: str) -> Poly:
+    """Parse sums of terms ``c``, ``x^k``, ``c*x^k`` (``*`` optional)."""
+    return Poly(field, parse_terms(text, field.q, "x", r"\d+", "polynomial"))
 
 
 def format_poly(p: Poly) -> str:

@@ -35,7 +35,7 @@ import re
 import numpy as np
 
 from .errors import ParamMismatch, ParseError, SearchSpaceTooLarge
-from .gf import GF
+from .gf import GF, parse_terms
 
 _RING_CACHE: dict[int, "Ring"] = {}
 
@@ -234,7 +234,6 @@ class RingElem:
 
 
 _TRIPLE_RE = re.compile(r"^\[(\d+),(\d+),(\d+)\]$")
-_VTERM_RE = re.compile(r"^(\d+)?\*?(v(\^([12]))?)?$")
 
 
 def parse_elem(ring: Ring, text: str) -> RingElem:
@@ -243,25 +242,9 @@ def parse_elem(ring: Ring, text: str) -> RingElem:
     if not s:
         raise ParseError("empty ring element")
     m = _TRIPLE_RE.match(s)
-    if m:
-        a0, a1, a2 = (int(g) for g in m.groups())
-        for c in (a0, a1, a2):
-            if c >= ring.q:
-                raise ParseError(f"coefficient {c} out of range for q={ring.q}")
-        return ring.elem(a0, a1, a2)
-    coeffs = [0, 0, 0]
-    for term in s.split("+"):
-        tm = _VTERM_RE.match(term)
-        if not tm or (tm.group(1) is None and tm.group(2) is None):
-            raise ParseError(f"bad element term {term!r}")
-        c = int(tm.group(1)) if tm.group(1) is not None else 1
-        if tm.group(1) is not None and c >= ring.q:
-            raise ParseError(f"coefficient {c} out of range for q={ring.q}")
-        k = 0
-        if tm.group(2) is not None:
-            k = int(tm.group(4)) if tm.group(4) is not None else 1
-        coeffs[k] = (coeffs[k] + c) % ring.q
-    return ring.elem(*coeffs)
+    if m:  # [a0,a1,a2] reads as the sum a0 + a1 v + a2 v^2
+        s = "{}+{}v+{}v^2".format(*m.groups())
+    return ring.elem(*parse_terms(s, ring.q, "v", "[12]", "element"))
 
 
 def format_elem(x: RingElem) -> str:

@@ -8,7 +8,8 @@ equality and chunked codeword enumeration.  lambda(x) = a2 vanishes on no
 nonzero ideal (its Gram matrix ``DUAL_FORM`` has determinant -1), so y is
 orthogonal to C iff lambda(c*y) = 0 for every basis word c (Wood, Amer. J.
 Math. 121, 1999): iff ``DUAL_FORM`` y lies in the F_q dual of that code,
-symbol by symbol.  So each dual, for every q, takes one reduction.
+symbol by symbol.  So each dual, for every q, takes one reduction of the
+kernel rows of ``fieldcode._kernel_stack``, per code or per stack.
 The evaluation/CRT components (q odd) serve the component claims and, with
 ``brute_force_dual``, are the oracles the dual is tested against.
 
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .fieldcode import (
     LinearCodeFq,
+    _kernel_rows,
     _kernel_stack,
     _pad,
     _positions,
@@ -89,7 +91,7 @@ def _dual_rows(q: int, kernel: np.ndarray) -> np.ndarray:
 def flat_dual(ring: Ring, flat: LinearCodeFq) -> LinearCodeFq:
     """The flattened dual of the R-module with flattened code ``flat``: its kernel
     rows through ``_dual_rows``, reduced once."""
-    return LinearCodeFq(ring.field, flat.n, _dual_rows(ring.q, flat.kernel_rows()))
+    return LinearCodeFq(ring.field, flat.n, _dual_rows(ring.q, _kernel_rows(flat)))
 
 
 def build_codes(ring: Ring, gens: list[np.ndarray]) -> list["LinearCodeR"]:
@@ -119,7 +121,7 @@ def fill_duals(ring: Ring, codes: list["LinearCodeR"]) -> None:
         for start in range(0, len(where), step):
             batch = [codes[i] for i in where[start : start + step]]
             gen = _pad([code.flat.gen for code in batch], 3 * n)
-            reduced = rref_stack(_dual_rows(q, _kernel_stack(gen, _stack_pivots(gen), q)), q)
+            reduced = rref_stack(_dual_rows(q, _kernel_stack(gen, _stack_pivots(gen))), q)
             dual_gens = _unflatten(q, reduced[0])
             for code, dual, rows in zip(batch, _reduced_codes(ring.field, *reduced), dual_gens):
                 code._dual = LinearCodeR._from_flat(ring, n, dual, rows[: dual.k])
@@ -158,6 +160,8 @@ class LinearCodeR:
     """The R-span of a list of generator vectors (possibly dependent)."""
 
     def __init__(self, ring: Ring, n: int, gens):
+        if n < 0:
+            raise ShapeError(f"code length must be >= 0, not {n}")
         self.ring = ring
         self.n = n
         gens = _index_rows(ring, gens)
@@ -217,6 +221,8 @@ class LinearCodeR:
     def contains(self, row) -> bool:
         ring = self.ring
         vec = _index_rows(ring, [row])[0]
+        if len(vec) != self.n:
+            raise ShapeError(f"a vector of length {self.n} expected, not {len(vec)}")
         return self.flat.contains(_flatten(ring, vec))
 
     # ---- structure maps ----
@@ -271,7 +277,10 @@ class LinearCodeR:
         return d, _unflatten(q, flat[np.lexsort(flat.T[::-1])])
 
     def gray_words(self, rows: np.ndarray) -> np.ndarray:
-        """Gray images of element-index rows, as (m, 3n) field arrays."""
+        """Gray images of (m, n) element-index rows, as (m, 3n) field arrays."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ShapeError(f"rows of length {self.n} expected, not shape {rows.shape}")
         gray = _map_symbols(self.ring.q, GRAY, _flatten(self.ring, rows))
         return gray.reshape(len(rows), 3 * self.n)
 
@@ -319,13 +328,11 @@ class LinearCodeR:
     def min_lee_distance(
         self, strategy: str = "exhaustive", budget: int = DEFAULT_BUDGET
     ) -> tuple[int, str]:
-        """Minimum nonzero Lee weight with the provenance of the number.
+        """Minimum nonzero Lee weight with the strategy that found it.
 
         'exhaustive' (``lee_table`` summed over each chunk of codewords, which
         stops at the first chunk holding a word of weight 1) and 'gray-image'
-        are exact and must agree; the 'component-lemma' value min{d(C_i)} is a
-        published formula under test and is returned tagged, never silently
-        substituted.
+        are exact and must agree.
         """
         if strategy == "exhaustive":
             if self.dim_fq == 0:
@@ -339,13 +346,7 @@ class LinearCodeR:
             return best, "exhaustive"
         if strategy == "gray-image":
             return self.gray_image().min_distance(budget), "gray-image"
-        if strategy == "component-lemma":
-            comps = self.components_crt()
-            dists = [c.min_distance(budget) for c in comps if c.k > 0]
-            if not dists:
-                raise EmptyCode("all components are zero codes")
-            return min(dists), "lemma5-based"
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ParamMismatch(f"unknown strategy {strategy!r}")
 
 
 def combine_components(ring: Ring, components, mode: str) -> LinearCodeR:
@@ -373,7 +374,7 @@ def _unit_multiples(ring: Ring, mode: str) -> np.ndarray:
     elif mode == "paper-literal":
         units = (ring.index(0, 1, 0), ring.index(1, -1, 0), ring.index(1, 0, -1))  # v, 1-v, 1-v^2
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ParamMismatch(f"unknown mode {mode!r}")
     # a field scalar u is the ring element of index u, with coefficients (u, 0, 0)
     products = ring.times(np.array(units)) @ ring.coeff[: ring.q].T % ring.q  # [unit, coefficient, u]
     return np.array([1, ring.q, ring.q**2]) @ products

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import wenum
 from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, fill_stack, is_cyclic_r, self_dual_cyclic_search
-from .errors import DEFAULT_BUDGET, TransformInconsistent, VCodesError
+from .errors import DEFAULT_BUDGET, EmptyCode, ParamMismatch, TransformInconsistent, VCodesError
 from .fieldcode import cyclic_dual_generator
 from .fsd import (
     BorderedSpecR,
@@ -343,7 +343,10 @@ def _claim_lem5_distance(ctx):
     lower_bound_ok = True
     for code in ctx.each(c for c in codes if c.dim_fq):
         exact, _ = code.min_lee_distance("exhaustive", ctx.budget)
-        lemma, _ = code.min_lee_distance("component-lemma", ctx.budget)
+        dists = [c.min_distance(ctx.budget) for c in code.components_crt() if c.k]
+        if not dists:
+            raise EmptyCode("all components are zero codes")
+        lemma = min(dists)
         if exact != lemma:
             disagreements += 1
             lower_bound_ok &= exact > lemma
@@ -444,9 +447,9 @@ def _claim_thm7_4(ctx):
             raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "corrected transform matches dual")
         if counterexample is None and code.ring.q == 3:
             try:
-                literal = wenum.macwilliams_lee(lee, code.size, literal=True)
-                bad = literal != dual_lee
-                detail = {"literal_counts": literal.counts if bad else None}
+                literal = wenum.macwilliams_counts(lee.counts, 3 * lee.n, 2, code.size)  # the printed (X+Y, X-Y)
+                bad = literal != dual_lee.counts
+                detail = {"literal_counts": literal if bad else None}
             except TransformInconsistent as exc:
                 bad = True
                 detail = {"literal_error": str(exc)}
@@ -518,9 +521,7 @@ def _claim_cor10(ctx):
             expected = q % 2 == 0 and n % 2 == 0
             consistent &= found == expected
             entry = {"found": found, "criterion": expected, "tested": res["tested"], "exhausted": res["exhausted"]}
-            if found and isinstance(res["witness"], CyclicSpecR):
-                entry["witness"] = _spec_obj(res["witness"])
-            elif found:
+            if found:
                 entry["witness_generators"] = [format_row(ring, g) for g in res["witness"].gens]
             observed[f"q={q},n={n}"] = entry
     return (
@@ -808,7 +809,7 @@ def run_verification_suite(
 ) -> VerificationReport:
     """Run every registered claim in the scope; failures become entries."""
     if scope not in SCOPES:
-        raise ValueError(f"unknown scope {scope!r}; choose from {SCOPES}")
+        raise ParamMismatch(f"unknown scope {scope!r}; choose from {SCOPES}")
     ctx = _Ctx(seed, budget)
     report = VerificationReport(scope=scope, seed=seed)
     for claim_id, anchor, claim_scope, fn in sorted(CLAIMS, key=lambda c: c[0]):

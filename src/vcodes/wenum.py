@@ -24,8 +24,8 @@ row's slots.  The MacWilliams step checks the enumerator's total against
 rounding.
 
 The q-ary transform substitutes (X + (q-1)Y, X - Y).  The published
-statement over R prints (X + Y, X - Y), which is the binary special case;
-``literal=True`` applies that printed form so the harness can document
+statement over R prints (X + Y, X - Y), which is its q = 2 case: the harness
+applies that printed form as ``macwilliams_counts(..., 2, ...)`` to show
 where it breaks for q > 2.
 
 A symbol's swe class is the Hamming weight of its Gray image, which makes
@@ -40,7 +40,7 @@ from math import comb
 import numpy as np
 
 from . import fieldcode
-from .errors import DEFAULT_BUDGET, TransformInconsistent
+from .errors import DEFAULT_BUDGET, ParamMismatch, ShapeError, TransformInconsistent
 from .ring import ring_over
 
 _WEIGHT_KINDS = ("lee", "hamming")  # int keys; swe and cwe have tuple keys
@@ -73,7 +73,7 @@ class WeightEnumerator:
 
     def __init__(self, kind: str, n: int, q: int, counts: dict):
         if kind not in _WEIGHT_KINDS + ("swe", "cwe"):
-            raise ValueError(f"unknown enumerator kind {kind!r}")
+            raise ParamMismatch(f"unknown enumerator kind {kind!r}")
         self.kind = kind
         self.n = n
         self.q = q
@@ -134,7 +134,7 @@ def _rows_of_counts(counts: dict, n: int, slots: int) -> tuple[np.ndarray, np.nd
     """Slot rows of a counts dict: tally t becomes the row holding slot i t[i] times."""
     tallies = np.array(list(counts), dtype=np.int64).reshape(len(counts), slots)
     if (tallies < 0).any() or (tallies.sum(axis=1) != n).any():
-        raise ValueError(f"every tally must hold {slots} nonnegative entries summing to n = {n}")
+        raise ShapeError(f"every tally must hold {slots} nonnegative entries summing to n = {n}")
     slot_ids = np.tile(np.arange(slots, dtype=np.int16), len(counts))
     shapes = np.repeat(slot_ids, tallies.ravel()).reshape(len(counts), n)
     return shapes, np.array(list(counts.values()), dtype=np.int64)
@@ -282,13 +282,13 @@ def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
     the weights of its slot row.
     """
     if target not in ("lee", "hamming"):
-        raise ValueError(f"unknown target {target!r}")
+        raise ParamMismatch(f"unknown target {target!r}")
     if enum.kind == "swe":
         weights = np.arange(4)
     elif enum.kind == "cwe":
         weights = ring_over(enum.q).lee_table
     else:
-        raise ValueError("specialize expects a symmetrized or complete enumerator")
+        raise ParamMismatch("specialize expects a symmetrized or complete enumerator")
     if target == "hamming":
         weights = weights > 0
     shapes, mult = enum._rows
@@ -297,25 +297,16 @@ def specialize(enum: WeightEnumerator, target: str) -> WeightEnumerator:
     return WeightEnumerator(target, enum.n, enum.q, dict(enumerate(counts.tolist())))
 
 
-def macwilliams_counts(
-    counts: dict[int, int],
-    length: int,
-    q: int,
-    code_size: int,
-    literal: bool = False,
-) -> dict[int, int]:
-    """Dual weight distribution via (1/|C|) W(X+(q-1)Y, X-Y) on ``length`` coords.
-
-    ``literal=True`` uses the printed (X+Y, X-Y) form instead.  Exact integer
-    arithmetic; raises TransformInconsistent when the result is not a
-    nonnegative integer distribution.
+def macwilliams_counts(counts: dict[int, int], length: int, q: int, code_size: int) -> dict[int, int]:
+    """Dual weight distribution via (1/|C|) W(X+(q-1)Y, X-Y) on ``length`` coords;
+    at q = 2 this is the binary (X+Y, X-Y).  Exact integer arithmetic; raises
+    TransformInconsistent when the result is not a nonnegative integer distribution.
     """
-    f = 1 if literal else q - 1
     acc = [0] * (length + 1)
     for w, e in counts.items():
         if not e:
             continue
-        left = [comb(length - w, i) * f**i for i in range(length - w + 1)]
+        left = [comb(length - w, i) * (q - 1) ** i for i in range(length - w + 1)]
         right = [comb(w, i) * (-1) ** i for i in range(w + 1)]
         for i, a in enumerate(left):
             if not a:
@@ -336,18 +327,18 @@ def macwilliams_counts(
     return out
 
 
-def _macwilliams(enum: WeightEnumerator, length: int, code_size: int, literal: bool) -> WeightEnumerator:
+def _macwilliams(enum: WeightEnumerator, length: int, code_size: int) -> WeightEnumerator:
     if enum.total() != code_size:
         raise TransformInconsistent(
             f"enumerator total {enum.total()} does not match |C| = {code_size}"
         )
-    out = macwilliams_counts(enum.counts, length, enum.q, code_size, literal)
+    out = macwilliams_counts(enum.counts, length, enum.q, code_size)
     return WeightEnumerator(enum.kind, enum.n, enum.q, out)
 
 
-def macwilliams_lee(enum: WeightEnumerator, code_size: int, literal: bool = False) -> WeightEnumerator:
+def macwilliams_lee(enum: WeightEnumerator, code_size: int) -> WeightEnumerator:
     """Lee distribution of the dual code from the code's own distribution."""
-    return _macwilliams(enum, 3 * enum.n, code_size, literal)
+    return _macwilliams(enum, 3 * enum.n, code_size)
 
 
 def hamming_enumerator_fq(code: fieldcode.LinearCodeFq, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
@@ -356,7 +347,7 @@ def hamming_enumerator_fq(code: fieldcode.LinearCodeFq, budget: int = DEFAULT_BU
 
 def macwilliams_hamming_fq(enum: WeightEnumerator, code_size: int) -> WeightEnumerator:
     """Field-level MacWilliams transform for Hamming enumerators over GF(q)."""
-    return _macwilliams(enum, enum.n, code_size, False)
+    return _macwilliams(enum, enum.n, code_size)
 
 
 def product_counts(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -1,6 +1,7 @@
 """Slow, independent oracles and test-only helpers that several test modules share."""
 
 import itertools
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -86,6 +87,19 @@ def span_weight_counts_by_words(basis: np.ndarray, q: int) -> np.ndarray:
     k, n = basis.shape
     messages = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
     return np.bincount(np.count_nonzero(messages @ basis % q, axis=1), minlength=n + 1)
+
+
+def binary_substitution(counts: dict[int, int], length: int, size: int) -> dict[int, Fraction]:
+    """(1/size) sum_w A_w (X+Y)^(length-w) (X-Y)^w, the printed MacWilliams form,
+    expanded one linear factor at a time as a polynomial in Y with X = 1:
+    coefficient i is the value at weight i.  Nonzero values only."""
+    total = [0] * (length + 1)
+    for w, count in counts.items():
+        poly = [count]
+        for sign in [1] * (length - w) + [-1] * w:  # times (1 + sign*Y)
+            poly = [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+        total = [t + c for t, c in zip(total, poly)]
+    return {i: Fraction(t, size) for i, t in enumerate(total) if t}
 
 
 def iter_codewords(code, budget: int = DEFAULT_BUDGET):

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from vcodes.cli import main
-from vcodes.fileio import format_code_file, parse_code_file, parse_matrix_file
-from vcodes.errors import ParseError
+from vcodes.fileio import format_code_file, parse_code_file, parse_matrix_file, parse_ring_matrix_file
+from vcodes.errors import ParamMismatch, ParseError
 from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR
 
@@ -273,6 +273,47 @@ def test_code_file_roundtrip():
     assert parse_code_file("q=3 n=0\n") == LinearCodeR(ring, 0, [])
     with pytest.raises(ParseError, match="generator has 1 entries"):
         parse_code_file("q=3 n=2\n[1,0,0]\n")
+
+
+# (reader, file text, error type, message): a bad header or q fails before any row is read
+FILE_ERROR_TABLE = [
+    (parse_matrix_file, "", ParseError, "empty file"),
+    (parse_matrix_file, "n=2 q=3\n1 2\n", ParseError, "bad header 'n=2 q=3', expected 'q=<q> n=<n>'"),
+    (parse_matrix_file, "q=4 n=2\n1 x\n", ParamMismatch, "q must be prime, got 4"),
+    (parse_matrix_file, "q=3 n=2\n1 2 0\n", ParseError, "row has 3 entries, expected 2"),
+    (parse_matrix_file, "q=3 n=2\n1 x\n", ParseError, "bad matrix entry 'x', expected an integer mod q"),
+    (parse_matrix_file, "q=3 n=2\n1 2.0\n", ParseError, "bad matrix entry '2.0', expected an integer mod q"),
+    (parse_code_file, "# only a comment\n", ParseError, "empty file"),
+    (parse_code_file, "q 3 n 2\n", ParseError, "bad header 'q 3 n 2', expected 'q=<q> n=<n>'"),
+    (parse_code_file, "q=4 n=1\n[9,9,9]\n", ParamMismatch, "q must be prime, got 4"),
+    (parse_code_file, "q=3 n=2\n[1,0,0]\n", ParseError, "generator has 1 entries, expected 2"),
+    (parse_code_file, "q=3 n=1\n1.5\n", ParseError, "bad element term '1.5'"),
+    (parse_ring_matrix_file, "q=3 n=2\n1 0 0\n0 1\n", ParseError, "matrix row has 3 entries, expected 2"),
+    (parse_ring_matrix_file, "q=3 n=2\n1 0\n", ParseError, "matrix has 1 rows, expected 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader,text,error,message", [pytest.param(*row, id=f"{row[0].__name__}:{i}") for i, row in enumerate(FILE_ERROR_TABLE)]
+)
+def test_file_errors(reader, text, error, message):
+    with pytest.raises(error) as exc:
+        reader(text)
+    assert str(exc.value) == message
+
+
+def test_matrix_file_entries_are_integers_mod_q():
+    field, n, mat = parse_matrix_file("q=3 n=2\n7 -1\n")
+    assert (field.q, n, mat.tolist()) == (3, 2, [[1, 2]])
+    assert parse_matrix_file("q=3 n=2\n")[2].shape == (0, 2)
+
+
+def test_matrix_file_with_a_non_integer_entry_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("q=3 n=2\n1 x\n")
+    rc, out, err = run(capsys, "dual", "--matrix", str(path))
+    assert rc == 1 and out == ""
+    assert err == "error: bad matrix entry 'x', expected an integer mod q\n"
 
 
 def test_matrix_file_errors():

@@ -12,6 +12,7 @@ from vcodes.gf import (
     monic_divisors_of_xn_minus_1,
     parse_poly,
 )
+from vcodes.ring import parse_elem, ring_over
 
 
 def P(q, text):
@@ -148,3 +149,53 @@ def test_parse_rejects_garbage():
         P(3, "x^+2")
     with pytest.raises(ParseError):
         P(3, "")
+
+
+# both term grammars at q = 3: (grammar, text, coefficients lowest power first, or the ParseError message)
+TERM_GRAMMAR_TABLE = [
+    ("poly", "x^10", (0,) * 10 + (1,)),
+    ("poly", "2*x", (0, 2)),
+    ("poly", "2x", (0, 2)),
+    ("poly", "*x", (0, 1)),  # a bare '*' leaves the coefficient at 1
+    ("poly", "2*", (2,)),  # and a trailing one multiplies by nothing
+    ("poly", " 1 + 2 x ^ 2 ", (1, 0, 2)),
+    ("poly", "x+x+x", ()),
+    ("poly", "x++1", "bad polynomial term ''"),
+    ("poly", "x^+2", "bad polynomial term 'x^'"),
+    ("poly", "v", "bad polynomial term 'v'"),
+    ("poly", "[1,2,0]", "bad polynomial term '[1,2,0]'"),
+    ("poly", "x+3", "coefficient 3 out of range for q=3"),
+    ("poly", "", "empty polynomial"),
+    ("poly", " \t", "empty polynomial"),
+    ("elem", "[1,2,0]", (1, 2, 0)),
+    ("elem", "[ 1, 2, 0 ]", (1, 2, 0)),
+    ("elem", "1+2v+v^2", (1, 2, 1)),
+    ("elem", "2*v^2", (0, 0, 2)),
+    ("elem", "*v", (0, 1, 0)),
+    ("elem", "2*", (2, 0, 0)),
+    ("elem", "v^2+v^2", (0, 0, 2)),
+    ("elem", "[1,2,3]", "coefficient 3 out of range for q=3"),
+    ("elem", "3v", "coefficient 3 out of range for q=3"),
+    ("elem", "v^3", "bad element term 'v^3'"),
+    ("elem", "x", "bad element term 'x'"),
+    ("elem", "v++1", "bad element term ''"),
+    ("elem", "[1,2]", "bad element term '[1,2]'"),
+    ("elem", "", "empty ring element"),
+    ("elem", "  ", "empty ring element"),
+]
+
+
+@pytest.mark.parametrize("grammar,text,expected", TERM_GRAMMAR_TABLE)
+def test_term_grammars(grammar, text, expected):
+    def parse():
+        if grammar == "poly":
+            return parse_poly(GF(3), text).coeffs
+        x = parse_elem(ring_over(3), text)
+        return (x.a0, x.a1, x.a2)
+
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            parse()
+        assert str(exc.value) == expected
+    else:
+        assert parse() == expected

@@ -1,5 +1,7 @@
 """The names ``vcodes`` exports: adding or removing one is a deliberate edit of this list."""
 
+import pytest
+
 import vcodes
 
 PUBLIC_NAMES = [
@@ -77,3 +79,32 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(vcodes.__all__) == PUBLIC_NAMES
+
+
+R3 = vcodes.ring_over(3)
+F3 = vcodes.GF(3)
+_LEE = vcodes.WeightEnumerator("lee", 1, 3, {0: 1})
+_SWE = vcodes.symmetrized_enumerator(vcodes.LinearCodeR(R3, 1, [[1]]))
+
+# bad input at a public entry point: lengths raise ShapeError, unknown names ParamMismatch
+BAD_INPUTS = {
+    "ring-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, 2, [[1, 2]]).contains([1, 2, 3])),
+    "fq-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([1, 2, 0])),
+    "fq-reduce-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).reduce_vector([1])),
+    "gray-words-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, 2, [[1, 2]]).gray_words([[1, 2, 3]])),
+    "ring-code-negative-n": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, -1, [])),
+    "fq-code-negative-n": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, -1, [])),
+    "permutation-length": (vcodes.ShapeError, lambda: vcodes.SignedPermutation((1, 0), (False, True)).apply(R3, [[1, 2, 3]])),
+    "distance-strategy": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeR(R3, 1, [[1]]).min_lee_distance("component-lemma")),
+    "enumerator-kind": (vcodes.ParamMismatch, lambda: vcodes.WeightEnumerator("rank", 1, 3, {0: 1})),
+    "specialize-target": (vcodes.ParamMismatch, lambda: vcodes.specialize(_SWE, "rank")),
+    "specialize-kind": (vcodes.ParamMismatch, lambda: vcodes.specialize(_LEE, "hamming")),
+    "combination-mode": (vcodes.ParamMismatch, lambda: vcodes.combine_components(R3, [vcodes.LinearCodeFq(F3, 1, [[1]])] * 3, "crt")),
+    "suite-scope": (vcodes.ParamMismatch, lambda: vcodes.run_verification_suite(scope="lattice")),
+}
+
+
+@pytest.mark.parametrize("error,call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_a_typed_error(error, call):
+    with pytest.raises(error):
+        call()

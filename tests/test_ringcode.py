@@ -456,13 +456,6 @@ def test_symbol_maps_match_the_hand_sliced_oracles(code):
     assert best == d and np.array_equal(found, rows)
 
 
-def test_component_lemma_strategy_is_tagged():
-    code = LinearCodeR(R3, 2, [[1, 1]])
-    value, tag = code.min_lee_distance("component-lemma")
-    assert tag == "lemma5-based"
-    assert value >= 1
-
-
 def test_self_dual_implies_chain():
     # the self-dual cyclic code of length 2 over q=2 found by exhaustive search
     members = [(0, 0), (6, 0), (3, 3), (5, 3), (3, 5), (5, 5), (0, 6), (6, 6)]

@@ -350,8 +350,10 @@ def _brute_force_dual_is_the_code(monkeypatch):
 
 
 def _macwilliams_is_printed_form(monkeypatch):
-    transform = wenum.macwilliams_lee
-    monkeypatch.setattr(wenum, "macwilliams_lee", lambda enum, code_size, literal=False: transform(enum, code_size, literal=True))
+    def printed(enum, code_size):
+        return wenum.WeightEnumerator("lee", enum.n, enum.q, wenum.macwilliams_counts(enum.counts, 3 * enum.n, 2, code_size))
+
+    monkeypatch.setattr(wenum, "macwilliams_lee", printed)
 
 
 def _is_cyclic_r_false(monkeypatch):

@@ -15,7 +15,7 @@ from vcodes.ring import ring_over
 from vcodes.ringcode import LinearCodeR, random_code_r
 from vcodes import wenum
 
-from oracles import full_space_r, iter_codewords, zero_code_r
+from oracles import binary_substitution, full_space_r, iter_codewords, zero_code_r
 
 
 R2 = ring_over(2)
@@ -327,7 +327,7 @@ def test_macwilliams_roundtrip_exhaustive_random():
         tested += 1
         if q == 3:
             try:
-                if wenum.macwilliams_lee(lee, code.size, literal=True) != dual_lee:
+                if wenum.macwilliams_counts(lee.counts, 3 * code.n, 2, code.size) != dual_lee.counts:
                     literal_failures += 1
             except TransformInconsistent:
                 literal_failures += 1
@@ -342,13 +342,27 @@ def test_macwilliams_literal_correct_at_q2():
         code = random_code_r(R2, rng.randrange(1, 3), rng)
         dual = code.brute_force_dual()
         lee = wenum.lee_enumerator(code)
-        assert wenum.macwilliams_lee(lee, code.size, literal=True) == wenum.lee_enumerator(dual)
+        assert wenum.macwilliams_counts(lee.counts, 3 * code.n, 2, code.size) == wenum.lee_enumerator(dual).counts
 
 
 def test_macwilliams_integrality_guard():
     lee = wenum.WeightEnumerator("lee", 1, 3, {0: 1, 2: 2})  # span{e1} over q=3
     with pytest.raises(TransformInconsistent):
-        wenum.macwilliams_lee(lee, 3, literal=True)
+        wenum.macwilliams_counts(lee.counts, 3, 2, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_macwilliams_at_q2_is_the_printed_binary_substitution(q):
+    rng = random.Random(q)
+    for _ in range(60):
+        code = random_code_r(ring_over(q), rng.randrange(1, 3), rng)
+        counts = wenum.lee_enumerator(code).counts
+        expected = binary_substitution(counts, 3 * code.n, code.size)
+        if all(c.denominator == 1 and c > 0 for c in expected.values()):
+            assert wenum.macwilliams_counts(counts, 3 * code.n, 2, code.size) == expected
+        else:  # the printed form gives no distribution, so the transform refuses
+            with pytest.raises(TransformInconsistent):
+                wenum.macwilliams_counts(counts, 3 * code.n, 2, code.size)
 
 
 def test_macwilliams_total_mismatch_rejected():
