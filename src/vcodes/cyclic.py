@@ -161,9 +161,9 @@ def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
     walked (tiny n only) as RREF F_q bases, and the basis of each half-size
     ideal is compared with the basis of its dual, which ``flat_dual``
     computes for every q.  The witness is the self-dual code found, at q = 2
-    generated by all its members in encoded order.  ``build(ring, spec, mode)``
-    makes each odd-q code, ``cyclic_code_r`` when None; a caller that builds the
-    same triples again passes its own memo.
+    the code of its lattice node.  ``build(ring, spec, mode)`` makes each
+    odd-q code, ``cyclic_code_r`` when None; a caller that builds the same
+    triples again passes its own memo.
     Returns {"witness": LinearCodeR or None, "exhausted": bool, "tested": count}.
     """
     tested = 0
@@ -185,5 +185,5 @@ def self_dual_cyclic_search(ring: Ring, n: int, build=None) -> dict:
         tested += 1
         # |I| = |I^dual| = q^(3n/2) needs 3n/2 basis rows; equal bases, equal codes
         if 2 * len(ideal) == 3 * n and space.dual_set(ideal).tobytes() == ideal.tobytes():
-            return {"witness": space.witness(ideal), "exhausted": True, "tested": tested}
+            return {"witness": space.code(ideal), "exhausted": True, "tested": tested}
     return {"witness": None, "exhausted": True, "tested": tested}

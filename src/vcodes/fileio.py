@@ -18,7 +18,7 @@ from .gf import GF
 from .ring import Ring, format_row, parse_elem, ring_over
 from .ringcode import LinearCodeR
 
-_HEADER_RE = re.compile(r"^q=(\d+)\s+n=(\d+)$")
+_HEADER_RE = re.compile(r"^q=([0-9]+)\s+n=([0-9]+)$")
 
 
 def _read_rows(text: str, over, entry, what: str) -> tuple:
@@ -42,10 +42,9 @@ def _read_rows(text: str, over, entry, what: str) -> tuple:
 
 
 def _field_entry(field: GF, text: str) -> int:
-    try:
-        return int(text) % field.q
-    except ValueError:
-        raise ParseError(f"bad matrix entry {text!r}, expected an integer mod q") from None
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise ParseError(f"bad matrix entry {text!r}, expected an integer mod q")
+    return int(text) % field.q
 
 
 def _ring_entry(ring: Ring, text: str) -> int:

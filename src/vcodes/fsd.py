@@ -235,7 +235,7 @@ def odd_fsd_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Walk every R-submodule of R^n looking for an odd formally self-dual code.
 
     Each lattice node is an RREF F_q basis and its code is built from that
-    basis; a witness is generated by all its members, in encoded order.
+    basis; a witness is the code of the node the walk stopped at.
     Returns {"witness": code or None, "exhausted": True, "tested": count}.
     """
     space = AmbientSpace(ring, n)
@@ -244,7 +244,7 @@ def odd_fsd_search(ring: Ring, n: int, budget: int = DEFAULT_BUDGET) -> dict:
         tested += 1
         code = space.code(basis)
         if is_formally_self_dual(code, budget) and has_odd_lee_word(code, budget):  # sizes first, then Lee
-            return {"witness": space.witness(basis), "exhausted": True, "tested": tested}
+            return {"witness": code, "exhausted": True, "tested": tested}
     return {"witness": None, "exhausted": True, "tested": tested}
 
 

@@ -186,27 +186,28 @@ class Poly:
 
 def parse_terms(text: str, q: int, var: str, exponent: str, noun: str) -> list[int]:
     """Coefficients, lowest power first, of a sum of terms ``c``, ``var``, ``c*var^k``
-    (``*`` optional, whitespace ignored, k matching the regex ``exponent``): the
-    grammar of polynomials in x and of ring elements in v.  ``noun`` names either in errors."""
+    (c in ASCII digits, ``*`` optional but only between c and ``var``, whitespace
+    ignored, k matching the regex ``exponent``): the grammar of polynomials in x
+    and of ring elements in v.  ``noun`` names either in errors."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError(f"empty {noun}")
     coeffs: dict[int, int] = {}
     for term in s.split("+"):
-        m = re.match(rf"^(\d+)?\*?({var}(\^({exponent}))?)?$", term)
+        m = re.fullmatch(rf"(?:([0-9]+)(?:\*(?={var}))?)?({var}(?:\^({exponent}))?)?", term)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(f"bad {noun} term {term!r}")
         c = int(m.group(1) or 1)
         if c >= q:
             raise ParseError(f"coefficient {c} out of range for q={q}")
-        k = int(m.group(4) or 1) if m.group(2) else 0
+        k = int(m.group(3) or 1) if m.group(2) else 0
         coeffs[k] = (coeffs.get(k, 0) + c) % q
     return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
 
 
 def parse_poly(field: GF, text: str) -> Poly:
     """Parse sums of terms ``c``, ``x^k``, ``c*x^k`` (``*`` optional)."""
-    return Poly(field, parse_terms(text, field.q, "x", r"\d+", "polynomial"))
+    return Poly(field, parse_terms(text, field.q, "x", "[0-9]+", "polynomial"))
 
 
 def format_poly(p: Poly) -> str:

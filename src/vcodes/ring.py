@@ -233,7 +233,7 @@ class RingElem:
         return format_elem(self)
 
 
-_TRIPLE_RE = re.compile(r"^\[(\d+),(\d+),(\d+)\]$")
+_TRIPLE_RE = re.compile(r"^\[([0-9]+),([0-9]+),([0-9]+)\]$")
 
 
 def parse_elem(ring: Ring, text: str) -> RingElem:

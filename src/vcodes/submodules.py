@@ -16,11 +16,9 @@ for ideals their principal ideals, one per shift orbit.  The product joins
 every node of one factor with every node of the next, and each pair is a
 new node.  Joins run in batches: a zero-padded stack within
 ``fieldcode._MAX_ENTRIES`` entries reduced by one ``rref_stack`` call, so
-memory stays flat however large the level.  The walk is ordered by (size,
-sorted members encoded as integers base |R|); the members of all nodes of
-one rank come from one product of that rank's message table with their
-stacked bases, again in batches within ``_MAX_ENTRIES``, and a witness is
-spelled out from the members of its node.
+memory stays flat however large the level.  The walk is sorted by (rank,
+flattened RREF entries), so smaller submodules come first, and no node's
+members are ever listed.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .fieldcode import LinearCodeFq, _messages, _pad, _step, rref_stack
+from .fieldcode import LinearCodeFq, _pad, _step, rref_stack
 from .ring import Ring
 from .ringcode import LinearCodeR, _flatten, _map_symbols, flat_dual, fq_span_rows
 
@@ -69,11 +67,6 @@ class AmbientSpace:
     def code(self, basis: np.ndarray) -> LinearCodeR:
         """The R-code whose flattened F_q span has this basis."""
         return LinearCodeR._from_flat(self.ring, self.n, LinearCodeFq.from_rref(self.ring.field, basis))
-
-    def witness(self, basis: np.ndarray) -> LinearCodeR:
-        """The code generated by all its members in encoded order, read off its order key."""
-        members = np.frombuffer(self._order_keys([basis])[0][1], dtype=np.int64)
-        return LinearCodeR(self.ring, self.n, self.decode[members])
 
     def cyclic_span(self, indices: np.ndarray) -> np.ndarray:
         """The reduced (len, 3, 3n) stack of the submodules R*a, a in indices."""
@@ -132,7 +125,7 @@ class AmbientSpace:
         return list(seen.values())
 
     def _lattice(self, span, indices: np.ndarray, rows: int) -> list[np.ndarray]:
-        """The product of the lattices of the e*R^n, ordered by (size, members).
+        """The product of the lattices of the e*R^n, ordered by (rank, RREF entries).
 
         ``span`` gives the atoms of a factor from the indices that lie in it.
         """
@@ -149,33 +142,10 @@ class AmbientSpace:
             for joined in self._joins(_pad(nodes, 3 * self.n), _pad(factor, 3 * self.n)):
                 _collect(joined, product)
             nodes = list(product.values())
-        keys = self._order_keys(nodes)
-        return [nodes[i] for i in sorted(range(len(nodes)), key=keys.__getitem__)]
-
-    def _order_keys(self, nodes: list[np.ndarray]) -> list[tuple[int, bytes]]:
-        """The (size, bytes of its sorted encoded members) key of every node,
-        for all nodes of one rank at once: the message table of that rank
-        times the stacked bases, in batches within ``_MAX_ENTRIES`` entries,
-        and each word encoded by one product with the share of each
-        flattened coordinate."""
-        q, width = self.ring.q, 3 * self.n
-        shares = (q ** np.arange(3, dtype=np.int64)[:, None] * self.powers).reshape(width)
-        ranks: dict[int, list[int]] = {}
-        for i, basis in enumerate(nodes):
-            ranks.setdefault(len(basis), []).append(i)
-        keys: list = [None] * len(nodes)
-        for rank, members in ranks.items():
-            messages = _messages(q, rank, 0, q**rank)
-            step = _step(len(messages) * width)
-            for start in range(0, len(members), step):
-                batch = members[start : start + step]
-                words = messages @ np.stack([nodes[i] for i in batch]) % q
-                for i, encoded in zip(batch, np.sort(words @ shares, axis=1)):
-                    keys[i] = (len(messages), encoded.tobytes())
-        return keys
+        return sorted(nodes, key=lambda basis: (len(basis), basis.ravel().tolist()))
 
     def all_submodules(self) -> list[np.ndarray]:
-        """Every R-submodule of R^n, as RREF bases ordered by (size, members)."""
+        """Every R-submodule of R^n, as RREF bases ordered by (rank, entries)."""
         return self._lattice(self.cyclic_span, np.arange(1, self.size), 3)
 
     def all_ideals(self) -> list[np.ndarray]:

@@ -726,7 +726,7 @@ def _claim_ex15(ctx):
     # Lee weights of the idempotent embeddings certify an upper bound too
     slot_weights = [int(ring.lee_table[e]) for e in (ring.e1, ring.e2, ring.e0)]
     upper = min(w * p[2] for w, p in zip(slot_weights, comp_params))
-    exact = image.min_distance(ctx.budget)
+    exact, words = code.minimum_lee_words(ctx.budget)
     observed = {
         "gray_parameters": [image.n, image.k],
         "component_codes": comp_params,
@@ -735,6 +735,7 @@ def _claim_ex15(ctx):
         "minimum_distance_exact": exact,
         "isodual_witness": ok_witness,
         "repaired_entries": repaired,
+        "minimum_weight_codeword": format_row(ring, words[0]),
     }
     status = "canonicalized" if exact == 12 else "refuted"
     note = (
@@ -762,13 +763,14 @@ def _claim_ex17(ctx):
     ring, code, witness, repaired = _ex17_code()
     image = code.gray_image()
     ok_witness = isodual_witness_check(code, witness)
-    d = image.min_distance(ctx.budget)
+    d, words = code.minimum_lee_words(ctx.budget)
     observed = {
         "gray_parameters": [image.n, image.k, d],
         "isodual_witness": ok_witness,
         "repaired_core_entries": repaired,
         "alpha": EX17_ALPHA,
         "omega": EX17_OMEGA,
+        "minimum_weight_codeword": format_row(ring, words[0]),
     }
     status = "canonicalized" if d == 9 else "refuted"
     note = (

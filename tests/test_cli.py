@@ -90,6 +90,21 @@ def test_parse_error_exit_code(capsys):
     assert rc == 1 and "error" in err
 
 
+@pytest.mark.parametrize("element", ["1+2*", "*v", "\u0663v"])
+def test_element_typos_are_one_line_errors(capsys, element):
+    rc, out, err = run(capsys, "gray", "--q", "5", "--element", element)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: bad element term ") and err.count("\n") == 1
+
+
+def test_matrix_entry_with_an_underscore_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("q=3 n=2\n1_0 2\n")
+    rc, out, err = run(capsys, "dual", "--matrix", str(path))
+    assert rc == 1 and out == ""
+    assert err == "error: bad matrix entry '1_0', expected an integer mod q\n"
+
+
 def test_ring_too_large_to_tabulate_is_a_one_line_error(capsys):
     rc, out, err = run(capsys, "gray", "--q", "131", "--element", "1")
     assert rc == 1 and out == ""
@@ -290,6 +305,8 @@ FILE_ERROR_TABLE = [
     (parse_code_file, "q=3 n=1\n1.5\n", ParseError, "bad element term '1.5'"),
     (parse_ring_matrix_file, "q=3 n=2\n1 0 0\n0 1\n", ParseError, "matrix row has 3 entries, expected 2"),
     (parse_ring_matrix_file, "q=3 n=2\n1 0\n", ParseError, "matrix has 1 rows, expected 2"),
+    (parse_matrix_file, "q=3 n=2\n1 \u0662\n", ParseError, "bad matrix entry '\u0662', expected an integer mod q"),
+    (parse_matrix_file, "q=\u0663 n=2\n1 2\n", ParseError, "bad header 'q=\u0663 n=2', expected 'q=<q> n=<n>'"),
 ]
 
 

@@ -270,6 +270,8 @@ def test_self_dual_cyclic_found_q2_n2():
     assert code is not None and res["exhausted"]
     assert res["tested"] == 11
     assert code.size == 8
+    # the code of the node the walk stopped at: R*(1,1), by its RREF F_2 basis
+    assert code.gens == ((1, 1), (2, 2), (4, 4))
     assert is_cyclic_r(code)
     assert code == code.brute_force_dual()
 
@@ -278,10 +280,10 @@ def test_self_dual_cyclic_found_q2_n4():
     res = self_dual_cyclic_search(R2, 4)
     code = res["witness"]
     assert code is not None and res["exhausted"]
-    assert res["tested"] == 54
+    assert res["tested"] == 58
     assert code.size == 64
-    # the witness is generated by all its members, as the report prints them
-    assert len(code.gens) == 64 and code.gens[0] == (0, 0, 0, 0)
+    # R*(1,0,1,0) + R*(0,1,0,1), by its RREF F_2 basis
+    assert code == LinearCodeR(R2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]]) and len(code.gens) == 6
     assert is_cyclic_r(code)
     assert code == code.brute_force_dual()
 

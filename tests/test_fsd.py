@@ -213,7 +213,9 @@ def test_odd_fsd_search_length2_q3_finds_witness():
     assert res["tested"] == 65
     code = res["witness"]
     assert code is not None
-    assert len(code.gens) == code.size == 27
+    assert code.size == 27
+    # (v,0), (0,v+v^2), (v^2,0): the RREF F_3 basis of its lattice node
+    assert code.gens == ((3, 0), (0, 12), (9, 0))
     assert has_odd_lee_word(code)
     assert is_formally_self_dual(code)
 

@@ -156,8 +156,8 @@ TERM_GRAMMAR_TABLE = [
     ("poly", "x^10", (0,) * 10 + (1,)),
     ("poly", "2*x", (0, 2)),
     ("poly", "2x", (0, 2)),
-    ("poly", "*x", (0, 1)),  # a bare '*' leaves the coefficient at 1
-    ("poly", "2*", (2,)),  # and a trailing one multiplies by nothing
+    ("poly", "*x", "bad polynomial term '*x'"),  # '*' only between a coefficient and x
+    ("poly", "2*", "bad polynomial term '2*'"),
     ("poly", " 1 + 2 x ^ 2 ", (1, 0, 2)),
     ("poly", "x+x+x", ()),
     ("poly", "x++1", "bad polynomial term ''"),
@@ -171,8 +171,8 @@ TERM_GRAMMAR_TABLE = [
     ("elem", "[ 1, 2, 0 ]", (1, 2, 0)),
     ("elem", "1+2v+v^2", (1, 2, 1)),
     ("elem", "2*v^2", (0, 0, 2)),
-    ("elem", "*v", (0, 1, 0)),
-    ("elem", "2*", (2, 0, 0)),
+    ("elem", "*v", "bad element term '*v'"),
+    ("elem", "2*", "bad element term '2*'"),
     ("elem", "v^2+v^2", (0, 0, 2)),
     ("elem", "[1,2,3]", "coefficient 3 out of range for q=3"),
     ("elem", "3v", "coefficient 3 out of range for q=3"),
@@ -182,6 +182,12 @@ TERM_GRAMMAR_TABLE = [
     ("elem", "[1,2]", "bad element term '[1,2]'"),
     ("elem", "", "empty ring element"),
     ("elem", "  ", "empty ring element"),
+    # ASCII digits only: int() would read '1_0' as 10 and an Arabic-Indic digit as its value
+    ("poly", "1_0", "bad polynomial term '1_0'"),
+    ("poly", "\u0662x", "bad polynomial term '\u0662x'"),
+    ("elem", "1+2*", "bad element term '2*'"),
+    ("elem", "\u0663v", "bad element term '\u0663v'"),
+    ("elem", "[\u0661,0,0]", "bad element term '[\u0661,0,0]'"),
 ]
 
 

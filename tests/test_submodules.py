@@ -5,7 +5,7 @@ closure spans of all pairs (a, b) are exactly the submodules, and the
 shift-closed ones among them are the ideals.  The walk, which goes one
 idempotent factor at a time, is also checked against the ambient walk it
 replaced: the closure of the zero submodule under joins with the atoms of
-all of R^n at once.
+all of R^n at once, sorted by the same (rank, flattened RREF basis) key.
 """
 
 from functools import lru_cache
@@ -41,9 +41,9 @@ def _oracle(q, n, ideals_only):
     return spans
 
 
-def _order(space, basis):
-    words = members(space, basis)
-    return len(words), words.tobytes()
+def _order(basis):
+    """The walk's key: rank, then the flattened RREF entries."""
+    return len(basis), basis.ravel().tolist()
 
 
 def _ambient_walk(space, ideals_only):
@@ -72,7 +72,7 @@ def _ambient_walk(space, ideals_only):
             if basis.tobytes() not in seen:
                 seen[basis.tobytes()] = basis
                 frontier.append(basis)
-    return sorted(seen.values(), key=lambda basis: _order(space, basis))
+    return sorted(seen.values(), key=_order)
 
 
 @lru_cache(maxsize=None)
@@ -107,28 +107,17 @@ def test_walk_matches_closure_oracle(q, n, ideals_only, count):
 def test_walk_counts_order_and_bases(q, n, ideals_only, count):
     space, walk = _walk(q, n, ideals_only)
     assert len(walk) == count
-    keys = []
     for basis in walk:
         # each node is the RREF basis of the code it spans
         assert np.array_equal(space.code(basis).flat.gen, basis)
-        words = members(space, basis)
-        keys.append((len(words), words.tobytes()))
-    assert keys == sorted(keys)
+    _assert_sorted(walk)
 
 
-@pytest.mark.parametrize("q, n, ideals_only", [(2, 2, True), (2, 1, False), (3, 1, False)])
-def test_witness_lists_its_members_in_encoded_order(q, n, ideals_only):
-    space, walk = _walk(q, n, ideals_only)
-    for basis in walk:
-        expected = space.decode[members(space, basis)]
-        assert space.witness(basis).gens == tuple(map(tuple, expected.tolist()))
-
-
-def _assert_members_order(space, walk):
-    """The walk's per-rank keys are the members keys, and it is sorted by them."""
-    keys = [_order(space, basis) for basis in walk]
-    assert space._order_keys(walk) == keys
-    assert keys == sorted(keys)
+def _assert_sorted(walk):
+    """The walk is strictly sorted by its key, so no two nodes tie and the
+    size order holds: a node of F_q rank r has q^r members."""
+    keys = [_order(basis) for basis in walk]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize(
@@ -136,8 +125,10 @@ def _assert_members_order(space, walk):
     [(2, 2, True), (2, 3, True), (2, 4, True), (2, 1, False), (3, 1, False), (3, 2, False)],
 )
 def test_rank_keys_order_the_claims_lattices_by_members(q, n, ideals_only):
-    """The lattices that cor10 (ideals, q = 2) and thm20 (submodules) walk."""
-    _assert_members_order(*_walk(q, n, ideals_only))
+    """The lattices that cor10 (ideals, q = 2) and thm20 (submodules) walk,
+    sorted by (rank, basis): smaller codes first, and equal-size codes in an
+    order that does not depend on how the walk found them."""
+    _assert_sorted(_walk(q, n, ideals_only)[1])
 
 
 _SMALL_LATTICES = [
@@ -152,9 +143,13 @@ _SMALL_LATTICES = [
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(st.sampled_from(_SMALL_LATTICES), st.sampled_from([None, 1, 300]))
 def test_rank_keys_order_every_small_lattice_by_members(lattice, cap):
-    space, walk = _walk(*lattice)
+    """Batch sizes change the order joins find the nodes in, never the walk."""
+    q, n, ideals_only = lattice
     with mock.patch.object(fieldcode, "_MAX_ENTRIES", cap or fieldcode._MAX_ENTRIES):
-        _assert_members_order(space, walk)
+        space = AmbientSpace(ring_over(q), n)
+        walk = space.all_ideals() if ideals_only else space.all_submodules()
+    _assert_sorted(walk)
+    assert list(map(_order, walk)) == list(map(_order, _walk(*lattice)[1]))
 
 
 def test_join_is_the_span_of_both():

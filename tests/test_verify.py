@@ -118,7 +118,13 @@ def test_example_distances_are_exact():
     assert ex15.observed["minimum_distance_exact"] == 3 and ex15.status == "refuted"
     assert ex15.observed["certified_distance_range"] == [2, 3]
     assert "exact by Brouwer-Zimmermann" in ex15.note
-    assert entries["ex17-bordered"].observed["gray_parameters"] == [24, 12, 2]
+    assert ex15.observed["minimum_weight_codeword"] == [
+        "[0,0,0]", "[0,0,0]", "[0,0,0]", "[0,0,0]", "[1,0,4]",
+        "[0,0,0]", "[3,0,2]", "[1,0,4]", "[0,0,0]", "[0,0,0]",
+    ]
+    ex17 = entries["ex17-bordered"]
+    assert ex17.observed["gray_parameters"] == [24, 12, 2]
+    assert ex17.observed["minimum_weight_codeword"] == ["[0,1,2]"] + ["[0,0,0]"] * 7
 
 
 def test_cyclic_scope_builds_each_triple_code_once_per_run(monkeypatch):
@@ -171,7 +177,8 @@ def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
                 monkeypatch.setattr(module, name, counting)
     for scope in ("cyclic", "fsd"):
         run_verification_suite(scope=scope, seed=42)
-    assert dict(calls) == {"rref": 147, "rref_stack": 138}
+    # the q = 2, n = 4 ideal walk stops at node 58 after 10 half-size duals
+    assert dict(calls) == {"rref": 148, "rref_stack": 138}
 
 
 def _reference_construction(claim_id, make_block, make_input, label):
@@ -424,7 +431,7 @@ FAULTS = [
     (_is_cyclic_r_false, "thm8-cyclic-components", 0, "triple codes are cyclic", None),
     (_is_cyclic_r_true, "thm8-cyclic-components", 640, "negative control", None),
     (_fq_is_cyclic_false, "thm8-cyclic-components", 0, "components of cyclic codes are cyclic", None),
-    (_search_finds_no_witness, "cor10-self-dual-cyclic", 741, "self-dual cyclic codes exist iff q is a power of 2 and n is even", None),
+    (_search_finds_no_witness, "cor10-self-dual-cyclic", 745, "self-dual cyclic codes exist iff q is a power of 2 and n is even", None),
     (_gray_fsd_transfer_false, "thm18-gray-fsd", 0, "gray image of FSD is FSD", None),
     (_gray_fsd_transfer_true, "thm18-gray-fsd", 40, "negative control should fail", None),
     (_direct_product_zeroes_c2, "lem19-direct-product", 0, "enumerator product law", None),
