@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,14 @@ _ENUM_BUILDERS = {
 }
 
 
+def _int(text: str) -> int:
+    """An integer option in ASCII digits with an optional sign; ``int`` alone
+    would also read other scripts' digits and underscores."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcodes",
@@ -59,14 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
     enumerating = argparse.ArgumentParser(add_help=False, parents=[output])
-    enumerating.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    enumerating.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("gray", parents=[output], help="Gray image and Lee weight of one element")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     p.add_argument("--element", required=True)
 
     p = sub.add_parser("weight", parents=[output], help="Lee weight of an element or a vector")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--element")
     g.add_argument("--vector", help="whitespace-separated elements")
@@ -81,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True)
 
     p = sub.add_parser("cyclic", parents=[output], help="cyclic code from a divisor triple, or self-dual search")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--f1")
     p.add_argument("--f2")
     p.add_argument("--f3")
@@ -94,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("a", parents=[enumerating], help="[I_n | A] from a symmetric matrix over R")
     k.add_argument("--matrix-file", required=True, help="symmetric matrix over R")
     circulant = argparse.ArgumentParser(add_help=False, parents=[enumerating])
-    circulant.add_argument("--q", type=int, required=True)
+    circulant.add_argument("--q", type=_int, required=True)
     circulant.add_argument("--first-row", required=True, help="circulant first row")
     kinds.add_parser("b", parents=[circulant], help="double circulant")
     k = kinds.add_parser("c", parents=[circulant], help="bordered double circulant")
@@ -102,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--omega", required=True, help="border edge")
 
     p = sub.add_parser("verify-paper", parents=[enumerating], help="run the claim verification suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int, default=42)
     p.add_argument("--scope", choices=SCOPES, default="all")
     p.add_argument("--out", help="write the report to a file")
     p.add_argument("--timings", action="store_true", help="include wall-clock seconds (not byte-reproducible)")
@@ -278,10 +287,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except VCodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,15 +8,16 @@ with numpy; evaluations go through the ``EVALUATION`` matrix instead.
 Each F_q-linear symbol map is written once, as a 3x3 matrix whose row i
 gives output coordinate i from (a0, a1, a2), read mod q, and so is the
 inner product: ``DUAL_FORM`` is the Gram matrix of the v^2 coefficient of
-x*y, through which ``ringcode`` takes every dual.  Multiplication by v is
-``V``, so multiplication by r = a0 + a1*v + a2*v^2 is the matrix
-``Ring.times(r)`` = a0*I + a1*V + a2*V^2, and every product goes through it.
-The Gray map sends a0 + a1*v + a2*v^2 to (a0, a0+a2, a1) and the Lee weight
-of a symbol is the Hamming weight of its Gray image.  The published case
-table for the Lee weight is internally inconsistent (the same support
-pattern is listed with two different weights, and several rows leave their
-modulus unstated); it is kept here as ``PUBLISHED_LEE_TABLE`` purely so the
-verification harness can audit it row by row.
+x*y, and ``ringcode`` takes every dual through its integer inverse
+``DUAL_FORM_INVERSE``.  Multiplication by v is ``V``, so multiplication by
+r = a0 + a1*v + a2*v^2 is the matrix ``Ring.times(r)`` = a0*I + a1*V +
+a2*V^2, and every product goes through it.  The Gray map sends a0 + a1*v +
+a2*v^2 to (a0, a0+a2, a1) and the Lee weight of a symbol is the Hamming
+weight of its Gray image.  The published case table for the Lee weight is
+internally inconsistent (the same support pattern is listed with two
+different weights, and several rows leave their modulus unstated); it is
+kept here as ``PUBLISHED_LEE_TABLE`` purely so the verification harness can
+audit it row by row.
 
 Because v^3 - v = v(v-1)(v+1), evaluating v at 0, 1 and -1 gives three ring
 homomorphisms R -> F_q.  For odd q they assemble into a ring isomorphism
@@ -29,7 +30,6 @@ R ~ F_2 x F_2[u]/(u^2).  ``Ring.idempotents`` lists them for every q.
 
 from __future__ import annotations
 
-import functools
 import re
 
 import numpy as np
@@ -46,19 +46,9 @@ GRAY_INVERSE = np.array([[1, 0, 0], [0, 0, 1], [-1, 1, 0]])  # (g0 | g1 | g2) ->
 EVALUATION = np.array([[1, 1, 1], [1, -1, 1], [1, 0, 0]])  # a0 + a1 t + a2 t^2 at t = 1, -1, 0
 PROJECTIONS = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]])  # a, a+b, a+b+c as printed
 DUAL_FORM = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # x^T F y = v^2 coefficient of x*y
+DUAL_FORM_INVERSE = np.array([[-1, 0, 1], [0, 1, 0], [1, 0, 0]])  # over Z, as det DUAL_FORM = -1
 V = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]])  # v*x = (0, a0+a2, a1), as v^3 = v
 _POWERS_OF_V = np.stack([np.eye(3, dtype=np.int64), V, V @ V]).reshape(3, 9)  # row k: V^k, flattened
-
-
-@functools.cache
-def _inverse_mod(entries: bytes, q: int) -> np.ndarray:
-    """The inverse mod q of the 3x3 int64 matrix with these entries (ValueError if
-    singular): the adjugate, whose columns are cross products of row pairs, over the determinant."""
-    r = np.frombuffer(entries, dtype=np.int64).reshape(3, 3)
-    adjugate = np.stack([np.cross(r[1], r[2]), np.cross(r[2], r[0]), np.cross(r[0], r[1])], axis=1)
-    inverse = adjugate * pow(int(r[0] @ adjugate[:, 0]), -1, q) % q
-    inverse.flags.writeable = False  # one cached array serves every caller
-    return inverse
 
 
 class Ring:

@@ -42,7 +42,7 @@ from .fieldcode import (
     _step,
     rref_stack,
 )
-from .ring import DUAL_FORM, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem, _inverse_mod
+from .ring import DUAL_FORM_INVERSE, EVALUATION, GRAY, GRAY_INVERSE, PROJECTIONS, Ring, RingElem
 
 
 def fq_span_rows(ring: Ring, gens: np.ndarray) -> np.ndarray:
@@ -83,9 +83,8 @@ def _map_symbols(q: int, matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
 
 
 def _dual_rows(q: int, kernel: np.ndarray) -> np.ndarray:
-    """F_q kernel rows (..., 3n) mapped symbol by symbol through ``DUAL_FORM``^-1, read now."""
-    inverse = _inverse_mod(np.asarray(DUAL_FORM, dtype=np.int64).tobytes(), q)
-    return _map_symbols(q, inverse, kernel).reshape(kernel.shape)
+    """F_q kernel rows (..., 3n) mapped symbol by symbol through ``DUAL_FORM_INVERSE``."""
+    return _map_symbols(q, DUAL_FORM_INVERSE, kernel).reshape(kernel.shape)
 
 
 def flat_dual(ring: Ring, flat: LinearCodeFq) -> LinearCodeFq:

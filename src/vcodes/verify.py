@@ -223,6 +223,15 @@ def _gens(code) -> list[list[int]]:
     return list(map(list, code.gens))
 
 
+def _json_counts(counts: dict) -> dict:
+    return {str(w): c for w, c in counts.items()}  # JSON object keys are strings
+
+
+def _witness_rows(ring, res) -> dict:
+    """A search result's witness as spelled generator rows, or nothing when it found none."""
+    return {} if res["witness"] is None else {"witness_generators": [format_row(ring, g) for g in res["witness"].gens]}
+
+
 def _first(failed: np.ndarray) -> int | None:
     """The position of the first true entry, which is also the number of
     samples that passed before it, or None when every sample passed."""
@@ -448,18 +457,11 @@ def _claim_thm7_4(ctx):
         if counterexample is None and code.ring.q == 3:
             try:
                 literal = wenum.macwilliams_counts(lee.counts, 3 * lee.n, 2, code.size)  # the printed (X+Y, X-Y)
-                bad = literal != dual_lee.counts
-                detail = {"literal_counts": literal if bad else None}
+                detail = None if literal == dual_lee.counts else {"literal_counts": _json_counts(literal)}
             except TransformInconsistent as exc:
-                bad = True
                 detail = {"literal_error": str(exc)}
-            if bad:
-                counterexample = {
-                    "q": 3,
-                    "gens": _gens(code),
-                    "dual_counts": {str(k): v for k, v in dual_lee.counts.items()},
-                    **{k: (v if not isinstance(v, dict) else {str(a): b for a, b in v.items()}) for k, v in detail.items()},
-                }
+            if detail:
+                counterexample = {"q": 3, "gens": _gens(code), "dual_counts": _json_counts(dual_lee.counts), **detail}
     return (
         "canonicalized",
         {"corrected_form_matches": ctx.tested, "literal_form_counterexample": counterexample},
@@ -520,10 +522,7 @@ def _claim_cor10(ctx):
             found = res["witness"] is not None
             expected = q % 2 == 0 and n % 2 == 0
             consistent &= found == expected
-            entry = {"found": found, "criterion": expected, "tested": res["tested"], "exhausted": res["exhausted"]}
-            if found:
-                entry["witness_generators"] = [format_row(ring, g) for g in res["witness"].gens]
-            observed[f"q={q},n={n}"] = entry
+            observed[f"q={q},n={n}"] = {"found": found, "criterion": expected, "tested": res["tested"], "exhausted": res["exhausted"], **_witness_rows(ring, res)}
     return (
         "confirmed" if consistent else "refuted",
         observed,
@@ -645,10 +644,7 @@ def _claim_thm20(ctx):
         ring = ring_over(q)
         res = odd_fsd_search(ring, n, ctx.budget)
         ctx.tested += res["tested"]
-        entry = {"witness": res["witness"] is not None, "submodules_tested": res["tested"], "exhausted": res["exhausted"]}
-        if res["witness"] is not None:
-            entry["witness_generators"] = [format_row(ring, g) for g in res["witness"].gens]
-        observed[f"q={q},n={n}"] = entry
+        observed[f"q={q},n={n}"] = {"witness": res["witness"] is not None, "submodules_tested": res["tested"], "exhausted": res["exhausted"], **_witness_rows(ring, res)}
     len1_refuted = not observed["q=2,n=1"]["witness"] and not observed["q=3,n=1"]["witness"]
     return (
         "refuted" if len1_refuted else "confirmed",
@@ -674,115 +670,89 @@ def _repairs(ring, printed, rebuilt) -> list[list]:
     ]
 
 
-def _ex13_code():
+def _claim_example(claim_id, anchor, build, published, refuted_note, reproduced_note, exact_key=None):
+    """Register a worked example whose Gray image was published as ``published`` = [n, k, d].
+
+    ``build(budget)`` returns the example's ring, code and isodual witness, the
+    observed keys only it records, and its ``tested`` count.  The claim checks
+    the witness and finds the exact Lee distance d, the third Gray parameter
+    (or the key ``exact_key``).  The published d canonicalizes the example;
+    any other refutes it, with ``refuted_note`` formatted with d and the keys.
+    """
+
+    @_claim(claim_id, anchor, "examples")
+    def run(ctx):
+        ring, code, witness, own, tested = build(ctx.budget)
+        d, words = code.minimum_lee_words(ctx.budget)
+        observed = {
+            "gray_parameters": [3 * code.n, code.dim_fq] + ([] if exact_key else [d]),
+            "isodual_witness": isodual_witness_check(code, witness),
+            "minimum_weight_codeword": format_row(ring, words[0]),
+            **({exact_key: d} if exact_key else {}),
+            **own,
+        }
+        ctx.tested += tested
+        if d == published[2]:
+            return "canonicalized", observed, published, reproduced_note
+        return "refuted", observed, published, refuted_note.format(d=d, **observed)
+
+
+def _ex13_code(budget: int = DEFAULT_BUDGET):
     ring = ring_over(3)
     printed = [[ring.parse(e).idx for e in row] for row in EX13_PRINTED_ROWS]
     matrix = SymmetricMatrixR.from_upper_triangle(ring, printed)
     code, witness = construction_a(ring, matrix)
-    return ring, code, witness, _repairs(ring, printed, matrix.rows)
+    return ring, code, witness, {"repaired_entries": _repairs(ring, printed, matrix.rows)}, code.size
 
 
-@_claim("ex13-symmetric", "Example 13", "examples")
-def _claim_ex13(ctx):
-    ring, code, witness, repaired = _ex13_code()
-    image = code.gray_image()
-    ok_witness = isodual_witness_check(code, witness)
-    best, words = code.minimum_lee_words(ctx.budget)
-    observed = {
-        "gray_parameters": [image.n, image.k, best],
-        "isodual_witness": ok_witness,
-        "repaired_entries": repaired,
-        "minimum_weight_codeword": format_row(ring, words[0]),
-    }
-    status = "canonicalized" if best == 9 else "refuted"
-    note = (
-        "the printed matrix is not symmetric: entry (4,1) reads 1+2v+v^2 against (1,4) = 1+2v+2v^2, "
-        "so the grid was symmetrized from its upper triangle; the code is formally self-dual with a "
-        f"[30,15] Gray image, but its minimum distance, exact by Brouwer-Zimmermann over every codeword, "
-        f"is {best}, not the published 9"
-    )
-    if best == 9:
-        note = "matrix symmetrized from its upper triangle (entry (4,1) misprinted); published parameters reproduced"
-    ctx.tested += code.size
-    return status, observed, [30, 15, 9], note
-
-
-def _ex15_code():
+def _ex15_code(budget: int = DEFAULT_BUDGET):
     ring = ring_over(5)
     printed = [[ring.parse(e).idx for e in row] for row in EX15_PRINTED_ROWS]
     spec = CirculantSpecR(ring, tuple(printed[0]))
     code, witness = construction_b(ring, spec)
-    return ring, code, witness, _repairs(ring, printed, spec.rows())
-
-
-@_claim("ex15-double-circulant", "Example 15", "examples")
-def _claim_ex15(ctx):
-    ring, code, witness, repaired = _ex15_code()
-    image = code.gray_image()
-    ok_witness = isodual_witness_check(code, witness)
     comps = code.components_crt()
-    comp_params = [[c.n, c.k, c.min_distance(ctx.budget)] for c in comps]
-    lemma_value = min(p[2] for p in comp_params)
-    # Lee weights of the idempotent embeddings certify an upper bound too
-    slot_weights = [int(ring.lee_table[e]) for e in (ring.e1, ring.e2, ring.e0)]
-    upper = min(w * p[2] for w, p in zip(slot_weights, comp_params))
-    exact, words = code.minimum_lee_words(ctx.budget)
-    observed = {
-        "gray_parameters": [image.n, image.k],
-        "component_codes": comp_params,
-        "minimum_distance_lemma5_based": lemma_value,
-        "certified_distance_range": [lemma_value, upper],
-        "minimum_distance_exact": exact,
-        "isodual_witness": ok_witness,
-        "repaired_entries": repaired,
-        "minimum_weight_codeword": format_row(ring, words[0]),
-    }
-    status = "canonicalized" if exact == 12 else "refuted"
-    note = (
-        "printed row 5 is not the cyclic shift of row 4, so the matrix was rebuilt as the circulant of "
-        "its printed first row; the Gray image's minimum distance, exact by Brouwer-Zimmermann over every "
-        f"codeword, is {exact}, refuting the published 12 (the component minimum, tagged lemma5-based, is "
-        f"{lemma_value}, and the idempotent embeddings cap the distance at {upper})"
-    )
-    if exact == 12:
-        note = "matrix rebuilt as the circulant of its printed first row; published parameters reproduced"
-    ctx.tested += 3 * 5**5
-    return status, observed, [30, 15, 12], note
+    params = [[c.n, c.k, c.min_distance(budget)] for c in comps]
+    lemma = min(p[2] for p in params)
+    # the Lee weights of the idempotent embeddings certify an upper bound too
+    upper = min(int(ring.lee_table[e]) * p[2] for e, p in zip((ring.e1, ring.e2, ring.e0), params))
+    own = {"component_codes": params, "minimum_distance_lemma5_based": lemma, "certified_distance_range": [lemma, upper]}
+    own["repaired_entries"] = _repairs(ring, printed, spec.rows())
+    return ring, code, witness, own, sum(c.size for c in comps)  # the component codes whose distances it computed
 
 
-def _ex17_code():
+def _ex17_code(budget: int = DEFAULT_BUDGET):
     ring = ring_over(3)
     printed = [[ring.parse(e).idx for e in row] for row in EX17_PRINTED_CORE]
     spec = BorderedSpecR(ring, ring.parse(EX17_ALPHA).idx, ring.parse(EX17_OMEGA).idx, CirculantSpecR(ring, tuple(printed[0])))
     code, witness = construction_c(ring, spec)
-    return ring, code, witness, _repairs(ring, printed, spec.core.rows())
+    own = {"repaired_core_entries": _repairs(ring, printed, spec.core.rows()), "alpha": EX17_ALPHA, "omega": EX17_OMEGA}
+    return ring, code, witness, own, code.size
 
 
-@_claim("ex17-bordered", "Example 17", "examples")
-def _claim_ex17(ctx):
-    ring, code, witness, repaired = _ex17_code()
-    image = code.gray_image()
-    ok_witness = isodual_witness_check(code, witness)
-    d, words = code.minimum_lee_words(ctx.budget)
-    observed = {
-        "gray_parameters": [image.n, image.k, d],
-        "isodual_witness": ok_witness,
-        "repaired_core_entries": repaired,
-        "alpha": EX17_ALPHA,
-        "omega": EX17_OMEGA,
-        "minimum_weight_codeword": format_row(ring, words[0]),
-    }
-    status = "canonicalized" if d == 9 else "refuted"
-    note = (
-        "core entry (3,2) reads v^2 where circulancy forces 2v^2, so the core was rebuilt from its first row, "
-        "and alpha is taken from the prose (2+v+2v^2; the displayed generator matrix drops the square); the "
-        f"code is formally self-dual with a [24,12] Gray image whose minimum distance, exact by "
-        f"Brouwer-Zimmermann over every codeword, is {d}, not the published 9"
-    )
-    if d == 9:
-        note = "core rebuilt from its first row and alpha taken from the prose; published parameters reproduced"
-    ctx.tested += code.size
-    return status, observed, [24, 12, 9], note
+_claim_example(
+    "ex13-symmetric", "Example 13", _ex13_code, [30, 15, 9],
+    "the printed matrix is not symmetric: entry (4,1) reads 1+2v+v^2 against (1,4) = 1+2v+2v^2, so the grid was "
+    "symmetrized from its upper triangle; the code is formally self-dual with a [30,15] Gray image, but its minimum "
+    "distance, exact by Brouwer-Zimmermann over every codeword, is {d}, not the published 9",
+    "matrix symmetrized from its upper triangle (entry (4,1) misprinted); published parameters reproduced",
+)
+_claim_example(
+    "ex15-double-circulant", "Example 15", _ex15_code, [30, 15, 12],
+    "printed row 5 is not the cyclic shift of row 4, so the matrix was rebuilt as the circulant of its printed first "
+    "row; the Gray image's minimum distance, exact by Brouwer-Zimmermann over every codeword, is {d}, refuting the "
+    "published 12 (the component minimum, tagged lemma5-based, is {minimum_distance_lemma5_based}, and the "
+    "idempotent embeddings cap the distance at {certified_distance_range[1]})",
+    "matrix rebuilt as the circulant of its printed first row; published parameters reproduced",
+    exact_key="minimum_distance_exact",
+)
+_claim_example(
+    "ex17-bordered", "Example 17", _ex17_code, [24, 12, 9],
+    "core entry (3,2) reads v^2 where circulancy forces 2v^2, so the core was rebuilt from its first row, and alpha "
+    "is taken from the prose (2+v+2v^2; the displayed generator matrix drops the square); the code is formally "
+    "self-dual with a [24,12] Gray image whose minimum distance, exact by Brouwer-Zimmermann over every codeword, "
+    "is {d}, not the published 9",
+    "core rebuilt from its first row and alpha taken from the prose; published parameters reproduced",
+)
 
 
 # ---------------------------------------------------------------------------

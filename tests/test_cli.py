@@ -97,6 +97,24 @@ def test_element_typos_are_one_line_errors(capsys, element):
     assert err.startswith("error: bad element term ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(("gray", "--q", "\u0663", "--element", "1"), "--q", id="q-arabic-indic-digit"),
+        pytest.param(("cyclic", "--q", "3", "--n", "1_0", "--search-self-dual"), "--n", id="n-underscore"),
+        pytest.param(("verify-paper", "--seed", "\u0664\u0662", "--scope", "gray"), "--seed", id="seed-arabic-indic-digits"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, option):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: {argv[argv.index(option) + 1]!r}\n")
+
+
+def test_integer_options_allow_a_sign_and_surrounding_whitespace(capsys):
+    assert run(capsys, "gray", "--q", " +3 ", "--element", "1")[:2] == (0, "[1,1,0] weight 2\n")
+
+
 def test_matrix_entry_with_an_underscore_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("q=3 n=2\n1_0 2\n")

@@ -9,12 +9,20 @@ ring tables and plain arithmetic, none of the production kernels:
   brute-force orthogonal, and a word of odd Lee weight;
 - an example's minimum-weight codeword lies in the code [I | B]: its second
   half is its first half times B.  Its Lee weight is the distance the report
-  states, below the published one.
+  states, below the published one;
+- ``lem5-distance``'s first counterexample has the stated least Lee weight,
+  and a smaller least weight over its images under v -> 1, -1, 0;
+- ``cardinality-identity``'s first literal mismatch has the stated size, and
+  its literal projections a, a+b, a+b+c the stated product of sizes;
+- ``thm7-4``'s counterexample has the stated Lee distribution of its
+  brute-force orthogonal, and the printed (X+Y, X-Y) substitution is first
+  negative where the stated error says.
 
 Each kind of witness also has a fault row: a corrupted witness must fail.
 """
 
 import json
+import math
 import re
 from collections import Counter
 from itertools import product
@@ -25,7 +33,15 @@ import pytest
 
 from vcodes.verify import EX13_PRINTED_ROWS, EX15_PRINTED_ROWS, EX17_ALPHA, EX17_OMEGA, EX17_PRINTED_CORE
 
-from oracles import bordered_rows, circulant_rows, closure_codewords, ring_tables, upper_triangle_rows
+from oracles import (
+    binary_substitution,
+    bordered_rows,
+    circulant_rows,
+    closure_codewords,
+    eval_table,
+    ring_tables,
+    upper_triangle_rows,
+)
 
 REPORT = json.loads((Path(__file__).parent / "data" / "report_seed42.json").read_text())
 ENTRIES = {e["claim_id"]: e for e in REPORT["entries"]}
@@ -92,6 +108,40 @@ def _odd_fsd(q, n, rows) -> bool:
     )
 
 
+def _counterexample_words(q, found) -> set:
+    return _span(q, len(found["gens"][0]), [tuple(g) for g in found["gens"]])
+
+
+def _lem5_disagrees(q, found) -> bool:
+    words = [w for w in _counterexample_words(q, found) if any(w)]
+    table = eval_table(q)
+    images = {tuple(int(table[t][x]) for x in w) for t in (1, q - 1, 0) for w in words}
+    component_minimum = min(sum(map(bool, image)) for image in images if any(image))
+    return min(_lee(q, w) for w in words) == found["exact"] > found["component_minimum"] == component_minimum
+
+
+def _literal_product_differs(found) -> bool:
+    q = found["q"]
+    words = _counterexample_words(q, found)
+    digits = [[[x // q**i % q for i in range(3)] for x in w] for w in words]
+    sizes = [len({tuple(sum(d[: j + 1]) % q for d in w) for w in digits}) for j in range(3)]  # a, a+b, a+b+c
+    return len(words) == found["size"] != found["literal_product"] == math.prod(sizes)
+
+
+def _literal_macwilliams_fails(found) -> bool:
+    q = found["q"]
+    words = _counterexample_words(q, found)
+    n = len(found["gens"][0])
+    orthogonal = [y for y in product(range(q**3), repeat=n) if all(_dot(q, x, y) == 0 for x in words)]
+    literal = binary_substitution(Counter(_lee(q, w) for w in words), 3 * n, len(words))
+    weight, value = map(int, re.fullmatch(r"coefficient at weight (\d+) is negative \((-\d+)\)", found["literal_error"]).groups())
+    return (
+        {str(w): c for w, c in Counter(_lee(q, y) for y in orthogonal).items()} == found["dual_counts"]
+        and min(w for w, v in literal.items() if v < 0) == weight
+        and literal[weight] == value
+    )
+
+
 def _grid(q, rows):
     return [[_printed(q, e) for e in row] for row in rows]
 
@@ -136,6 +186,23 @@ def test_example_codeword_is_in_the_code_at_the_stated_distance(claim_id):
     assert _in_code_at_distance(claim_id, ENTRIES[claim_id]["observed"]["minimum_weight_codeword"])
 
 
+LEM5 = ENTRIES["lem5-distance"]["observed"]["first_counterexample"]
+CARDINALITY = ENTRIES["cardinality-identity"]["observed"]["first_literal_mismatch"]
+THM7_4 = ENTRIES["thm7-4-macwilliams"]["observed"]["literal_form_counterexample"]
+
+
+def test_lem5_counterexample_has_the_stated_distances():
+    assert _lem5_disagrees(3, LEM5)  # the claim draws q = 3 codes only
+
+
+def test_cardinality_mismatch_has_the_stated_sizes():
+    assert _literal_product_differs(CARDINALITY)
+
+
+def test_thm7_4_counterexample_fails_the_printed_transform_as_stated():
+    assert _literal_macwilliams_fails(THM7_4)
+
+
 def _recorded(claim_id, label):
     return ENTRIES[claim_id]["observed"][label]["witness_generators"]
 
@@ -160,6 +227,16 @@ def _first_entry_replaced(rows, entry):
             _in_code_at_distance,
             ("ex17-bordered", _first_entry_replaced([ENTRIES["ex17-bordered"]["observed"]["minimum_weight_codeword"]], "[0,1,1]")[0]),
             id="ex17",
+        ),
+        # the component minimum raised to the exact distance, as if the lemma held
+        pytest.param(_lem5_disagrees, (3, {**LEM5, "component_minimum": LEM5["exact"]}), id="lem5-distance"),
+        # a literal product of 3^4 where the projections give 3^5
+        pytest.param(_literal_product_differs, ({**CARDINALITY, "literal_product": 81},), id="cardinality-identity"),
+        # one dual word moved from Lee weight 5 to 3: the same total, another distribution
+        pytest.param(
+            _literal_macwilliams_fails,
+            ({**THM7_4, "dual_counts": {**THM7_4["dual_counts"], "3": 5, "5": 7}},),
+            id="thm7-4",
         ),
     ],
 )

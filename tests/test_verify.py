@@ -273,7 +273,7 @@ def test_stacked_fsd_claims_match_the_per_code_loop(monkeypatch, claim_id, budge
 
 
 def _identity_dual_form(monkeypatch):
-    monkeypatch.setattr(ringcode, "DUAL_FORM", np.eye(3, dtype=np.int64))
+    monkeypatch.setattr(ringcode, "DUAL_FORM_INVERSE", np.eye(3, dtype=np.int64))
 
 
 def _e2_is_v_squared(monkeypatch):
