@@ -164,7 +164,7 @@ def _cmd_dual(args) -> int:
         _emit(args, obj, [f"|C| = {code.size}  |C^dual| = {dual.size}", format_code_file(dual).rstrip()])
     else:
         field, n, mat = parse_matrix_file(Path(args.matrix).read_text())
-        code = LinearCodeFq.from_rows(field, n, mat)
+        code = LinearCodeFq(field, n, mat)
         dual = code.dual()
         obj = {
             "q": field.q,
@@ -283,6 +283,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 1) < 1:  # admits no enumeration
+            parser.error(f"argument --budget: must be at least 1, not {args.budget}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
+from .errors import DEFAULT_BUDGET, EmptyCode, NotADivisor, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from .gf import GF, Poly
 
 _CHUNK_ROWS = 1 << 14
@@ -354,6 +354,25 @@ def _weight_w_codewords(systematic: np.ndarray, q: int, w: int):
         yield words.reshape(-1, n)
 
 
+def _field_rows(rows, n: int) -> np.ndarray:
+    """F_q rows as a (..., n) int64 array, from an integer array or nested
+    lists; no rows give shape (0, n).  Every F_q row input of ``LinearCodeFq``
+    enters here, as R rows enter through ``ringcode._index_rows``; an int64
+    array passes without a copy, and entries are not reduced (mod q, or mod
+    |R| for the index stacks of ``fsd.SignedPermutation.apply``)."""
+    try:
+        grid = np.asarray(rows)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise ShapeError(f"rows differ in length: {exc}") from None
+    if grid.size and grid.dtype.kind not in "biu":
+        raise ParamMismatch(f"row entries must be ints, not {grid.dtype}")
+    if grid.shape == (0,):
+        grid = grid.reshape(0, n)
+    if grid.shape[-1:] != (n,):
+        raise ShapeError(f"rows of length {n} expected, not shape {grid.shape}")
+    return grid.astype(np.int64, copy=False)
+
+
 class LinearCodeFq:
     """An [n, k] linear code over GF(q), generator matrix in RREF."""
 
@@ -362,12 +381,7 @@ class LinearCodeFq:
             raise ShapeError(f"code length must be >= 0, not {n}")
         self.field = field
         self.n = n
-        gen = np.asarray(gen, dtype=np.int64)
-        if not gen.size:
-            gen = np.zeros((0, n), dtype=np.int64)
-        elif gen.ndim != 2 or gen.shape[1] != n:
-            raise ShapeError(f"a generator matrix of length {n} needs n columns, not shape {gen.shape}")
-        reduced, rank, pivots = rref(gen, field.q)
+        reduced, rank, pivots = rref(_field_rows(gen, n), field.q)  # rref refuses a stack
         self.gen = reduced[:rank]
         self.k = rank
         self.pivots = pivots
@@ -382,14 +396,6 @@ class LinearCodeFq:
             pivots = (gen != 0).argmax(axis=1).tolist() if gen.size else []
         code.pivots = pivots
         return code
-
-    @classmethod
-    def from_rows(cls, field: GF, n: int, rows) -> "LinearCodeFq":
-        try:
-            arr = np.array(list(rows), dtype=np.int64)
-        except ValueError:  # numpy refuses ragged rows
-            raise ShapeError(f"rows must all have length {n}") from None
-        return cls(field, n, arr)
 
     @classmethod
     def full_space(cls, field: GF, n: int) -> "LinearCodeFq":
@@ -418,9 +424,7 @@ class LinearCodeFq:
         """Residue of a vector, or of each row of a stack, after elimination
         by the generator rows: v - v[pivots] G, as G is in RREF."""
         q = self.field.q
-        v = np.array(vec, dtype=np.int64) % q
-        if v.shape[-1:] != (self.n,):
-            raise ShapeError(f"vectors of length {self.n} expected, not shape {v.shape}")
+        v = _field_rows(vec, self.n) % q
         return (v - v[..., self.pivots] @ self.gen) % q
 
     def contains(self, vec) -> bool:

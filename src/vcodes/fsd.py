@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, NotSymmetric, ParamMismatch, ShapeError
+from .fieldcode import _field_rows
 from .ring import Ring
 from .ringcode import LinearCodeR, _index_rows, build_codes, fq_span_rows
 from .submodules import AmbientSpace
@@ -50,11 +51,8 @@ class SignedPermutation:
             raise ShapeError(f"src {self.src} is not a permutation of range({len(self.negate)})")
 
     def apply(self, ring: Ring, rows) -> np.ndarray:
-        """The images of element-index rows (..., n)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.shape[-1:] != (len(self.src),):
-            raise ShapeError(f"rows of length {len(self.src)} expected, not shape {rows.shape}")
-        rows = rows[..., list(self.src)]
+        """The images of element-index rows (..., n), indices read mod |R|."""
+        rows = _field_rows(rows, len(self.src))[..., list(self.src)] % ring.size
         return np.where(self.negate, ring.neg_table[rows], rows)
 
     def to_json_obj(self) -> dict:

@@ -179,10 +179,6 @@ class Poly:
     def __str__(self):
         return format_poly(self)
 
-    @classmethod
-    def parse(cls, field: GF, text: str) -> "Poly":
-        return parse_poly(field, text)
-
 
 def parse_terms(text: str, q: int, var: str, exponent: str, noun: str) -> list[int]:
     """Coefficients, lowest power first, of a sum of terms ``c``, ``var``, ``c*var^k``

@@ -181,13 +181,6 @@ class LinearCodeR:
         code.gens = tuple(map(tuple, gens.tolist()))
         return code
 
-    @classmethod
-    def from_rows(cls, ring: Ring, rows) -> "LinearCodeR":
-        rows = list(rows)
-        if not rows:
-            raise ShapeError("cannot infer length from an empty generator list")
-        return cls(ring, len(rows[0]), rows)
-
     @property
     def dim_fq(self) -> int:
         return self.flat.k
@@ -275,10 +268,10 @@ class LinearCodeR:
         flat = _map_symbols(q, GRAY_INVERSE, words).reshape(words.shape)
         return d, _unflatten(q, flat[np.lexsort(flat.T[::-1])])
 
-    def gray_words(self, rows: np.ndarray) -> np.ndarray:
-        """Gray images of (m, n) element-index rows, as (m, 3n) field arrays."""
-        rows = np.asarray(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.n:
+    def gray_words(self, rows) -> np.ndarray:
+        """Gray images of (m, n) R-vector rows, as (m, 3n) field arrays."""
+        rows = _index_rows(self.ring, rows)
+        if rows.shape[1] != self.n:
             raise ShapeError(f"rows of length {self.n} expected, not shape {rows.shape}")
         gray = _map_symbols(self.ring.q, GRAY, _flatten(self.ring, rows))
         return gray.reshape(len(rows), 3 * self.n)

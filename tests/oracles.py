@@ -138,7 +138,7 @@ def random_code(field, n: int, rng) -> LinearCodeFq:
     """Seeded random F_q code of length n with 1 to n generator rows."""
     rows = rng.randrange(1, n + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
-    return LinearCodeFq.from_rows(field, n, mat)
+    return LinearCodeFq(field, n, mat)
 
 
 def self_dual_cyclic_exists(field, n: int) -> bool:

@@ -78,6 +78,21 @@ def test_options_a_command_does_not_read_are_usage_errors(tmp_path, capsys):
         assert (rc, out) == (2, ""), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("enum", "--kind", "lee", "--code", "{code}", "--budget", "-1"), id="enum"),
+        pytest.param(("verify-paper", "--scope", "examples", "--budget", "-5"), id="verify-paper"),
+        pytest.param(("construct", "b", "--q", "3", "--first-row", "1 v", "--budget", "0"), id="construct"),
+    ],
+)
+def test_a_budget_below_one_is_a_usage_error(tmp_path, capsys, argv):
+    code = tmp_path / "c.txt"
+    code.write_text("q=3 n=1\n1\n")
+    rc, out, err = run(capsys, *(arg.format(code=code) for arg in argv))
+    assert (rc, out) == (2, "") and "--budget" in err
+
+
 def test_cyclic_search_refuses_a_factor_too_large_to_find(capsys):
     # x^47 - 1 over GF(3) has two irreducible factors of degree 23
     rc, out, err = run(capsys, "cyclic", "--q", "3", "--n", "47", "--search-self-dual")

@@ -102,7 +102,7 @@ def test_membership_matches_the_rank_oracle(case):
 def test_dual_examples():
     full = LinearCodeFq.full_space(F3, 3)
     assert full.dual().k == 0
-    rep = LinearCodeFq.from_rows(F3, 3, [[1, 1, 1]])
+    rep = LinearCodeFq(F3, 3, [[1, 1, 1]])
     dual = rep.dual()
     assert dual.k == 2
     assert dual.contains([1, 2, 0])
@@ -125,8 +125,8 @@ def test_generator_of_the_wrong_width_is_a_shape_error():
     with pytest.raises(ShapeError):
         LinearCodeFq(F3, 3, [1, 2, 0])
     with pytest.raises(ShapeError):
-        LinearCodeFq.from_rows(F3, 3, [[1, 2, 0], [0, 1]])
-    assert LinearCodeFq(F3, 3, []).k == LinearCodeFq.from_rows(F3, 3, []).k == 0
+        LinearCodeFq(F3, 3, [[1, 2, 0], [0, 1]])
+    assert LinearCodeFq(F3, 3, []).k == LinearCodeFq(F3, 3, []).k == 0
     assert LinearCodeFq(F3, 3, mat).k == 2
 
 
@@ -144,7 +144,7 @@ def test_dual_involution_and_sizes(q):
 
 
 def test_min_distance_examples():
-    rep3 = LinearCodeFq.from_rows(F3, 3, [[1, 1, 1]])
+    rep3 = LinearCodeFq(F3, 3, [[1, 1, 1]])
     assert rep3.min_distance() == 3
     assert rep3.dual().min_distance() == 2
     with pytest.raises(EmptyCode):
@@ -183,7 +183,7 @@ def random_codes(draw):
     q = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 10))
     row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
-    code = LinearCodeFq.from_rows(GF(q), n, draw(st.lists(row, min_size=1, max_size=min(n, _ORACLE_K[q]))))
+    code = LinearCodeFq(GF(q), n, draw(st.lists(row, min_size=1, max_size=min(n, _ORACLE_K[q]))))
     assume(code.k > 0)
     return code
 
@@ -212,7 +212,7 @@ def test_brouwer_zimmermann_matches_exhaustive(code):
 )
 def test_brouwer_zimmermann_edge_cases(q, rows):
     # the last two have n < 2k: no second information set disjoint from the first
-    code = LinearCodeFq.from_rows(GF(q), len(rows[0]), rows)
+    code = LinearCodeFq(GF(q), len(rows[0]), rows)
     _assert_matches_oracle(code)
 
 
@@ -231,7 +231,7 @@ def test_brouwer_zimmermann_skips_sets_that_add_nothing():
 
 def test_information_sets_take_new_columns_first():
     # [7,4] Hamming code: the second set can only add the 3 parity columns
-    code = LinearCodeFq.from_rows(
+    code = LinearCodeFq(
         F2, 7, [[1, 0, 0, 0, 1, 1, 1], [0, 1, 0, 0, 1, 1, 0], [0, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1, 1]]
     )
     sets = _information_sets(code.gen, 2)
@@ -242,11 +242,11 @@ def test_information_sets_take_new_columns_first():
 
 
 def test_hamming_enumerator_examples():
-    rep2 = LinearCodeFq.from_rows(F2, 3, [[1, 1, 1]])
+    rep2 = LinearCodeFq(F2, 3, [[1, 1, 1]])
     assert hamming_enumerator_fq(rep2).counts == {0: 1, 3: 1}
     full22 = LinearCodeFq.full_space(F2, 2)
     assert hamming_enumerator_fq(full22).counts == {0: 1, 1: 2, 2: 1}
-    rep3 = LinearCodeFq.from_rows(F3, 3, [[1, 1, 1]])
+    rep3 = LinearCodeFq(F3, 3, [[1, 1, 1]])
     assert hamming_enumerator_fq(rep3).counts == {0: 1, 3: 2}
 
 
@@ -332,7 +332,7 @@ def test_self_dual_cyclic_audit_confirms_criterion_q3(n):
 
 
 def test_enumeration_is_deterministic_and_complete():
-    code = LinearCodeFq.from_rows(F3, 4, [[1, 0, 2, 1], [0, 1, 1, 1]])
+    code = LinearCodeFq(F3, 4, [[1, 0, 2, 1], [0, 1, 1, 1]])
     words = code.codewords()
     assert words.shape == (9, 4)
     again = code.codewords()

@@ -86,7 +86,8 @@ F3 = vcodes.GF(3)
 _LEE = vcodes.WeightEnumerator("lee", 1, 3, {0: 1})
 _SWE = vcodes.symmetrized_enumerator(vcodes.LinearCodeR(R3, 1, [[1]]))
 
-# bad input at a public entry point: lengths raise ShapeError, unknown names ParamMismatch
+# bad input at a public entry point: lengths and ragged rows raise ShapeError,
+# unknown names and non-integer row entries ParamMismatch
 BAD_INPUTS = {
     "ring-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, 2, [[1, 2]]).contains([1, 2, 3])),
     "fq-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([1, 2, 0])),
@@ -101,6 +102,13 @@ BAD_INPUTS = {
     "specialize-kind": (vcodes.ParamMismatch, lambda: vcodes.specialize(_LEE, "hamming")),
     "combination-mode": (vcodes.ParamMismatch, lambda: vcodes.combine_components(R3, [vcodes.LinearCodeFq(F3, 1, [[1]])] * 3, "crt")),
     "suite-scope": (vcodes.ParamMismatch, lambda: vcodes.run_verification_suite(scope="lattice")),
+    "fq-code-ragged": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2], [1]])),
+    "fq-code-float": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeFq(F3, 2, [[1.5, 2]])),
+    "fq-code-none": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeFq(F3, 2, [[None, 2]])),
+    "fq-code-string": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeFq(F3, 2, [["1", 2]])),
+    "fq-contains-float": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([1.5, 2.9])),
+    "gray-words-float": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeR(R3, 2, [[1, 3]]).gray_words([[1.5, 2.0]])),
+    "permutation-float": (vcodes.ParamMismatch, lambda: vcodes.SignedPermutation((1, 0), (True, False)).apply(R3, [[1.5, 2]])),
 }
 
 

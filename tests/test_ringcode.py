@@ -431,14 +431,14 @@ def test_symbol_maps_match_the_hand_sliced_oracles(code):
     field = ring.field
     a0, a1, a2 = (code.flat.gen[:, k * n : (k + 1) * n] for k in range(3))
     gray = np.concatenate([a0, (a0 + a2) % q, a1], axis=1)
-    assert code.gray_image() == LinearCodeFq.from_rows(field, 3 * n, gray)
+    assert code.gray_image() == LinearCodeFq(field, 3 * n, gray)
     for comp, rows in zip(code.components_paper(), (a0, a0 + a1, a0 + a1 + a2)):
-        assert comp == LinearCodeFq.from_rows(field, n, rows % q)
+        assert comp == LinearCodeFq(field, n, rows % q)
     gens = np.array(code.gens, dtype=np.int64).reshape(-1, n)
     if q % 2:
         c0, c1, c2 = np.moveaxis(ring.coeff[gens], -1, 0)  # the generators' coefficients
         for comp, t in zip(code.components_crt(), (1, -1, 0)):
-            assert comp == LinearCodeFq.from_rows(field, n, (c0 + c1 * t + c2 * t * t) % q)
+            assert comp == LinearCodeFq(field, n, (c0 + c1 * t + c2 * t * t) % q)
     assert np.array_equal(_unflatten(q, _flatten(ring, gens)), gens)
     assert np.array_equal(_unflatten(q, _flatten(ring, gens[None])), gens[None])
     table = ring.gray_table[gens]  # (m, n, 3)
