@@ -8,12 +8,12 @@ the literal combination printed with coefficients v, 1-v, 1-v^2 is kept as
 a measurable alternative.  Triples of one length are built together: each
 divisor's shift rows are tabulated once and the codes reduced in
 ``rref_stack`` batches (``ringcode.build_codes``).  ``fill_stack`` then
-computes the duals (``ringcode.fill_duals``), evaluation
-components and cyclicity of such a stack in batches as well, and leaves them
-in the memos that ``dual()``, ``components_crt()``, ``is_cyclic()`` and
-``is_cyclic_r`` read.  A per-code call runs the same kernel on a stack of
-one, so the stack is tested against it for its padding and batching, and
-against independent oracles for the formulas.  For q = 2, R ~ F_2 x F_2[u]/(u^2)
+computes the duals (``ringcode.fill_duals``), evaluation components
+(``ringcode.fill_components``) and cyclicity of such a stack in batches as
+well, and leaves them in the memos that ``dual()``, ``components_crt()``,
+``is_cyclic()`` and ``is_cyclic_r`` read.  A per-code call runs the same
+kernel on a stack of one, so the stack is tested against it for its padding
+and batching, and against independent oracles for the formulas.  For q = 2, R ~ F_2 x F_2[u]/(u^2)
 does not split into three fields, and searches run by exhaustive ideal
 enumeration instead.
 """
@@ -25,22 +25,18 @@ from itertools import product
 
 import numpy as np
 
-from . import ringcode
 from .errors import CharacteristicTwoUnsupported, ParamMismatch, SearchSpaceTooLarge
 from .fieldcode import (
     _cofactor,
     _pad,
-    _reduced_codes,
     _shift_closed,
     _shift_rows,
     _stack_pivots,
-    _step,
     cyclic_dual_generator,
-    rref_stack,
 )
 from .gf import DIVISOR_CAP, Poly, monic_divisors_of_xn_minus_1
 from .ring import Ring
-from .ringcode import LinearCodeR, _map_symbols, _unit_multiples, build_codes, fill_duals
+from .ringcode import LinearCodeR, _basis_batches, _unit_multiples, build_codes, fill_components, fill_duals
 from .submodules import AmbientSpace
 
 
@@ -93,33 +89,22 @@ def cyclic_codes_r(ring: Ring, specs, mode: str = "idempotent") -> list[LinearCo
 
 def fill_stack(ring: Ring, codes: list[LinearCodeR]) -> None:
     """Fill the ``dual()``, ``components_crt()``, ``is_cyclic()`` and
-    ``is_cyclic_r`` memos of R-codes of one length (q odd) in bulk.
+    ``is_cyclic_r`` memos of R-codes (q odd) in bulk.
 
-    ``fill_duals`` fills the duals.  The codes then go in batches whose
-    zero-padded bases give the ``EVALUATION`` images of every component,
-    reduced by one ``rref_stack`` within ``_MAX_ENTRIES`` entries; one shift
-    residue over each stack decides the cyclicity of the codes and of their
-    components.  Each result equals the per-code call's.
+    ``fill_components`` and ``fill_duals`` fill the components and the duals.
+    Then one shift residue over each of the ``_basis_batches``, and one over
+    the zero-padded bases of its codes' components, decides their
+    cyclicity.  Each result equals the per-code call's.
     """
-    if ring.q % 2 == 0:
-        raise CharacteristicTwoUnsupported("evaluation components need odd q")
+    fill_components(ring, codes)  # raises for even q
     fill_duals(ring, codes)
-    n = codes[0].n if codes else 0
-    q, width = ring.q, 3 * n
-    step = _step(width * width)  # as fill_duals' batches; three components hold rank * n entries each
-    for start in range(0, len(codes), step):
-        batch = codes[start : start + step]
-        gen = _pad([code.flat.gen for code in batch], width)
-        images = _map_symbols(q, ringcode.EVALUATION, gen).transpose(0, 2, 1, 3)  # (code, component, rank, n)
-        comp_stack, comp_ranks, comp_pivots = rref_stack(images.reshape(3 * len(batch), gen.shape[1], n), q)
-        comps = _reduced_codes(ring.field, comp_stack, comp_ranks, comp_pivots)
-        cyclic = _shift_closed(gen, _stack_pivots(gen), q, 3).tolist()
-        comp_cyclic = _shift_closed(comp_stack, comp_pivots, q).tolist()
-        for i, code in enumerate(batch):
-            code._crt = tuple(comps[3 * i : 3 * i + 3])
-            code._cyclic = cyclic[i]
-            for comp, closed in zip(code._crt, comp_cyclic[3 * i : 3 * i + 3]):
-                comp._cyclic = closed
+    for n, batch, gen in _basis_batches(codes):
+        comps = [comp for code in batch for comp in code._crt]
+        comp_gen = _pad([comp.gen for comp in comps], n)
+        cyclic = _shift_closed(gen, _stack_pivots(gen), ring.q, 3).tolist()
+        cyclic += _shift_closed(comp_gen, _stack_pivots(comp_gen), ring.q).tolist()
+        for item, closed in zip(batch + comps, cyclic):
+            item._cyclic = closed
 
 
 def is_cyclic_r(code: LinearCodeR) -> bool:

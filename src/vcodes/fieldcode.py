@@ -38,9 +38,23 @@ _CHUNK_ROWS = 1 << 14
 _MAX_ENTRIES = 1 << 14  # entries in one batched reduction; 1 << 16 was no faster on the claims and peaked 2 MB higher
 
 
+def _int_entries(rows) -> np.ndarray:
+    """An integer array or nested lists as an int64 array, without a copy of
+    an int64 array: ragged nesting raises ``ShapeError``, and float, string,
+    ``None`` or other object entries ``ParamMismatch``; bool and unsigned
+    entries pass."""
+    try:
+        grid = np.asarray(rows)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise ShapeError(f"rows differ in length: {exc}") from None
+    if grid.size and grid.dtype.kind not in "biu":
+        raise ParamMismatch(f"entries must be ints, not {grid.dtype}")
+    return grid.astype(np.int64, copy=False)
+
+
 def rref(mat: np.ndarray, q: int) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form over GF(q): (matrix, rank, pivot columns)."""
-    m = np.array(mat, dtype=np.int64) % q
+    m = _int_entries(mat) % q
     if m.ndim != 2:
         raise ShapeError("matrix must be two-dimensional")
     rows = m.tolist()
@@ -77,7 +91,7 @@ def rref_stack(stack: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.nd
     and a (B, r) array whose row b starts with the pivot columns of matrix b
     and is padded with -1.
     """
-    m = np.array(stack, dtype=np.int64) % q
+    m = _int_entries(stack) % q
     if m.ndim != 3:
         raise ShapeError("stack must be three-dimensional")
     batch, nrows, ncols = m.shape
@@ -354,23 +368,19 @@ def _weight_w_codewords(systematic: np.ndarray, q: int, w: int):
         yield words.reshape(-1, n)
 
 
-def _field_rows(rows, n: int) -> np.ndarray:
-    """F_q rows as a (..., n) int64 array, from an integer array or nested
-    lists; no rows give shape (0, n).  Every F_q row input of ``LinearCodeFq``
-    enters here, as R rows enter through ``ringcode._index_rows``; an int64
-    array passes without a copy, and entries are not reduced (mod q, or mod
-    |R| for the index stacks of ``fsd.SignedPermutation.apply``)."""
-    try:
-        grid = np.asarray(rows)
-    except ValueError as exc:  # numpy refuses ragged nesting
-        raise ShapeError(f"rows differ in length: {exc}") from None
-    if grid.size and grid.dtype.kind not in "biu":
-        raise ParamMismatch(f"row entries must be ints, not {grid.dtype}")
-    if grid.shape == (0,):
+def _field_rows(rows, n: int, empty_rows: bool = False) -> np.ndarray:
+    """F_q rows as a (..., n) int64 array through ``_int_entries``.  Every F_q
+    row input of ``LinearCodeFq`` enters here, as R rows enter through
+    ``ringcode._index_rows``; entries are not reduced (mod q, or mod |R| for
+    the index stacks of ``fsd.SignedPermutation.apply``).  A bare [] is no
+    rows, shape (0, n), where ``empty_rows`` holds (a generator list), and
+    otherwise one vector of length 0."""
+    grid = _int_entries(rows)
+    if empty_rows and grid.shape == (0,):
         grid = grid.reshape(0, n)
     if grid.shape[-1:] != (n,):
         raise ShapeError(f"rows of length {n} expected, not shape {grid.shape}")
-    return grid.astype(np.int64, copy=False)
+    return grid
 
 
 class LinearCodeFq:
@@ -381,7 +391,7 @@ class LinearCodeFq:
             raise ShapeError(f"code length must be >= 0, not {n}")
         self.field = field
         self.n = n
-        reduced, rank, pivots = rref(_field_rows(gen, n), field.q)  # rref refuses a stack
+        reduced, rank, pivots = rref(_field_rows(gen, n, empty_rows=True), field.q)  # rref refuses a stack
         self.gen = reduced[:rank]
         self.k = rank
         self.pivots = pivots

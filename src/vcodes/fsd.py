@@ -52,7 +52,7 @@ class SignedPermutation:
 
     def apply(self, ring: Ring, rows) -> np.ndarray:
         """The images of element-index rows (..., n), indices read mod |R|."""
-        rows = _field_rows(rows, len(self.src))[..., list(self.src)] % ring.size
+        rows = _field_rows(rows, len(self.src), empty_rows=True)[..., list(self.src)] % ring.size
         return np.where(self.negate, ring.neg_table[rows], rows)
 
     def to_json_obj(self) -> dict:

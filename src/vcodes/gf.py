@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import reduce
+from operator import index
 
 from .errors import DivisionByZero, ParamMismatch, ParseError, SearchSpaceTooLarge
 
@@ -66,7 +67,10 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: GF, coeffs):
-        cs = [c % field.q for c in coeffs]
+        try:
+            cs = [index(c) % field.q for c in coeffs]  # numpy integers pass, floats do not
+        except TypeError as exc:
+            raise ParamMismatch(f"polynomial coefficients must be ints: {exc}") from None
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field

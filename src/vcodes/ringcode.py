@@ -11,7 +11,8 @@ Math. 121, 1999): iff ``DUAL_FORM`` y lies in the F_q dual of that code,
 symbol by symbol.  So each dual, for every q, takes one reduction of the
 kernel rows of ``fieldcode._kernel_stack``, per code or per stack.
 The evaluation/CRT components (q odd) serve the component claims and, with
-``brute_force_dual``, are the oracles the dual is tested against.
+the ambient sweep of ``brute_force_duals``, are the oracles the dual is
+tested against.
 
 Component codes come in two flavours: the canonical evaluation components
 (images of the code under v -> 1, -1, 0) and the literal projections
@@ -109,21 +110,83 @@ def build_codes(ring: Ring, gens: list[np.ndarray]) -> list["LinearCodeR"]:
     return codes
 
 
-def fill_duals(ring: Ring, codes: list["LinearCodeR"]) -> None:
-    """Fill the ``dual()`` memo of each R-code: the codes of each length go in
-    batches whose zero-padded bases give every dual's kernel rows through
-    ``_dual_rows``, reduced by one ``rref_stack`` within ``_MAX_ENTRIES``
-    entries.  Each result equals the per-code ``flat_dual``."""
-    q = ring.q
+def _basis_batches(codes: list["LinearCodeR"]):
+    """Yield (n, codes, zero-padded flattened bases) for the R-codes of each
+    length, in batches of 3n x 3n matrices within ``_MAX_ENTRIES`` entries:
+    the batches of every stack fill."""
     for n, where in _positions(code.n for code in codes).items():
-        step = _step(9 * n * n)  # a kernel stack is 3n x 3n
+        step = _step(9 * n * n)
         for start in range(0, len(where), step):
             batch = [codes[i] for i in where[start : start + step]]
-            gen = _pad([code.flat.gen for code in batch], 3 * n)
-            reduced = rref_stack(_dual_rows(q, _kernel_stack(gen, _stack_pivots(gen))), q)
-            dual_gens = _unflatten(q, reduced[0])
-            for code, dual, rows in zip(batch, _reduced_codes(ring.field, *reduced), dual_gens):
-                code._dual = LinearCodeR._from_flat(ring, n, dual, rows[: dual.k])
+            yield n, batch, _pad([code.flat.gen for code in batch], 3 * n)
+
+
+def fill_duals(ring: Ring, codes: list["LinearCodeR"]) -> None:
+    """Fill the ``dual()`` memo of each R-code: each of its ``_basis_batches``
+    gives every dual's kernel rows through ``_dual_rows``, reduced by one
+    ``rref_stack``.  Each result equals the per-code ``flat_dual``."""
+    q = ring.q
+    for n, batch, gen in _basis_batches(codes):
+        reduced = rref_stack(_dual_rows(q, _kernel_stack(gen, _stack_pivots(gen))), q)
+        dual_gens = _unflatten(q, reduced[0])
+        for code, dual, rows in zip(batch, _reduced_codes(ring.field, *reduced), dual_gens):
+            code._dual = LinearCodeR._from_flat(ring, n, dual, rows[: dual.k])
+
+
+def fill_components(ring: Ring, codes: list["LinearCodeR"]) -> None:
+    """Fill the ``components_crt()`` memo of each R-code (q odd): each of its
+    ``_basis_batches`` gives the ``EVALUATION`` images of every component,
+    reduced by one ``rref_stack``.  Each result equals the per-code call's."""
+    if ring.q % 2 == 0:
+        raise CharacteristicTwoUnsupported("evaluation components need odd q")
+    for n, batch, gen in _basis_batches(codes):
+        images = _map_symbols(ring.q, EVALUATION, gen).transpose(0, 2, 1, 3)  # (code, component, rank, n)
+        comps = _reduced_codes(ring.field, *rref_stack(images.reshape(3 * len(batch), gen.shape[1], n), ring.q))
+        for i, code in enumerate(batch):
+            code._crt = tuple(comps[3 * i : 3 * i + 3])
+
+
+def brute_force_duals(codes: list["LinearCodeR"], budget: int = DEFAULT_BUDGET) -> list["LinearCodeR"]:
+    """The dual of each R-code as all of R^n filtered for orthogonality to
+    every generator, in input order.
+
+    <g, y> for a flattened word y is the (3, 3n) form of g, whose block j is
+    ``times(g_j)``.  The forms of a code's generators, zero-padded to the
+    longest generator list of its (q, n), stack into one matrix, so F_q^{3n}
+    is enumerated once per (q, n) and one float32 product tests a chunk of
+    words against the forms of as many codes as ``_MAX_ENTRIES`` entries
+    allow.  Each code's dual words fold into a running F_q basis of their
+    span, the flattened dual, in padded ``rref_stack`` batches within
+    ``_MAX_ENTRIES`` entries, and the duals are built from their unflattened
+    rows.  Every |R|^n is checked against ``budget``, in input order, before
+    anything is enumerated.
+    """
+    for code in codes:
+        ambient = code.ring.size**code.n
+        if ambient > budget:
+            raise SearchSpaceTooLarge(f"ambient {ambient} exceeds budget {budget}")
+    duals: list = [None] * len(codes)
+    for (q, n), where in _positions((code.ring.q, code.n) for code in codes).items():
+        ring, width = codes[where[0]].ring, 3 * n
+        gens = _pad([np.array(codes[i].gens, dtype=np.int64).reshape(len(codes[i].gens), n) for i in where], n)
+        # (code, generator, j, a, b) -> (code, b, j, generator, a): word block b, symbol j against coefficient a
+        forms = ring.times(gens).transpose(0, 4, 2, 1, 3).reshape(len(where), width, 3 * gens.shape[1])
+        forms = forms.astype(np.float32)  # a product sums 3n terms below q^2: exact in float32
+        bases = [np.zeros((0, width), dtype=np.int64)] * len(where)
+        for words in LinearCodeFq.full_space(ring.field, width).codeword_chunks(budget):
+            chunk, per_product = words.astype(np.float32), _step(len(words) * forms.shape[2])
+            masks = np.concatenate([
+                ~((chunk @ forms[s : s + per_product]).astype(np.int32) % q).any(axis=2)
+                for s in range(0, len(where), per_product)
+            ])
+            step = _step(width * max(len(basis) + int(mask.sum()) for basis, mask in zip(bases, masks)))
+            for s in range(0, len(where), step):  # each batch's stacks are made only for its reduction
+                stacks = [np.concatenate([basis, words[mask]]) for basis, mask in zip(bases[s : s + step], masks[s : s + step])]
+                reduced, ranks, _ = rref_stack(_pad(stacks, width), q)
+                bases[s : s + step] = [basis[:rank].copy() for basis, rank in zip(reduced, ranks.tolist())]
+        for i, dual in zip(where, build_codes(ring, [_unflatten(q, basis) for basis in bases])):
+            duals[i] = dual
+    return duals
 
 
 def _entry_index(ring: Ring, x) -> int:
@@ -285,29 +348,8 @@ class LinearCodeR:
         return ring.index(*np.einsum("jab,jb->a", ring.times(x), ring.coeff[y]).tolist())
 
     def brute_force_dual(self, budget: int = DEFAULT_BUDGET) -> "LinearCodeR":
-        """All of R^n filtered for orthogonality to every generator.
-
-        <g, y> for a flattened word y is the (3, 3n) form of g, whose block j
-        is ``times(g_j)``; the forms of all m generators stack into one
-        (3m, 3n) matrix that tests a chunk of flattened words in one product.
-        The dual words are folded into a running F_q basis of their span, the
-        flattened dual, and the code is built from its unflattened rows.
-        """
-        ring = self.ring
-        ambient = ring.size**self.n
-        if ambient > budget:
-            raise SearchSpaceTooLarge(f"ambient {ambient} exceeds budget {budget}")
-        gens = np.array(self.gens, dtype=np.int64).reshape(len(self.gens), self.n)
-        forms = ring.times(gens).transpose(0, 2, 3, 1).reshape(3 * len(gens), 3 * self.n)
-        forms = forms.T.astype(np.float32)  # a product sums 3n terms below q^2: exact in float32
-        basis = np.zeros((0, 3 * self.n), dtype=np.int64)
-        for words in LinearCodeFq.full_space(ring.field, 3 * self.n).codeword_chunks(budget):
-            products = (words.astype(np.float32) @ forms).astype(np.int32)
-            mask = ~(products % ring.q).any(axis=1)
-            stack = np.concatenate([basis, words[mask]])[None]
-            reduced, ranks, _ = rref_stack(stack, ring.q)
-            basis = reduced[0, : ranks[0]]
-        return LinearCodeR(ring, self.n, _unflatten(ring.q, basis).tolist())
+        """All of R^n filtered for orthogonality to every generator: ``brute_force_duals`` of this code alone."""
+        return brute_force_duals([self], budget)[0]
 
     def dual(self) -> "LinearCodeR":
         """C^dual by ``flat_dual``, computed on the first call and kept; it holds no link back to C."""
@@ -372,8 +414,13 @@ def _unit_multiples(ring: Ring, mode: str) -> np.ndarray:
     return np.array([1, ring.q, ring.q**2]) @ products
 
 
-def random_code_r(ring: Ring, n: int, rng) -> LinearCodeR:
-    """Seeded random R-code used by the verification suites."""
+def random_rows(ring: Ring, n: int, rng) -> np.ndarray:
+    """1 to n seeded random generator rows of length n, as element indices
+    drawn from ``rng``: the row count, then the entries row by row."""
     rows = rng.randrange(1, n + 1)
-    gens = [[rng.randrange(ring.size) for _ in range(n)] for _ in range(rows)]
-    return LinearCodeR(ring, n, gens)
+    return np.array([[rng.randrange(ring.size) for _ in range(n)] for _ in range(rows)], dtype=np.int64)
+
+
+def random_code_r(ring: Ring, n: int, rng) -> LinearCodeR:
+    """Seeded random R-code of length n on ``random_rows``."""
+    return LinearCodeR(ring, n, random_rows(ring, n, rng))

@@ -18,7 +18,12 @@ sample into ``tested`` once every check on it has passed, and raises
 turns that into a ``refuted`` entry and a ``VCodesError`` (e.g. over budget)
 into an ``untestable`` one.  Randomized samples draw from a per-claim
 generator seeded with (seed, claim id), so reports are byte-identical for a
-fixed seed.
+fixed seed.  A sampled claim draws every generator list first, in the order a
+code-by-code loop would, and then builds its codes a stack per ring
+(``ringcode.build_codes``) and fills the memos its checks read a stack at a
+time: duals, evaluation components, Lee enumerators and brute-force duals
+(``fill_duals``, ``fill_components``, ``wenum.fill_lee_enumerators``,
+``brute_force_duals``), as the FSD claims do for their constructions.
 """
 
 from __future__ import annotations
@@ -28,14 +33,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from . import wenum
 from .cyclic import CyclicSpecR, all_divisor_triples, cyclic_codes_r, fill_stack, is_cyclic_r, self_dual_cyclic_search
 from .errors import DEFAULT_BUDGET, EmptyCode, ParamMismatch, TransformInconsistent, VCodesError
-from .fieldcode import cyclic_dual_generator
+from .fieldcode import _positions, cyclic_dual_generator
 from .fsd import (
     BorderedSpecR,
     CirculantSpecR,
@@ -58,7 +62,7 @@ from .fsd import (
 )
 from .gf import format_poly
 from .ring import audit_published_lee_table, format_row, ring_over
-from .ringcode import LinearCodeR, fill_duals, random_code_r
+from .ringcode import LinearCodeR, brute_force_duals, build_codes, fill_components, fill_duals, random_rows
 
 SCOPES = ("all", "gray", "enumerators", "cyclic", "fsd", "examples")
 
@@ -239,11 +243,30 @@ def _first(failed: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _random_codes(rng, count, qs=(2, 3), max_n=3):
-    """Stream ``count`` seeded random R-codes, drawing q, then n, then the code."""
-    for _ in range(count):
-        q = rng.choice(qs)
-        yield random_code_r(ring_over(q), rng.randrange(1, max_n + 1), rng)
+def _draw(rng, qs, max_n) -> tuple:
+    """One seeded random code's ring and generator rows: q, then n, then the rows."""
+    ring = ring_over(rng.choice(qs))
+    return ring, random_rows(ring, rng.randrange(1, max_n + 1), rng)
+
+
+def _build(drawn) -> list:
+    """The R-code of each (ring, rows) pair, built a stack per ring by ``build_codes``."""
+    codes: list = [None] * len(drawn)
+    for q, where in _positions(ring.q for ring, _ in drawn).items():
+        for i, code in zip(where, build_codes(ring_over(q), [drawn[i][1] for i in where])):
+            codes[i] = code
+    return codes
+
+
+def _fill(fill, codes) -> None:
+    """Run the stack fill ``fill(ring, codes)`` on the codes over each ring."""
+    for q, where in _positions(code.ring.q for code in codes).items():
+        fill(ring_over(q), [codes[i] for i in where])
+
+
+def _random_codes(rng, count, qs=(2, 3), max_n=3) -> list:
+    """``count`` seeded random R-codes, all drawn first and then built."""
+    return _build([_draw(rng, qs, max_n) for _ in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +329,20 @@ def _claim_thm2(ctx):
 
 
 def _self_orth_samples(rng, count):
-    """Deterministic stream of self-orthogonal codes over R."""
-    codes = _random_codes(rng, 4000)
-    found = list(islice((c for c in codes if all(c.dot(g, h) == 0 for g in c.gens for h in c.gens)), count))
+    """Deterministic stream of self-orthogonal codes over R: the first ``count``
+    of at most 4000 draws whose generator rows are pairwise orthogonal, tested
+    before any code is built by one einsum that takes ``LinearCodeR.dot`` of
+    every pair, then two fixed ones."""
+    found = []
+    for _ in range(4000):
+        if len(found) == count:
+            break
+        ring, rows = _draw(rng, (2, 3), 3)
+        if not (np.einsum("ijab,kjb->ika", ring.times(rows), ring.coeff[rows]) % ring.q).any():
+            found.append((ring, rows))
     r3 = ring_over(3)
-    found.append(LinearCodeR(r3, 3, [[r3.e1, r3.e1, r3.e1]]))
-    found.append(LinearCodeR(ring_over(2), 2, [[2, 2]]))
-    return found
+    found += [(r3, np.array([[r3.e1] * 3])), (ring_over(2), np.array([[2, 2]]))]
+    return _build(found)
 
 
 @_claim("thm3-self-orthogonal", "Theorem 3", "gray")
@@ -336,7 +366,9 @@ def _claim_cor4(ctx):
 
 @_claim("lem5-dimension", "Lemma 5 (dimension)", "gray")
 def _claim_lem5_dimension(ctx):
-    for code in ctx.each(_random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5))):
+    codes = _random_codes(ctx.rng("lem5-dimension"), 80, qs=(3, 5))
+    _fill(fill_components, codes)
+    for code in ctx.each(codes):
         if code.gray_image().k != sum(c.k for c in code.components_crt()):
             raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "dim gray(C) = k1+k2+k3")
     return "confirmed", "dim gray(C) = k1+k2+k3 with evaluation components on every sample", "dimension formula", ""
@@ -346,7 +378,8 @@ def _claim_lem5_dimension(ctx):
 def _claim_lem5_distance(ctx):
     rng = ctx.rng("lem5-distance")
     ring = ring_over(3)
-    codes = (random_code_r(ring, rng.randrange(1, 4), rng) for _ in range(120))
+    codes = build_codes(ring, [random_rows(ring, rng.randrange(1, 4), rng) for _ in range(120)])
+    fill_components(ring, codes)
     disagreements = 0
     first = None
     lower_bound_ok = True
@@ -373,7 +406,9 @@ def _claim_lem5_distance(ctx):
 @_claim("thm6-dual-gray-image", "Theorem 6", "gray")
 def _claim_thm6(ctx):
     enumerated = 0
-    for code in ctx.each(_random_codes(ctx.rng("thm6"), 200)):
+    codes = _random_codes(ctx.rng("thm6"), 200)
+    _fill(fill_duals, codes)
+    for code in ctx.each(codes):
         dual = code.dual()
         lhs = code.gray_image().dual()
         if lhs != dual.gray_image():
@@ -391,7 +426,9 @@ def _claim_thm6(ctx):
 def _claim_cardinality(ctx):
     literal_bad = 0
     first = None
-    for code in ctx.each(_random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5))):
+    codes = _random_codes(ctx.rng("cardinality-identity"), 80, qs=(3, 5))
+    _fill(fill_components, codes)
+    for code in ctx.each(codes):
         if math.prod(c.size for c in code.components_crt()) != code.size:
             raise _Refuted({"q": code.ring.q, "gens": _gens(code)}, "|C| = |C1||C2||C3|")
         literal_product = math.prod(c.size for c in code.components_paper())
@@ -413,7 +450,9 @@ def _claim_cardinality(ctx):
 
 @_claim("thm7-1-lee-from-cwe", "Theorem 7 item 1", "enumerators")
 def _claim_thm7_1(ctx):
-    for code in ctx.each(_random_codes(ctx.rng("thm7-1"), 60)):
+    codes = _random_codes(ctx.rng("thm7-1"), 60)
+    wenum.fill_lee_enumerators(codes, ctx.budget)
+    for code in ctx.each(codes):
         lee = wenum.lee_enumerator(code, ctx.budget)
         if wenum.specialize(wenum.complete_enumerator(code, ctx.budget), "lee") != lee:
             raise _Refuted({"gens": _gens(code)}, "cwe(X^3, X^2 Y, X Y^2, Y^3) = Lee")
@@ -444,8 +483,10 @@ def _claim_thm7_3(ctx):
 @_claim("thm7-4-macwilliams", "Theorem 7 item 4", "enumerators")
 def _claim_thm7_4(ctx):
     counterexample = None
-    for code in ctx.each(_random_codes(ctx.rng("thm7-4"), 120, max_n=2)):
-        dual = code.brute_force_dual(ctx.budget)
+    codes = _random_codes(ctx.rng("thm7-4"), 120, max_n=2)
+    duals = brute_force_duals(codes, ctx.budget)
+    wenum.fill_lee_enumerators(codes + duals, ctx.budget)
+    for code, dual in ctx.each(zip(codes, duals)):
         lee = wenum.lee_enumerator(code, ctx.budget)
         dual_lee = wenum.lee_enumerator(dual, ctx.budget)
         try:

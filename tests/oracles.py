@@ -9,7 +9,7 @@ import numpy as np
 from vcodes.errors import DEFAULT_BUDGET
 from vcodes.fieldcode import LinearCodeFq, cyclic_code_fq
 from vcodes.gf import monic_divisors_of_xn_minus_1
-from vcodes.ring import DUAL_FORM, EVALUATION
+from vcodes.ring import DUAL_FORM, EVALUATION, ring_over
 from vcodes.ringcode import LinearCodeR, _map_symbols, _unflatten
 
 
@@ -139,6 +139,39 @@ def random_code(field, n: int, rng) -> LinearCodeFq:
     rows = rng.randrange(1, n + 1)
     mat = [[rng.randrange(field.q) for _ in range(n)] for _ in range(rows)]
     return LinearCodeFq(field, n, mat)
+
+
+def random_code_r_by_entries(ring, n: int, rng) -> LinearCodeR:
+    """Seeded random R-code of length n with 1 to n generator rows, drawn entry by entry."""
+    rows = rng.randrange(1, n + 1)
+    gens = [[rng.randrange(ring.size) for _ in range(n)] for _ in range(rows)]
+    return LinearCodeR(ring, n, gens)
+
+
+def random_code_stream(rng, count: int, qs=(2, 3), max_n: int = 3):
+    """The sampled claims' random codes built one at a time, drawing q, then n,
+    then the code: the reference for ``verify._random_codes``."""
+    for _ in range(count):
+        q = rng.choice(qs)
+        yield random_code_r_by_entries(ring_over(q), rng.randrange(1, max_n + 1), rng)
+
+
+def self_orthogonal_stream(rng, count: int) -> list:
+    """The first ``count`` of at most 4000 streamed codes whose generators are
+    pairwise orthogonal by ``LinearCodeR.dot``, then two fixed ones: the
+    reference for ``verify._self_orth_samples``."""
+    codes = random_code_stream(rng, 4000)
+    found = list(itertools.islice((c for c in codes if all(c.dot(g, h) == 0 for g in c.gens for h in c.gens)), count))
+    r3 = ring_over(3)
+    found.append(LinearCodeR(r3, 3, [[r3.e1, r3.e1, r3.e1]]))
+    found.append(LinearCodeR(ring_over(2), 2, [[2, 2]]))
+    return found
+
+
+def lem5_distance_stream(rng) -> list:
+    """The q = 3 codes of the ``lem5-distance`` claim, built one at a time."""
+    ring = ring_over(3)
+    return [random_code_r_by_entries(ring, rng.randrange(1, 4), rng) for _ in range(120)]
 
 
 def self_dual_cyclic_exists(field, n: int) -> bool:

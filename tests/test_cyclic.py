@@ -129,11 +129,10 @@ def test_triple_code_equals_its_combined_field_cyclic_codes(q, ns, modes):
 
 
 def _record_stack_shapes(monkeypatch) -> list:
-    """Every ``rref_stack`` shape the builds and fills reduce, in ``cyclic`` and in ``ringcode``."""
+    """Every ``rref_stack`` shape the builds and fills reduce, all of them in ``ringcode``."""
     shapes = []
     stack = fieldcode.rref_stack
-    for module in (cyclic, ringcode):
-        monkeypatch.setattr(module, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+    monkeypatch.setattr(ringcode, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
     return shapes
 
 

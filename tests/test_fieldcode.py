@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vcodes.errors import EmptyCode, NotADivisor, SearchSpaceTooLarge, ShapeError
+from vcodes.errors import EmptyCode, NotADivisor, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.gf import GF, Poly, monic_divisors_of_xn_minus_1, parse_poly
 from vcodes import fieldcode
 from vcodes.fieldcode import (
@@ -115,6 +115,34 @@ def test_length_zero_codes():
     assert zero == full and (zero.k, zero.size) == (0, 1)
     assert zero.dual() == full
     assert zero.codewords().shape == (1, 0)
+
+
+def test_a_bare_empty_vector_has_length_zero():
+    """[] at ``contains`` or ``reduce_vector`` is one vector of length 0, in both
+    code classes, while the constructor reads it as no generator rows."""
+    assert LinearCodeFq(F3, 0, []).contains([]) and LinearCodeR(ring_over(3), 0, []).contains([])
+    assert LinearCodeFq(F3, 0, []).reduce_vector([]).shape == (0,)
+    for code in (LinearCodeFq(F3, 2, []), LinearCodeR(ring_over(3), 2, [])):
+        with pytest.raises(ShapeError):
+            code.contains([])
+    with pytest.raises(ShapeError):
+        LinearCodeFq(F3, 2, []).reduce_vector([])
+    assert LinearCodeFq(F3, 2, np.zeros((0, 2), dtype=np.int64)).contains(np.zeros((0, 2), dtype=np.int64))  # an empty stack
+
+
+def test_integer_entries_of_any_width_pass_and_others_are_refused():
+    for mat in ([[True, 2]], np.array([[1, 2]], dtype=np.uint8), np.array([[4, 5]], dtype=np.int16)):
+        assert rref(mat, 3)[0].tolist() == [[1, 2]]
+        assert rref_stack([mat], 3)[0].tolist() == [[[1, 2]]]
+    assert Poly(F3, [np.int64(4), np.uint8(1), True]) == Poly(F3, [1, 1, 1])
+    for bad in ([[1.5, 2]], np.ones((1, 2)), [["1", 2]], [[None, 2]]):
+        with pytest.raises(ParamMismatch):
+            rref(bad, 3)
+        with pytest.raises(ParamMismatch):
+            rref_stack([bad], 3)
+    for coeffs in ([1.5, 1], [np.float64(1)], ["1"], [None]):
+        with pytest.raises(ParamMismatch):
+            Poly(F3, coeffs)
 
 
 def test_generator_of_the_wrong_width_is_a_shape_error():

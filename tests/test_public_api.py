@@ -86,8 +86,9 @@ F3 = vcodes.GF(3)
 _LEE = vcodes.WeightEnumerator("lee", 1, 3, {0: 1})
 _SWE = vcodes.symmetrized_enumerator(vcodes.LinearCodeR(R3, 1, [[1]]))
 
-# bad input at a public entry point: lengths and ragged rows raise ShapeError,
-# unknown names and non-integer row entries ParamMismatch
+# bad input at a public entry point: lengths and ragged rows raise ShapeError
+# (a bare [] at contains or reduce_vector is one vector of length 0), unknown
+# names and non-integer row, matrix or coefficient entries ParamMismatch
 BAD_INPUTS = {
     "ring-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, 2, [[1, 2]]).contains([1, 2, 3])),
     "fq-contains-length": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([1, 2, 0])),
@@ -109,6 +110,12 @@ BAD_INPUTS = {
     "fq-contains-float": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([1.5, 2.9])),
     "gray-words-float": (vcodes.ParamMismatch, lambda: vcodes.LinearCodeR(R3, 2, [[1, 3]]).gray_words([[1.5, 2.0]])),
     "permutation-float": (vcodes.ParamMismatch, lambda: vcodes.SignedPermutation((1, 0), (True, False)).apply(R3, [[1.5, 2]])),
+    "rref-float": (vcodes.ParamMismatch, lambda: vcodes.rref([[1.5, 2]], 3)),
+    "rref-stack-float": (vcodes.ParamMismatch, lambda: vcodes.fieldcode.rref_stack([[[1.5, 2]]], 3)),
+    "poly-float": (vcodes.ParamMismatch, lambda: vcodes.Poly(F3, [1.5, 1])),
+    "fq-contains-empty": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).contains([])),
+    "fq-reduce-empty": (vcodes.ShapeError, lambda: vcodes.LinearCodeFq(F3, 2, [[1, 2]]).reduce_vector([])),
+    "ring-contains-empty": (vcodes.ShapeError, lambda: vcodes.LinearCodeR(R3, 2, [[1, 2]]).contains([])),
 }
 
 

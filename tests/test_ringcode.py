@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcodes import fieldcode
+from vcodes import fieldcode, ringcode
 from vcodes.cyclic import is_cyclic_r
 from vcodes.errors import DEFAULT_BUDGET, CharacteristicTwoUnsupported, EmptyCode, ParamMismatch, SearchSpaceTooLarge, ShapeError
 from vcodes.fieldcode import LinearCodeFq
@@ -14,6 +14,7 @@ from vcodes.ringcode import (
     LinearCodeR,
     _flatten,
     _unflatten,
+    brute_force_duals,
     combine_components,
     random_code_r,
 )
@@ -282,6 +283,55 @@ def dual_codes(draw):
 @given(dual_codes())
 def test_one_reduction_dual_matches_two_reductions_and_brute_force(code):
     assert code.dual() == two_reduction_dual(code) == code.brute_force_dual()
+
+
+# every |R|^n at most 729: q = 2 up to n = 3, q = 3 up to n = 2, q = 5 at n = 1
+_BRUTE_LENGTHS = {2: 3, 3: 2, 5: 1}
+
+
+@st.composite
+def brute_force_code_lists(draw):
+    codes = []
+    for _ in range(draw(st.integers(0, 8))):
+        ring = ring_over(draw(st.sampled_from(sorted(_BRUTE_LENGTHS))))
+        n = draw(st.integers(0, _BRUTE_LENGTHS[ring.q]))
+        row = st.lists(st.integers(0, ring.size - 1), min_size=n, max_size=n)
+        rows = draw(st.lists(row, max_size=n + 1))
+        codes.append(LinearCodeR(ring, n, np.array(rows, dtype=np.int64).reshape(len(rows), n)))
+    return codes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(brute_force_code_lists(), st.sampled_from([None, 200]))
+def test_brute_force_duals_match_each_codes_dual(codes, cap):
+    """A mixed (q, n) list, with the products and folds split by a small cap or
+    not, gives each code's kernel dual and its own brute-force dual, in order."""
+    shapes = []
+    stack = fieldcode.rref_stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ringcode, "rref_stack", lambda s, q: shapes.append(s.shape) or stack(s, q))
+        if cap:
+            patch.setattr(fieldcode, "_MAX_ENTRIES", cap)
+        duals = brute_force_duals(codes)
+        assert all(b == 1 or b * r * c <= fieldcode._MAX_ENTRIES for b, r, c in shapes)
+    assert duals == [code.dual() for code in codes]
+    for code, dual in zip(codes, duals, strict=True):
+        single = code.brute_force_dual()
+        assert dual.gens == single.gens and np.array_equal(dual.flat.gen, single.flat.gen)
+        assert dual.gens == tuple(map(tuple, _unflatten(code.ring.q, dual.flat.gen).tolist()))
+
+
+def test_brute_force_duals_check_every_budget_in_input_order_first(monkeypatch):
+    enumerated = []
+    full_space = LinearCodeFq.full_space
+    monkeypatch.setattr(LinearCodeFq, "full_space", lambda field, n: enumerated.append(n) or full_space(field, n))
+    codes = [LinearCodeR(R2, 1, [[1]]), LinearCodeR(R3, 2, [[1, 2]]), LinearCodeR(R2, 2, [[1, 1]]), LinearCodeR(R2, 2, [[2, 0]])]
+    with pytest.raises(SearchSpaceTooLarge, match="ambient 729 exceeds budget 30"):
+        brute_force_duals(codes, 30)
+    assert enumerated == []  # the q = 2, n = 1 code fits, but nothing ran before the check of the second
+    duals = brute_force_duals(codes, 729)
+    assert [c.size * d.size for c, d in zip(codes, duals)] == [8, 729, 64, 64]
+    assert enumerated == [3, 6, 6]  # one sweep of F_q^{3n} per (q, n)
 
 
 def test_dual_is_computed_once_in_one_reduction(monkeypatch):

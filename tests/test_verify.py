@@ -1,10 +1,12 @@
 import ast
 import collections
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vcodes import cyclic, fieldcode, ringcode, submodules, verify, wenum
 from vcodes.cyclic import CyclicSpecR, all_divisor_triples, cyclic_dual_spec
@@ -162,8 +164,8 @@ def test_corollary_9_tabulates_each_dual_generator_once_per_run(monkeypatch):
             assert ctx.cyclic_dual_spec(ring, spec) == cyclic_dual_spec(spec)
 
 
-def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
-    """Deterministic work: a change that adds or saves a reduction moves these counts."""
+def _count_row_reductions(monkeypatch, scopes) -> dict:
+    """The ``rref`` and ``rref_stack`` calls of one seed-42 run of each scope."""
     calls = collections.Counter()
     for name in ("rref", "rref_stack"):
         kernel = getattr(fieldcode, name)
@@ -175,10 +177,95 @@ def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
         for module in (fieldcode, ringcode, submodules, cyclic):
             if getattr(module, name, None) is kernel:
                 monkeypatch.setattr(module, name, counting)
-    for scope in ("cyclic", "fsd"):
+    for scope in scopes:
         run_verification_suite(scope=scope, seed=42)
+    return dict(calls)
+
+
+def test_cyclic_and_fsd_scopes_pin_their_row_reductions(monkeypatch):
+    """Deterministic work: a change that adds or saves a reduction moves these counts."""
     # the q = 2, n = 4 ideal walk stops at node 58 after 10 half-size duals
-    assert dict(calls) == {"rref": 148, "rref_stack": 138}
+    assert _count_row_reductions(monkeypatch, ("cyclic", "fsd")) == {"rref": 148, "rref_stack": 138}
+
+
+def test_gray_and_enumerators_scopes_pin_their_row_reductions(monkeypatch):
+    """Deterministic work, as for the cyclic and fsd scopes.  The sampled codes,
+    their duals, components and brute-force duals reduce in stacks; what is
+    left of ``rref`` is the Gray images, the F_q duals of thm6, the printed
+    projections and the information sets of each minimum distance."""
+    assert _count_row_reductions(monkeypatch, ("gray", "enumerators")) == {"rref": 1729, "rref_stack": 86}
+
+
+def test_gray_and_enumerators_entries_match_the_bench_golden_file():
+    """Every gray and enumerators entry at every suite seed equals the recorded
+    one: the stacked sampling draws and checks the same codes."""
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden" / "claims.json").read_text())
+    compared = 0
+    for seed in golden["suite_seeds"]:
+        reference = golden["reports"][str(seed)]
+        for scope in ("gray", "enumerators"):
+            for entry in run_verification_suite(scope, seed).entries:
+                assert entry.to_json_obj() == reference[entry.claim_id]["entry"], (seed, entry.claim_id)
+                compared += 1
+    assert compared == 8 * 12
+
+
+# the enumerators notes at small budgets: each claim is untestable at the first
+# code, in draw order, over the budget (thm7-4: the first ambient R^n over it)
+SMALL_BUDGET_NOTES = {
+    (30, 1): ("64 codewords", "32 codewords", "6561 codewords", "ambient 64"),
+    (30, 5): ("128 codewords", "64 codewords", "729 codewords", "ambient 729"),
+    (50, 1): ("64 codewords", "64 codewords", "6561 codewords", "ambient 64"),
+    (50, 5): ("128 codewords", "64 codewords", "729 codewords", "ambient 729"),
+    (100, 1): ("128 codewords", "243 codewords", "6561 codewords", "ambient 729"),
+    (100, 5): ("128 codewords", "128 codewords", "729 codewords", "ambient 729"),
+}
+
+
+@pytest.mark.parametrize("budget, seed", sorted(SMALL_BUDGET_NOTES))
+def test_enumerators_small_budget_notes_are_pinned(budget, seed):
+    entries = run_verification_suite("enumerators", seed, budget).entries
+    got = [(e.claim_id, e.status, e.observed, e.tested, e.note) for e in entries]
+    claims = ("thm7-1-lee-from-cwe", "thm7-2-hamming-from-cwe", "thm7-3-lee-equals-gray", "thm7-4-macwilliams")
+    notes = SMALL_BUDGET_NOTES[budget, seed]
+    assert got == [(cid, "untestable", None, 0, f"{note} exceeds budget {budget}") for cid, note in zip(claims, notes)]
+
+
+def _assert_same_codes(got, want):
+    assert len(got) == len(want)
+    for code, reference in zip(got, want):
+        assert (code.ring.q, code.n, code.gens) == (reference.ring.q, reference.n, reference.gens)
+        assert np.array_equal(code.flat.gen, reference.flat.gen) and code.flat.pivots == reference.flat.pivots
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 32), st.integers(0, 40), st.sampled_from([(2, 3), (3, 5), (2, 3, 5)]), st.integers(1, 3))
+def test_random_codes_match_the_code_by_code_stream(seed, count, qs, max_n):
+    got = verify._random_codes(random.Random(seed), count, qs, max_n)
+    _assert_same_codes(got, list(oracles.random_code_stream(random.Random(seed), count, qs, max_n)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 32), st.integers(0, 30))
+@example(seed=7, count=0)
+@example(seed=7, count=10**4)  # fewer than count in 4000 draws: both stop there
+def test_self_orthogonal_samples_match_the_code_by_code_stream(seed, count):
+    got = verify._self_orth_samples(random.Random(seed), count)
+    _assert_same_codes(got, oracles.self_orthogonal_stream(random.Random(seed), count))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 32))
+def test_lemma_5_distance_builds_the_code_by_code_stream(seed):
+    built = []
+    build = verify.build_codes
+    claim = next(fn for cid, _, _, fn in CLAIMS if cid == "lem5-distance")
+    ctx = verify._Ctx(seed, DEFAULT_BUDGET)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "build_codes", lambda ring, gens: built.append(build(ring, gens)) or built[-1])
+        verify._run_claim(ctx, claim)
+    assert len(built) == 1
+    _assert_same_codes(built[0], oracles.lem5_distance_stream(ctx.rng("lem5-distance")))
 
 
 def _reference_construction(claim_id, make_block, make_input, label):
@@ -353,7 +440,7 @@ def _cwe_tallies_symbol_1_as_zero(monkeypatch):
 
 
 def _brute_force_dual_is_the_code(monkeypatch):
-    monkeypatch.setattr(LinearCodeR, "brute_force_dual", lambda code, budget=DEFAULT_BUDGET: code)
+    monkeypatch.setattr(verify, "brute_force_duals", lambda codes, budget=DEFAULT_BUDGET: list(codes))
 
 
 def _macwilliams_is_printed_form(monkeypatch):
